@@ -1,8 +1,9 @@
 """Command-line front end: run searches, verify invariants, move state files.
 
-Exit codes: 0 success, 1 configuration/file problems, 2 runs whose readout
-is degenerate or not univocal.  Reports are JSON with every float written to
-17 significant digits, so reading one back reproduces each value bit for bit.
+Exit codes: 0 success, 1 configuration/file problems and runs that reject
+their input, 2 runs whose weights are degenerate or whose readout is not
+univocal.  Reports are JSON with every float written to 17 significant
+digits, so reading one back reproduces each value bit for bit.
 """
 
 from __future__ import annotations
@@ -127,10 +128,10 @@ def _execute_run(config_path: str) -> tuple[Optional[str], int]:
 
     started = time.perf_counter()
     try:
-        report = run_search(cfg)
-        error = None
-    except DegenerateWeights as exc:
-        report, error = None, f"DegenerateWeights: {exc}"
+        report, error = run_search(cfg), None
+    except MvGroverError as exc:
+        report, error = None, f"{type(exc).__name__}: {exc}"
+        code = 2 if isinstance(exc, DegenerateWeights) else 1
         print(f"{config_path}: {error}", file=sys.stderr)
     wall = (time.perf_counter() - started) * 1000.0
 
@@ -144,7 +145,7 @@ def _execute_run(config_path: str) -> tuple[Optional[str], int]:
     )
     line = dumps_record(_record_doc(record))
     if report is None:
-        return line, 2
+        return line, code
     if report.identified is None:
         print(f"readout failed: {report.failure}", file=sys.stderr)
         return line, 2
@@ -153,7 +154,7 @@ def _execute_run(config_path: str) -> tuple[Optional[str], int]:
 
 
 def cmd_run(config_path: str, out_path: str) -> int:
-    """Run one search; exit 0 on univocal identification, 2 otherwise."""
+    """Run one search; exit 0 on univocal identification, 1 or 2 otherwise."""
     line, code = _execute_run(config_path)
     if line is None:
         return code

@@ -8,7 +8,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ConfigInvalid
+from .errors import CapacityExceeded, ConfigInvalid
 from .kernel import make_grid
 from .operators import TargetSpec
 from .search import AUTO, SearchConfig
@@ -44,7 +44,13 @@ def _as_int(value: Any, path: str, minimum: int | None = None) -> int:
 def _as_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigInvalid(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigInvalid(path, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _as_dict(value: Any, path: str) -> dict:
@@ -61,7 +67,7 @@ def _as_list(value: Any, path: str) -> list:
 
 def _complex_entry(value: Any, path: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+        return complex(_as_number(value, path))
     if isinstance(value, list) and len(value) == 2:
         return complex(_as_number(value[0], f"{path}/0"), _as_number(value[1], f"{path}/1"))
     raise ConfigInvalid(path, f"expected a number or [re, im] pair, got {value!r}")
@@ -186,9 +192,10 @@ def parse_config(doc: dict) -> SearchConfig:
     n_modes = _as_int(_require(doc, "n_modes", ""), "/n_modes", minimum=1)
     g_theta = _as_int(_require(doc, "g_theta", ""), "/g_theta", minimum=1)
     g_k = _as_int(_require(doc, "g_k", ""), "/g_k", minimum=1)
-    if n_modes > 4:
-        raise ConfigInvalid("/n_modes", f"dense storage supports at most 4 modes, got {n_modes}")
-    grid = make_grid(n_modes, g_theta, g_k).single_mode()
+    try:
+        grid = make_grid(n_modes, g_theta, g_k).single_mode()
+    except CapacityExceeded as exc:
+        raise ConfigInvalid("/n_modes", str(exc)) from None
 
     envelopes_doc = _as_list(_require(doc, "envelopes", ""), "/envelopes")
     if len(envelopes_doc) != n_modes:
@@ -214,9 +221,8 @@ def parse_config(doc: dict) -> SearchConfig:
     if not isinstance(use_dilation, bool):
         raise ConfigInvalid("/use_dilation", f"expected a boolean, got {use_dilation!r}")
 
-    seed = doc.get("seed")
-    if seed is not None:
-        seed = _as_int(seed, "/seed")
+    if doc.get("seed") is not None:
+        _as_int(doc["seed"], "/seed")  # accepted and echoed, not used
 
     return SearchConfig(
         n_modes=n_modes,
@@ -227,7 +233,6 @@ def parse_config(doc: dict) -> SearchConfig:
         zetas=zetas,
         iterations=iterations,
         use_dilation=use_dilation,
-        seed=seed,
     )
 
 

@@ -350,24 +350,29 @@ def grover_weighted(target: TargetSpec, zetas, grid: ModularGrid) -> GlobalOpera
     return grover_cell(target, grid).with_weight(joint_weight(zetas, grid))
 
 
-def dilation(target: TargetSpec, zetas, grid: ModularGrid) -> GlobalOperator:
-    """Unitary extension of the weighted search onto one ancilla bit.
-
-    With w = product of the mode weights and w' = sqrt(1 - w^2), each cell
-    gets w * G (x) sigma_x + w' * G (x) sigma_z; the anticommuting ancilla
-    factors make the whole thing unitary.
-    """
-    w = joint_weight(zetas, grid)
+def ancilla_weight(w: np.ndarray) -> np.ndarray:
+    """The dilation partner w' = sqrt(1 - w^2); WeightOutOfRange unless |w| <= 1."""
     if np.max(np.abs(w)) > 1.0 + 1e-12:
         raise WeightOutOfRange(
             f"dilation needs |weight| <= 1 everywhere, max is {np.max(np.abs(w)):.6g}"
         )
-    wp = np.sqrt(np.clip(1.0 - w**2, 0.0, None))
+    return np.sqrt(np.clip(1.0 - w**2, 0.0, None))
+
+
+def dilation(target: TargetSpec, zetas, grid: ModularGrid) -> GlobalOperator:
+    """Unitary extension of the weighted search onto one ancilla bit.
+
+    With w = product of the mode weights and w' = sqrt(1 - w^2), each cell
+    gets G (x) A with A = w sigma_x + w' sigma_z; A is real, symmetric and
+    squares to the identity, so the whole thing is unitary.
+    """
+    w = joint_weight(zetas, grid)
+    wp = ancilla_weight(w)
+    a = w[..., None, None] * SIGMA["x"] + wp[..., None, None] * SIGMA["z"]
     g = grover_cell(target, grid).mats
     d = g.shape[-1]
-    gx = np.einsum("...ij,kl->...ikjl", g, SIGMA["x"]).reshape(g.shape[:-2] + (2 * d, 2 * d))
-    gz = np.einsum("...ij,kl->...ikjl", g, SIGMA["z"]).reshape(g.shape[:-2] + (2 * d, 2 * d))
-    mats = w[..., None, None] * gx + wp[..., None, None] * gz
+    ga = np.einsum("...ij,...kl->...ikjl", g, a)
+    mats = ga.reshape(ga.shape[:-4] + (2 * d, 2 * d))
     return GlobalOperator(grid, mats, n_ancilla=1)
 
 

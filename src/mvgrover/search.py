@@ -25,18 +25,9 @@ from .errors import (
     NoAssociation,
     ShapeMismatch,
 )
-from .kernel import (
-    JointState,
-    ModularGrid,
-    ancilla_branch,
-    make_grid,
-    normalize,
-    quad_norm,
-    tensor,
-    with_ancilla,
-)
+from .kernel import JointState, ModularGrid, make_grid, normalize, quad_norm, tensor
 from .operators import TargetSpec, joint_weight, mode_table_to_cells
-from .zak import EnvelopeSpec, logical_one, logical_zero
+from .zak import EnvelopeSpec, logical_mode
 
 AUTO = "auto"
 
@@ -58,7 +49,6 @@ class SearchConfig:
     zetas: Optional[Sequence] = None
     iterations: Union[int, str] = AUTO
     use_dilation: bool = False
-    seed: Optional[int] = None  # reserved
 
     @property
     def grid(self) -> ModularGrid:
@@ -85,14 +75,19 @@ class SearchReport:
     failure: Optional[str] = None
 
 
+def _mode_tables(envelopes: Sequence[EnvelopeSpec], grid: ModularGrid) -> list[np.ndarray]:
+    """The (g_theta, g_k) table of each mode's envelope, one envelope per mode."""
+    if len(envelopes) != grid.n_modes:
+        raise ShapeMismatch(f"need {grid.n_modes} envelopes, got {len(envelopes)}")
+    return [env.table_for(grid.single_mode()) for env in envelopes]
+
+
 def build_list(envelopes: Sequence[EnvelopeSpec], grid: ModularGrid) -> JointState:
     """Quantum list: global Hadamard on the tensor of logical zeros.
 
     Equals the equal-weight sum of all logical basis states times 2**(-n/2).
     """
-    if len(envelopes) != grid.n_modes:
-        raise ShapeMismatch(f"need {grid.n_modes} envelopes, got {len(envelopes)}")
-    modes = [logical_zero(env, grid) for env in envelopes]
+    modes = [logical_mode(t, 0, grid) for t in _mode_tables(envelopes, grid)]
     return ops.apply(ops.hadamard(grid), tensor(modes))
 
 
@@ -100,16 +95,12 @@ def logical_basis(
     envelopes: Sequence[EnvelopeSpec], grid: ModularGrid
 ) -> dict[str, JointState]:
     """All 2^n logical basis states built from the given envelopes."""
-    if len(envelopes) != grid.n_modes:
-        raise ShapeMismatch(f"need {grid.n_modes} envelopes, got {len(envelopes)}")
+    tables = _mode_tables(envelopes, grid)
     n = grid.n_modes
     basis = {}
     for idx in range(2**n):
         bits = [(idx >> (n - 1 - i)) & 1 for i in range(n)]
-        modes = [
-            logical_one(env, grid) if b else logical_zero(env, grid)
-            for env, b in zip(envelopes, bits)
-        ]
+        modes = [logical_mode(t, b, grid) for t, b in zip(tables, bits)]
         basis[format(idx, f"0{n}b")] = tensor(modes)
     return basis
 
@@ -134,8 +125,7 @@ def logical_overlaps(
         raise AncillaMismatch("take an ancilla branch before computing overlaps")
     grid = state.grid
     n = grid.n_modes
-    tables = [env.table_for(grid.single_mode()) for env in envelopes]
-    profile = np.conjugate(_cell_profile(tables, grid))
+    profile = np.conjugate(_cell_profile(_mode_tables(envelopes, grid), grid))
     out = {}
     for idx in range(2**n):
         bits = tuple((idx >> (n - 1 - i)) & 1 for i in range(n))
@@ -199,10 +189,8 @@ def _resolved_iterations(cfg: SearchConfig) -> int:
     return r
 
 
-def _check_not_degenerate(cfg: SearchConfig, grid: ModularGrid) -> None:
-    tables = [env.table_for(grid.single_mode()) for env in cfg.envelopes]
-    gsq = _cell_profile([np.abs(t) ** 2 for t in tables], grid).real
-    w = joint_weight(cfg.zetas, grid)
+def _check_not_degenerate(envelopes: Sequence[EnvelopeSpec], w, grid: ModularGrid) -> None:
+    gsq = _cell_profile([np.abs(t) ** 2 for t in _mode_tables(envelopes, grid)], grid).real
     mass = float(np.sum(gsq * w**2)) * grid.cell_weight
     if mass <= 1e-20:
         raise DegenerateWeights(
@@ -210,40 +198,41 @@ def _check_not_degenerate(cfg: SearchConfig, grid: ModularGrid) -> None:
         )
 
 
-def _evolved_state(cfg: SearchConfig) -> tuple[JointState, int]:
-    """Run the iteration loop; the returned state is unnormalized."""
+def _evolved_state(cfg: SearchConfig) -> tuple[JointState, int, Optional[tuple]]:
+    """Run the iteration loop; the returned state is unnormalized.
+
+    The dilated step is G (x) A with A = w sigma_x + w' sigma_z, and
+    (G (x) A)^r = G^r (x) A^r, so dilated runs iterate the bare G and also
+    return (w', w), the two ancilla components of A|0>.
+    """
     grid = cfg.grid
-    if len(cfg.envelopes) != grid.n_modes:
-        raise ShapeMismatch(f"need {grid.n_modes} envelopes, got {len(cfg.envelopes)}")
     if cfg.target.n_modes != grid.n_modes:
         raise ShapeMismatch(
             f"target spans {cfg.target.n_modes} modes, grid has {grid.n_modes}"
         )
-    _check_not_degenerate(cfg, grid)
+    w = joint_weight(cfg.zetas, grid)
+    _check_not_degenerate(cfg.envelopes, w, grid)
     r = _resolved_iterations(cfg)
+    ancilla = (ops.ancilla_weight(w), w) if cfg.use_dilation else None
+    op = ops.grover_cell(cfg.target, grid).with_weight(1.0 if cfg.use_dilation else w)
     state = build_list(cfg.envelopes, grid)
-    if cfg.use_dilation:
-        op = ops.dilation(cfg.target, cfg.zetas, grid)
-        state = with_ancilla(state, 0)
-    else:
-        op = ops.grover_weighted(cfg.target, cfg.zetas, grid)
     for _ in range(r):
         state = ops.apply(op, state)
-    return state, r
+    return state, r, ancilla
 
 
 def final_state(cfg: SearchConfig, normalized: bool = True) -> JointState:
     """The post-iteration state of a plain (non-dilation) run."""
     if cfg.use_dilation:
         raise ValueError("dilated finals carry an ancilla; run without use_dilation")
-    state, _ = _evolved_state(cfg)
+    state, _, _ = _evolved_state(cfg)
     return normalize(state) if normalized else state
 
 
 def per_cell_max_error(state: JointState, target: TargetSpec, r: int) -> float:
     """Worst per-cell deviation of the normalized band vector from the
-    reference qubit search after r rounds.  Cells with negligible amplitude
-    are skipped."""
+    reference qubit search after r rounds, up to each cell's phase.  Cells
+    with negligible amplitude are skipped."""
     if state.n_ancilla:
         raise AncillaMismatch("take an ancilla branch before the per-cell check")
     grid = state.grid
@@ -254,93 +243,92 @@ def per_cell_max_error(state: JointState, target: TargetSpec, r: int) -> float:
     mask = norms > _CELL_FLOOR
     if not np.any(mask):
         return math.nan
-    vhat = np.zeros_like(v)
-    np.divide(v, norms[..., None], out=vhat, where=mask[..., None])
-    if target.is_constant:
-        ref = reference_qubit_grover(n, target.target_strings(), r)
-        diff = np.abs(vhat - ref)
-    else:
-        band = target.band_indices(grid)[..., 0]
-        table = np.zeros((d, d), dtype=np.complex128)
-        for t in np.unique(band):
-            table[int(t)] = reference_qubit_grover(n, [format(int(t), f"0{n}b")], r)
-        ref = table[band].reshape((grid.g_theta,) * n + (1,) * n + (d,))
-        diff = np.abs(vhat - ref)
-    return float(np.max(diff[mask]))
+    # One reference per target class: the constant strings, or each theta
+    # cell's band string in extended mode.
+    band = target.band_indices(grid)
+    classes, index = np.unique(band.reshape(-1, band.shape[-1]), axis=0, return_inverse=True)
+    table = np.array([reference_qubit_grover(n, [f"{t:0{n}b}" for t in c], r) for c in classes])
+    ref = table[index.reshape(band.shape[:-1])].reshape(band.shape[:-1] + (1,) * n + (d,))
+    # Scale each cell to unit norm and remove its common factor g(cell) w(cell)^r,
+    # the phase of <ref|v>; a cell orthogonal to its reference keeps phase 1.
+    overlap = np.einsum("...i,...i->...", np.conjugate(ref), v)
+    size = np.abs(overlap)
+    scale = np.ones_like(overlap)
+    np.divide(np.conjugate(overlap), size, out=scale, where=size > 0)
+    np.divide(scale, norms, out=scale, where=mask)
+    diff = v * scale[..., None]
+    diff -= ref
+    np.abs(diff, out=diff)  # in place: the deviations land in the real parts
+    return float(np.max(diff.real.max(axis=-1), where=mask, initial=0.0))
 
 
-def _readout(
-    cfg: SearchConfig, state: JointState, threshold: float
-) -> tuple[dict[str, complex], Union[str, tuple[str, ...], None], Optional[str]]:
-    overlaps = logical_overlaps(cfg.envelopes, state)
+def _readout(cfg: SearchConfig, state: JointState, threshold: float) -> tuple:
+    """(normalized state, overlaps, identified, failure) of an unnormalized state."""
+    unit = normalize(state)
+    overlaps = logical_overlaps(cfg.envelopes, unit)
     if cfg.target.is_constant and cfg.target.n_targets > 1:
         hits = tuple(sorted(s for s, v in overlaps.items() if abs(v) > threshold))
-        if not hits:
-            return overlaps, None, "no-association"
-        return overlaps, hits, None
+        return unit, overlaps, hits or None, None if hits else "no-association"
     try:
-        return overlaps, identify(overlaps, threshold), None
+        return unit, overlaps, identify(overlaps, threshold), None
     except AmbiguousAssociation:
-        return overlaps, None, "ambiguous-association"
+        return unit, overlaps, None, "ambiguous-association"
     except NoAssociation:
-        return overlaps, None, "no-association"
+        return unit, overlaps, None, "no-association"
 
 
 def run_search(cfg: SearchConfig, threshold: float = DECISION_THRESHOLD) -> SearchReport:
     """Full pipeline: list, iterations, normalization, univocal readout.
 
     norm_constant is the squared norm of the state after the last iteration,
-    before normalization (1 for unit weights or dilation runs).
+    before normalization (1 for unit weights).  A dilated run is G^r psi (x)
+    A^r|0> with A^2 = 1: its ancilla-0 and ancilla-1 branches are (psi_r, empty)
+    after an even r and (w' psi_r, w psi_r) after an odd r, and its
+    norm_constant is the sum of the two branch norms (1 up to rounding).
     """
-    state, r = _evolved_state(cfg)
-    norm_constant = quad_norm(state)
-
-    if cfg.use_dilation:
-        branches = (ancilla_branch(state, 0), ancilla_branch(state, 1))
-        branch_norms = (quad_norm(branches[0]), quad_norm(branches[1]))
-        per_branch: list[Optional[str]] = [None, None]
-        hit_sets: list[Optional[Union[str, tuple[str, ...]]]] = [None, None]
-        overlaps_by_branch: list[Optional[dict[str, complex]]] = [None, None]
-        failure = None
-        for i, (branch, nrm) in enumerate(zip(branches, branch_norms)):
-            if nrm <= 1e-20:
-                continue
-            ov, ident, fail = _readout(cfg, normalize(branch), threshold)
-            overlaps_by_branch[i] = ov
-            hit_sets[i] = ident
-            per_branch[i] = ident if isinstance(ident, str) else None
-            failure = failure or fail
-        live = [h for h in hit_sets if h is not None]
-        if not live:
-            identified, failure = None, failure or "no-association"
-        elif all(h == live[0] for h in live):
-            identified = live[0]
-        else:
-            identified, failure = None, "ambiguous-association"
-        dominant = int(branch_norms[1] >= branch_norms[0])
-        normed = normalize(branches[dominant])
-        overlaps = overlaps_by_branch[dominant]
-        if overlaps is None:
-            overlaps = logical_overlaps(cfg.envelopes, normed)
+    state, r, ancilla = _evolved_state(cfg)
+    if ancilla is None:
+        normed, overlaps, identified, failure = _readout(cfg, state, threshold)
         return SearchReport(
-            norm_constant=norm_constant,
+            norm_constant=quad_norm(state),
             overlaps=overlaps,
             identified=identified,
             per_cell_max_error=per_cell_max_error(normed, cfg.target, r),
             iterations_used=r,
-            ancilla_branch_norms=branch_norms,
-            branch_identified=(per_branch[0], per_branch[1]),
             failure=failure,
         )
 
-    normed = normalize(state)
-    overlaps, identified, failure = _readout(cfg, normed, threshold)
+    if r % 2:
+        bands = (Ellipsis,) + (None,) * cfg.n_modes
+        branches = [JointState(state.grid, state.amp * f[bands]) for f in ancilla]
+    else:
+        branches = [state, None]
+    norms = tuple(0.0 if b is None else quad_norm(b) for b in branches)
+    # Per ancilla value: the branch's readout, None for an empty branch.
+    readouts = [
+        _readout(cfg, b, threshold) if nrm > 1e-20 else None for b, nrm in zip(branches, norms)
+    ]
+    live = [ro for ro in readouts if ro is not None]
+    failure = next((ro[3] for ro in live if ro[3]), None)
+    hits = [ro[2] for ro in live if ro[2] is not None]
+    if not hits:
+        identified, failure = None, failure or "no-association"
+    elif all(h == hits[0] for h in hits):
+        identified = hits[0]
+    else:
+        identified, failure = None, "ambiguous-association"
+    # The dominant branch holds at least half the unit norm, so it is live.
+    unit, overlaps, _, _ = readouts[int(norms[1] >= norms[0])]
     return SearchReport(
-        norm_constant=norm_constant,
+        norm_constant=sum(norms),
         overlaps=overlaps,
         identified=identified,
-        per_cell_max_error=per_cell_max_error(normed, cfg.target, r),
+        per_cell_max_error=per_cell_max_error(unit, cfg.target, r),
         iterations_used=r,
+        ancilla_branch_norms=norms,
+        branch_identified=tuple(
+            ro[2] if ro is not None and isinstance(ro[2], str) else None for ro in readouts
+        ),
         failure=failure,
     )
 
@@ -353,10 +341,7 @@ def weighted_list(
     amp[cell, b] = w(cell) * prod_i g_i(cell_i) on every band string b; this
     is what the four single-step search results add up to at n = 2.
     """
-    if len(envelopes) != grid.n_modes:
-        raise ShapeMismatch(f"need {grid.n_modes} envelopes, got {len(envelopes)}")
-    tables = [env.table_for(grid.single_mode()) for env in envelopes]
-    base = _cell_profile(tables, grid) * joint_weight(zetas, grid)
+    base = _cell_profile(_mode_tables(envelopes, grid), grid) * joint_weight(zetas, grid)
     amp = np.empty(grid.cell_shape + grid.band_shape, dtype=np.complex128)
     amp[...] = base[(Ellipsis,) + (None,) * grid.n_modes]
     return JointState(grid, amp)

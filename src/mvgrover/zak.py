@@ -211,17 +211,19 @@ class EnvelopeSpec:
         return raw / math.sqrt(nrm)
 
 
-def logical_zero(env: EnvelopeSpec, grid: ModularGrid) -> ModeState:
-    """CV logical |0>: envelope on band 0, nothing on band 1."""
+def logical_mode(table: np.ndarray, bit: int, grid: ModularGrid) -> ModeState:
+    """One mode's logical |bit>: the envelope table on that band, nothing on the other."""
     g = grid.single_mode()
     amp = np.zeros((g.g_theta, g.g_k, 2), dtype=np.complex128)
-    amp[:, :, 0] = env.table_for(g)
+    amp[:, :, bit] = table
     return ModeState(g, amp)
+
+
+def logical_zero(env: EnvelopeSpec, grid: ModularGrid) -> ModeState:
+    """CV logical |0>: envelope on band 0, nothing on band 1."""
+    return logical_mode(env.table_for(grid), 0, grid)
 
 
 def logical_one(env: EnvelopeSpec, grid: ModularGrid) -> ModeState:
     """CV logical |1>: envelope on band 1, orthogonal to logical_zero."""
-    g = grid.single_mode()
-    amp = np.zeros((g.g_theta, g.g_k, 2), dtype=np.complex128)
-    amp[:, :, 1] = env.table_for(g)
-    return ModeState(g, amp)
+    return logical_mode(env.table_for(grid), 1, grid)

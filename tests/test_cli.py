@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -109,6 +110,57 @@ def test_run_batch_writes_jsonl(tmp_path):
     assert len(lines) == 2
     assert json.loads(lines[0])["report"]["identified"] == "10"
     assert json.loads(lines[1])["report"]["identified"] == "01"
+
+
+def test_run_batch_keeps_going_after_a_failed_run(tmp_path, capsys):
+    paths = [tmp_path / f"{name}.json" for name in ("ok", "bad", "ok2")]
+    write_config(paths[0])
+    write_config(
+        paths[1],
+        use_dilation=True,
+        zetas=[{"kind": "constant", "params": {"value": 1.5}}] * 2,
+    )
+    write_config(paths[2])
+    out = tmp_path / "batch.jsonl"
+    assert main(["run", "--config", *map(str, paths), "--out", str(out)]) == 1
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(records) == 3
+    assert records[0]["report"]["identified"] == records[2]["report"]["identified"] == "10"
+    assert records[1]["report"] is None
+    assert records[1]["error"].startswith("WeightOutOfRange: ")
+    assert "WeightOutOfRange" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, path",
+    [
+        ({"zetas": [{"kind": "constant", "params": {"value": math.nan}}] * 2}, "/zetas/0/value"),
+        ({"envelopes": [{"kind": "gaussian", "sigma_theta": math.inf}] * 2}, "/envelopes/0/sigma_theta"),
+        ({"envelopes": [{"kind": "tabulated", "values": [[-math.inf] * 6] * 6}] * 2}, "/envelopes/0/values/0/0"),
+        ({"zetas": [{"kind": "constant", "params": {"value": 10**400}}] * 2}, "/zetas/0/value"),
+        ({"n_modes": 5}, "/n_modes"),
+    ],
+)
+def test_run_invalid_numbers_and_sizes_name_field(tmp_path, capsys, overrides, path):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, **overrides)
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"{path}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_seed_is_echoed_but_not_carried(tmp_path):
+    from mvgrover.config import parse_config
+
+    cfg = tmp_path / "cfg.json"
+    doc = write_config(cfg, seed=7)
+    assert not hasattr(parse_config(doc), "seed")
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["seed"] == 7
+    write_config(cfg, seed=1.5)
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
 
 
 def test_dumps_record_17_digit_floats():

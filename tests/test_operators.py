@@ -420,6 +420,19 @@ def test_dilation_branches_identify_same_target():
         assert hits == ["10"]
 
 
+def test_dilation_cells_are_g_tensor_a():
+    rng = np.random.default_rng(19)
+    grid = make_grid(2, 3, 2)
+    spec = TargetSpec.from_intervals([[(0.0, 1.0)], [(1.5, 3.0)]])
+    zetas = [rng.uniform(-1.0, 1.0, (3, 2)) for _ in range(2)]
+    u = dilation(spec, zetas, grid)
+    g = grover_cell(spec, grid)
+    w = joint_weight(zetas, grid)
+    for cell in np.ndindex(grid.cell_shape):
+        a = w[cell] * np.array([[0, 1], [1, 0]]) + np.sqrt(1 - w[cell] ** 2) * np.diag([1, -1])
+        assert_allclose(u.mat_at(*cell), np.kron(g.mat_at(*cell), a), rtol=0, atol=1e-15)
+
+
 def test_dilation_weight_out_of_range():
     grid = make_grid(1, 2, 2)
     with pytest.raises(WeightOutOfRange):

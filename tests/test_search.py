@@ -9,8 +9,10 @@ from mvgrover import (
     EnvelopeSpec,
     SearchConfig,
     TargetSpec,
+    ancilla_branch,
     apply,
     build_list,
+    dilation,
     final_state,
     hadamard,
     identify,
@@ -20,12 +22,15 @@ from mvgrover import (
     logical_overlaps,
     logical_zero,
     make_grid,
+    normalize,
+    per_cell_max_error,
     quad_norm,
     reference_qubit_grover,
     run_search,
     sum_over_targets,
     tensor,
     weighted_list,
+    with_ancilla,
 )
 from mvgrover.errors import (
     AmbiguousAssociation,
@@ -33,6 +38,7 @@ from mvgrover.errors import (
     CapacityExceeded,
     DegenerateWeights,
     NoAssociation,
+    ShapeMismatch,
 )
 
 
@@ -337,3 +343,123 @@ def test_sum_over_targets_requires_two_modes():
     cfg = SearchConfig(1, 4, 4, gaussian_envs(1), TargetSpec.bits("0"))
     with pytest.raises(BadTargetCount):
         sum_over_targets(cfg)
+
+
+# --- dilated runs against the explicit dilation ------------------------------
+
+
+def _explicit_dilated_run(cfg, r):
+    """Readout of r applications of dilation() on the list with ancilla 0."""
+    grid = cfg.grid
+    u = dilation(cfg.target, cfg.zetas, grid)
+    state = with_ancilla(build_list(cfg.envelopes, grid), 0)
+    for _ in range(r):
+        state = apply(u, state)
+    branches = [ancilla_branch(state, a) for a in (0, 1)]
+    norms = [quad_norm(b) for b in branches]
+    multi = cfg.target.is_constant and cfg.target.n_targets > 1
+    hits, per_branch, failure = [], [], None
+    for branch, nrm in zip(branches, norms):
+        if nrm <= 1e-20:
+            per_branch.append(None)
+            continue
+        ov = logical_overlaps(cfg.envelopes, normalize(branch))
+        found = tuple(sorted(s for s, v in ov.items() if abs(v) > 1e-8))
+        if multi:
+            hit = found or None
+        else:
+            hit = found[0] if len(found) == 1 else None
+        if hit is None:
+            failure = failure or ("ambiguous-association" if found else "no-association")
+        per_branch.append(hit if isinstance(hit, str) else None)
+        if hit is not None:
+            hits.append(hit)
+    if not hits:
+        identified, failure = None, failure or "no-association"
+    elif all(h == hits[0] for h in hits):
+        identified = hits[0]
+    else:
+        identified, failure = None, "ambiguous-association"
+    dominant = normalize(branches[int(norms[1] >= norms[0])])
+    return {
+        "norm_constant": quad_norm(state),
+        "branch_norms": norms,
+        "overlaps": logical_overlaps(cfg.envelopes, dominant),
+        "identified": identified,
+        "branch_identified": tuple(per_branch),
+        "failure": failure,
+    }
+
+
+@pytest.mark.parametrize("n, g", [(2, 4), (3, 3)])
+@pytest.mark.parametrize("kind", ["single", "multi", "intervals"])
+def test_dilated_run_matches_explicit_dilation(n, g, kind):
+    rng = np.random.default_rng(10 * n + len(kind))
+    target = {
+        "single": TargetSpec.bits("1" * n),
+        "multi": TargetSpec.multi(["0" * n, "1" + "0" * (n - 1)]),
+        "intervals": TargetSpec.from_intervals([[(0.5, 2.0)]] * n),
+    }[kind]
+    for r in range(5):
+        zetas = tuple(rng.uniform(-1.0, 1.0, (g, g)) for _ in range(n))
+        envs = tuple(EnvelopeSpec.tabulated(rng.uniform(0.2, 1.0, (g, g))) for _ in range(n))
+        cfg = SearchConfig(n, g, g, envs, target, zetas=zetas, iterations=r, use_dilation=True)
+        report = run_search(cfg)
+        expected = _explicit_dilated_run(cfg, r)
+        assert report.iterations_used == r
+        assert report.identified == expected["identified"]
+        assert report.branch_identified == expected["branch_identified"]
+        assert report.failure == expected["failure"]
+        assert report.norm_constant == pytest.approx(expected["norm_constant"], abs=1e-12)
+        assert_allclose(report.ancilla_branch_norms, expected["branch_norms"], rtol=0, atol=1e-12)
+        for s, v in expected["overlaps"].items():
+            assert abs(report.overlaps[s] - v) <= 1e-12
+        assert report.per_cell_max_error < 1e-12
+
+
+# --- per-cell check up to each cell's phase ----------------------------------
+
+
+def test_per_cell_check_complex_envelope():
+    rng = np.random.default_rng(3)
+    table = rng.uniform(0.2, 1.0, (6, 6)) * np.exp(1j * rng.uniform(0, 2 * math.pi, (6, 6)))
+    envs = (EnvelopeSpec.tabulated(table), EnvelopeSpec.gaussian())
+    report = run_search(SearchConfig(2, 6, 6, envs, TargetSpec.bits("01")))
+    assert report.identified == "01"
+    assert report.per_cell_max_error <= 1e-12
+
+
+@pytest.mark.parametrize("use_dilation", [False, True])
+def test_per_cell_check_negative_weights(use_dilation):
+    grid = make_grid(2, 8, 4)
+    zetas = cos_zetas(grid, factor=1.0)  # negative for theta > pi/2
+    cfg = SearchConfig(
+        2, 8, 4, gaussian_envs(2), TargetSpec.bits("11"),
+        zetas=zetas, iterations=1, use_dilation=use_dilation,
+    )
+    assert run_search(cfg).per_cell_max_error <= 1e-12
+
+
+def test_per_cell_check_wrong_target_reads_one():
+    cfg = SearchConfig(2, 4, 4, gaussian_envs(2), TargetSpec.bits("10"))
+    state = final_state(cfg)
+    assert per_cell_max_error(state, TargetSpec.bits("10"), 1) <= 1e-12
+    assert per_cell_max_error(state, TargetSpec.bits("01"), 1) == pytest.approx(1.0, abs=1e-12)
+
+
+# --- envelope count -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_wrong_envelope_count_is_rejected(count):
+    grid = make_grid(2, 4, 4)
+    state = build_list(gaussian_envs(2), grid)
+    with pytest.raises(ShapeMismatch):
+        logical_overlaps(gaussian_envs(count), state)
+    for build in (build_list, logical_basis):
+        with pytest.raises(ShapeMismatch):
+            build(gaussian_envs(count), grid)
+    with pytest.raises(ShapeMismatch):
+        weighted_list(gaussian_envs(count), None, grid)
+    with pytest.raises(ShapeMismatch):
+        run_search(SearchConfig(2, 4, 4, gaussian_envs(count), TargetSpec.bits("10")))

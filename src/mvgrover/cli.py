@@ -118,6 +118,11 @@ def _record_doc(record: RunRecord) -> dict:
     }
 
 
+def _exit_code(exc: Exception) -> int:
+    """Exit code of a valid config whose run or state build raised exc."""
+    return 2 if isinstance(exc, DegenerateWeights) else 1
+
+
 def _execute_run(config_path: str) -> tuple[Optional[str], int]:
     """Run one config; returns (record line or None on invalid config, exit code)."""
     try:
@@ -130,8 +135,7 @@ def _execute_run(config_path: str) -> tuple[Optional[str], int]:
     try:
         report, error = run_search(cfg), None
     except MvGroverError as exc:
-        report, error = None, f"{type(exc).__name__}: {exc}"
-        code = 2 if isinstance(exc, DegenerateWeights) else 1
+        report, error, code = None, f"{type(exc).__name__}: {exc}", _exit_code(exc)
         print(f"{config_path}: {error}", file=sys.stderr)
     wall = (time.perf_counter() - started) * 1000.0
 
@@ -196,12 +200,9 @@ def cmd_state_save(config_path: str, path: str, stage: str) -> int:
             state = build_list(cfg.envelopes, cfg.grid)
         else:
             state = final_state(cfg)
-    except MvGroverError as exc:
-        print(f"cannot build {stage} state: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    except (MvGroverError, ValueError) as exc:
+        print(f"cannot build {stage} state: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return _exit_code(exc)
     save_state(state, path)
     print(f"saved {stage} state ({len(state_to_bytes(state))} bytes) to {path}")
     return 0

@@ -8,7 +8,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import CapacityExceeded, ConfigInvalid
+from .errors import CapacityExceeded, ConfigInvalid, MvGroverError
 from .kernel import make_grid
 from .operators import TargetSpec
 from .search import AUTO, SearchConfig
@@ -51,6 +51,14 @@ def _as_number(value: Any, path: str) -> float:
     if not math.isfinite(number):
         raise ConfigInvalid(path, f"expected a finite number, got {value!r}")
     return number
+
+
+def _build(path: str, factory, *args, **kwargs):
+    """Build a domain object; its own validation error becomes ConfigInvalid at path."""
+    try:
+        return factory(*args, **kwargs)
+    except (ValueError, MvGroverError) as exc:
+        raise ConfigInvalid(path, str(exc)) from None
 
 
 def _as_dict(value: Any, path: str) -> dict:
@@ -100,10 +108,7 @@ def _parse_envelope(doc: Any, g_theta: int, g_k: int, path: str) -> EnvelopeSpec
         for key in ("center_theta", "center_k", "sigma_theta", "sigma_k"):
             if key in doc:
                 params[key] = _as_number(doc[key], f"{path}/{key}")
-        for key in ("sigma_theta", "sigma_k"):
-            if key in params and params[key] <= 0:
-                raise ConfigInvalid(f"{path}/{key}", f"must be positive, got {params[key]}")
-        return EnvelopeSpec.gaussian(**params)
+        return _build(path, EnvelopeSpec.gaussian, **params)
     if kind == "tabulated":
         values = _require(doc, "values", path)
         return EnvelopeSpec.tabulated(
@@ -118,14 +123,8 @@ def _parse_target(doc: Any, n_modes: int, path: str) -> TargetSpec:
     if mode == "constant":
         if "strings" in doc:
             strings = _as_list(doc["strings"], f"{path}/strings")
-            if not strings:
-                raise ConfigInvalid(f"{path}/strings", "need at least one target string")
-            parsed = []
-            for i, s in enumerate(strings):
-                parsed.append(_parse_bits(s, n_modes, f"{path}/strings/{i}"))
-            if len(set(parsed)) != len(parsed):
-                raise ConfigInvalid(f"{path}/strings", "target strings must be distinct")
-            return TargetSpec.multi(parsed)
+            parsed = [_parse_bits(s, n_modes, f"{path}/strings/{i}") for i, s in enumerate(strings)]
+            return _build(f"{path}/strings", TargetSpec.multi, parsed)
         bits = _require(doc, "bits", path)
         return TargetSpec.bits(_parse_bits(bits, n_modes, f"{path}/bits"))
     if mode == "intervals":
@@ -138,21 +137,13 @@ def _parse_target(doc: Any, n_modes: int, path: str) -> TargetSpec:
         for i, mode_set in enumerate(sets):
             ivs = []
             for j, iv in enumerate(_as_list(mode_set, f"{path}/intervals/{i}")):
-                pair = _as_list(iv, f"{path}/intervals/{i}/{j}")
+                at = f"{path}/intervals/{i}/{j}"
+                pair = _as_list(iv, at)
                 if len(pair) != 2:
-                    raise ConfigInvalid(
-                        f"{path}/intervals/{i}/{j}", "expected a [lo, hi] pair"
-                    )
-                lo = _as_number(pair[0], f"{path}/intervals/{i}/{j}/0")
-                hi = _as_number(pair[1], f"{path}/intervals/{i}/{j}/1")
-                if not (0.0 <= lo <= hi <= math.pi):
-                    raise ConfigInvalid(
-                        f"{path}/intervals/{i}/{j}",
-                        f"need 0 <= lo <= hi <= pi, got [{lo}, {hi}]",
-                    )
-                ivs.append((lo, hi))
-            parsed_sets.append(tuple(ivs))
-        return TargetSpec.from_intervals(parsed_sets)
+                    raise ConfigInvalid(at, "expected a [lo, hi] pair")
+                ivs.append((_as_number(pair[0], f"{at}/0"), _as_number(pair[1], f"{at}/1")))
+            parsed_sets.append(ivs)
+        return _build(f"{path}/intervals", TargetSpec.from_intervals, parsed_sets)
     raise ConfigInvalid(f"{path}/mode", f"expected 'constant' or 'intervals', got {mode!r}")
 
 

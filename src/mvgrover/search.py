@@ -9,6 +9,7 @@ as the independent reference for per-cell equivalence checks.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -24,8 +25,9 @@ from .errors import (
     DuplicateTarget,
     NoAssociation,
     ShapeMismatch,
+    ZeroNorm,
 )
-from .kernel import JointState, ModularGrid, make_grid, normalize, quad_norm, tensor
+from .kernel import JointState, ModularGrid, make_grid, normalize, tensor
 from .operators import TargetSpec, joint_weight, mode_table_to_cells
 from .zak import EnvelopeSpec, logical_mode
 
@@ -52,7 +54,24 @@ class SearchConfig:
 
     @property
     def grid(self) -> ModularGrid:
-        return make_grid(self.n_modes, self.g_theta, self.g_k)
+        grid = make_grid(self.n_modes, self.g_theta, self.g_k)
+        _check_capacity(grid)
+        return grid
+
+
+def _check_capacity(grid: ModularGrid) -> None:
+    """CapacityExceeded unless four dense states fit in physical memory.
+
+    Runs and state builds take the grid from SearchConfig.grid before any
+    grid-sized array exists; a run peaks at about 3.3 states (at n = 1).
+    """
+    state_bytes = 16 * math.prod(grid.cell_shape + grid.band_shape)
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 4 * state_bytes > physical:
+        raise CapacityExceeded(
+            f"a dense state takes {state_bytes / 2**20:.4g} MiB; four of them exceed "
+            f"the {physical / 2**20:.4g} MiB of physical memory"
+        )
 
 
 @dataclass(frozen=True)
@@ -113,25 +132,28 @@ def _cell_profile(tables: Sequence[np.ndarray], grid: ModularGrid) -> np.ndarray
     return prof
 
 
+def _band_overlaps(coef: np.ndarray, state: JointState) -> dict[str, complex]:
+    """sum_cell coef(cell) amp(cell, s) cell_weight for each band string s, in one contraction."""
+    grid = state.grid
+    n = grid.n_modes
+    sums = np.einsum("c,cs->s", coef.reshape(-1), state.amp.reshape(coef.size, 2**n))
+    sums *= grid.cell_weight
+    return {format(idx, f"0{n}b"): complex(v) for idx, v in enumerate(sums)}
+
+
 def logical_overlaps(
     envelopes: Sequence[EnvelopeSpec], state: JointState
 ) -> dict[str, complex]:
     """Overlaps <logical s | state> for every band string s.
 
-    Works band-slice by band-slice, so the basis states are never
-    materialized; agrees with inner() against logical_basis().
+    Contracts the envelope profile against the band array, so the basis
+    states are never materialized; agrees with inner() against logical_basis().
     """
     if state.n_ancilla:
         raise AncillaMismatch("take an ancilla branch before computing overlaps")
     grid = state.grid
-    n = grid.n_modes
     profile = np.conjugate(_cell_profile(_mode_tables(envelopes, grid), grid))
-    out = {}
-    for idx in range(2**n):
-        bits = tuple((idx >> (n - 1 - i)) & 1 for i in range(n))
-        band = state.amp[(Ellipsis,) + bits]
-        out[format(idx, f"0{n}b")] = complex(np.sum(profile * band) * grid.cell_weight)
-    return out
+    return _band_overlaps(profile, state)
 
 
 def iteration_count(n_modes: int, m_targets: int) -> int:
@@ -198,12 +220,14 @@ def _check_not_degenerate(envelopes: Sequence[EnvelopeSpec], w, grid: ModularGri
         )
 
 
-def _evolved_state(cfg: SearchConfig) -> tuple[JointState, int, Optional[tuple]]:
-    """Run the iteration loop; the returned state is unnormalized.
+def _evolved_state(cfg: SearchConfig) -> tuple[JointState, int, tuple]:
+    """Run the iteration loop; returns the unnormalized psi_r, r and the
+    per-cell factor of each readout branch (scalars or cell tables).
 
-    The dilated step is G (x) A with A = w sigma_x + w' sigma_z, and
-    (G (x) A)^r = G^r (x) A^r, so dilated runs iterate the bare G and also
-    return (w', w), the two ancilla components of A|0>.
+    A plain run has one branch, psi_r itself: factors (1,).  The dilated step
+    is G (x) A with A = w sigma_x + w' sigma_z, and (G (x) A)^r = G^r (x) A^r
+    with A^2 = 1, so dilated runs iterate the bare G; their ancilla branches
+    are psi_r times (1, 0) after an even r and (w', w) after an odd r.
     """
     grid = cfg.grid
     if cfg.target.n_modes != grid.n_modes:
@@ -213,122 +237,124 @@ def _evolved_state(cfg: SearchConfig) -> tuple[JointState, int, Optional[tuple]]
     w = joint_weight(cfg.zetas, grid)
     _check_not_degenerate(cfg.envelopes, w, grid)
     r = _resolved_iterations(cfg)
-    ancilla = (ops.ancilla_weight(w), w) if cfg.use_dilation else None
+    if cfg.use_dilation:
+        w_prime = ops.ancilla_weight(w)  # checked on every dilated run, before any work
+        factors = (w_prime, w) if r % 2 else (1.0, 0.0)
+    else:
+        factors = (1.0,)
     op = ops.grover_cell(cfg.target, grid).with_weight(1.0 if cfg.use_dilation else w)
     state = build_list(cfg.envelopes, grid)
     for _ in range(r):
         state = ops.apply(op, state)
-    return state, r, ancilla
+    return state, r, factors
 
 
-def final_state(cfg: SearchConfig, normalized: bool = True) -> JointState:
-    """The post-iteration state of a plain (non-dilation) run."""
+def final_state(cfg: SearchConfig) -> JointState:
+    """The normalized post-iteration state of a plain (non-dilation) run."""
     if cfg.use_dilation:
         raise ValueError("dilated finals carry an ancilla; run without use_dilation")
     state, _, _ = _evolved_state(cfg)
-    return normalize(state) if normalized else state
+    return normalize(state)
+
+
+def _cell_sq(bands: np.ndarray) -> np.ndarray:
+    """Squared norm of each cell's band vector, with no band-sized temporary."""
+    real = bands.view(np.float64)
+    return np.einsum("...i,...i->...", real, real)
 
 
 def per_cell_max_error(state: JointState, target: TargetSpec, r: int) -> float:
-    """Worst per-cell deviation of the normalized band vector from the
-    reference qubit search after r rounds, up to each cell's phase.  Cells
-    with negligible amplitude are skipped."""
+    """Worst per-cell deviation of the band vector from the reference qubit
+    search after r rounds, up to each cell's norm and phase, so the state need
+    not be normalized.  Cells with negligible amplitude are skipped; works one
+    theta_1 slice at a time."""
     if state.n_ancilla:
         raise AncillaMismatch("take an ancilla branch before the per-cell check")
     grid = state.grid
     n = grid.n_modes
     d = 2**n
     v = state.amp.reshape(grid.cell_shape + (d,))
-    norms = np.linalg.norm(v, axis=-1)
-    mask = norms > _CELL_FLOOR
-    if not np.any(mask):
-        return math.nan
     # One reference per target class: the constant strings, or each theta
     # cell's band string in extended mode.
     band = target.band_indices(grid)
     classes, index = np.unique(band.reshape(-1, band.shape[-1]), axis=0, return_inverse=True)
     table = np.array([reference_qubit_grover(n, [f"{t:0{n}b}" for t in c], r) for c in classes])
     ref = table[index.reshape(band.shape[:-1])].reshape(band.shape[:-1] + (1,) * n + (d,))
-    # Scale each cell to unit norm and remove its common factor g(cell) w(cell)^r,
-    # the phase of <ref|v>; a cell orthogonal to its reference keeps phase 1.
-    overlap = np.einsum("...i,...i->...", np.conjugate(ref), v)
-    size = np.abs(overlap)
-    scale = np.ones_like(overlap)
-    np.divide(np.conjugate(overlap), size, out=scale, where=size > 0)
-    np.divide(scale, norms, out=scale, where=mask)
-    diff = v * scale[..., None]
-    diff -= ref
-    np.abs(diff, out=diff)  # in place: the deviations land in the real parts
-    return float(np.max(diff.real.max(axis=-1), where=mask, initial=0.0))
+    worst = -math.inf  # stays so when no cell is above the floor
+    for i in range(grid.g_theta):
+        vi, ref_i = v[i], ref[i % ref.shape[0]]
+        norms = np.sqrt(_cell_sq(vi))
+        mask = norms > _CELL_FLOOR
+        # Scale each cell to unit norm and remove the phase of <ref|v>; adding 0.0
+        # makes a -0.0 real part +0.0, so an orthogonal cell keeps phase 1.
+        overlap = np.einsum("...i,...i->...", np.conjugate(ref_i), vi) + 0.0
+        scale = np.exp(-1j * np.angle(overlap))
+        np.divide(scale, norms, out=scale, where=mask)
+        diff = vi * scale[..., None]
+        diff -= ref_i
+        np.abs(diff, out=diff)  # in place: the deviations land in the real parts
+        worst = max(worst, float(np.max(diff.real.max(axis=-1), where=mask, initial=-math.inf)))
+    return worst if worst >= 0.0 else math.nan
 
 
-def _readout(cfg: SearchConfig, state: JointState, threshold: float) -> tuple:
-    """(normalized state, overlaps, identified, failure) of an unnormalized state."""
-    unit = normalize(state)
-    overlaps = logical_overlaps(cfg.envelopes, unit)
+def _readout(cfg: SearchConfig, overlaps: dict[str, complex], threshold: float) -> tuple:
+    """(overlaps, identified, failure) of one branch."""
     if cfg.target.is_constant and cfg.target.n_targets > 1:
         hits = tuple(sorted(s for s, v in overlaps.items() if abs(v) > threshold))
-        return unit, overlaps, hits or None, None if hits else "no-association"
+        return overlaps, hits or None, None if hits else "no-association"
     try:
-        return unit, overlaps, identify(overlaps, threshold), None
+        return overlaps, identify(overlaps, threshold), None
     except AmbiguousAssociation:
-        return unit, overlaps, None, "ambiguous-association"
+        return overlaps, None, "ambiguous-association"
     except NoAssociation:
-        return unit, overlaps, None, "no-association"
+        return overlaps, None, "no-association"
 
 
 def run_search(cfg: SearchConfig, threshold: float = DECISION_THRESHOLD) -> SearchReport:
-    """Full pipeline: list, iterations, normalization, univocal readout.
+    """Full pipeline: list, iterations, univocal readout of each branch.
 
-    norm_constant is the squared norm of the state after the last iteration,
-    before normalization (1 for unit weights).  A dilated run is G^r psi (x)
-    A^r|0> with A^2 = 1: its ancilla-0 and ancilla-1 branches are (psi_r, empty)
-    after an even r and (w' psi_r, w psi_r) after an odd r, and its
-    norm_constant is the sum of the two branch norms (1 up to rounding).
+    Each branch is psi_r times a per-cell factor (see _evolved_state), so the
+    readout reads the unnormalized psi_r alone: branch norms from one table of
+    per-cell squared norms, overlaps from one contraction per branch, and one
+    per-cell check that covers all of psi_r.  norm_constant is the squared
+    norm after the last iteration (1 for unit weights); a dilated run's is the
+    sum of its two branch norms (1 up to rounding).
     """
-    state, r, ancilla = _evolved_state(cfg)
-    if ancilla is None:
-        normed, overlaps, identified, failure = _readout(cfg, state, threshold)
-        return SearchReport(
-            norm_constant=quad_norm(state),
-            overlaps=overlaps,
-            identified=identified,
-            per_cell_max_error=per_cell_max_error(normed, cfg.target, r),
-            iterations_used=r,
-            failure=failure,
-        )
-
-    if r % 2:
-        bands = (Ellipsis,) + (None,) * cfg.n_modes
-        branches = [JointState(state.grid, state.amp * f[bands]) for f in ancilla]
-    else:
-        branches = [state, None]
-    norms = tuple(0.0 if b is None else quad_norm(b) for b in branches)
-    # Per ancilla value: the branch's readout, None for an empty branch.
+    state, r, factors = _evolved_state(cfg)
+    grid = state.grid
+    cell_sq = _cell_sq(state.amp.reshape(grid.cell_shape + (2**grid.n_modes,)))
+    norms = tuple(float(np.sum(np.square(f) * cell_sq)) * grid.cell_weight for f in factors)
+    dilated = len(norms) == 2
+    if not dilated and norms[0] < 1e-30:
+        raise ZeroNorm(f"cannot normalize state with squared norm {norms[0]:.3e}")
+    profile = np.conjugate(_cell_profile(_mode_tables(cfg.envelopes, grid), grid))
+    # Per branch: its readout, None for an empty dilated branch.
     readouts = [
-        _readout(cfg, b, threshold) if nrm > 1e-20 else None for b, nrm in zip(branches, norms)
+        None if dilated and nrm <= 1e-20
+        else _readout(cfg, _band_overlaps(profile * (f / math.sqrt(nrm)), state), threshold)
+        for f, nrm in zip(factors, norms)
     ]
     live = [ro for ro in readouts if ro is not None]
-    failure = next((ro[3] for ro in live if ro[3]), None)
-    hits = [ro[2] for ro in live if ro[2] is not None]
+    failure = next((ro[2] for ro in live if ro[2]), None)
+    hits = [ro[1] for ro in live if ro[1] is not None]
     if not hits:
         identified, failure = None, failure or "no-association"
     elif all(h == hits[0] for h in hits):
         identified = hits[0]
     else:
         identified, failure = None, "ambiguous-association"
-    # The dominant branch holds at least half the unit norm, so it is live.
-    unit, overlaps, _, _ = readouts[int(norms[1] >= norms[0])]
+    # The dominant branch holds at least half the norm, so it is live; a tie
+    # picks ancilla 1.
+    dominant = readouts[int(dilated and norms[1] >= norms[0])]
+    branches = [ro[1] if ro is not None and isinstance(ro[1], str) else None for ro in readouts]
     return SearchReport(
         norm_constant=sum(norms),
-        overlaps=overlaps,
+        overlaps=dominant[0],
         identified=identified,
-        per_cell_max_error=per_cell_max_error(unit, cfg.target, r),
+        per_cell_max_error=per_cell_max_error(state, cfg.target, r),
         iterations_used=r,
-        ancilla_branch_norms=norms,
-        branch_identified=tuple(
-            ro[2] if ro is not None and isinstance(ro[2], str) else None for ro in readouts
-        ),
+        ancilla_branch_norms=norms if dilated else None,
+        branch_identified=tuple(branches) if dilated else None,
         failure=failure,
     )
 

@@ -196,9 +196,10 @@ class EnvelopeSpec:
         if self.kind == "constant":
             raw = np.full((g.g_theta, g.g_k), 1.0 + 0.0j)
         elif self.kind == "gaussian":
-            dt = (g.theta_values() - self.center_theta) / (2.0 * self.sigma_theta)
-            dk = (g.k_values() - self.center_k) / (2.0 * self.sigma_k)
-            raw = np.exp(-(dt**2))[:, None] * np.exp(-(dk**2))[None, :] + 0.0j
+            with np.errstate(over="ignore"):  # a tiny width overflows dt**2; exp(-inf) = 0
+                dt = (g.theta_values() - self.center_theta) / (2.0 * self.sigma_theta)
+                dk = (g.k_values() - self.center_k) / (2.0 * self.sigma_k)
+                raw = np.exp(-(dt**2))[:, None] * np.exp(-(dk**2))[None, :] + 0.0j
         else:
             raw = np.asarray(self.table, dtype=np.complex128)
             if raw.shape != (g.g_theta, g.g_k):

@@ -1,15 +1,17 @@
 """Search pipeline: list preparation, iteration schedule, weighted run, readout.
 
-The run applies the (weighted or dilated) search step to the quantum list,
-normalizes, and reads the result out as overlaps against the logical basis
-states rebuilt from the same envelopes.  A dense-vector qubit search acts
-as the independent reference for per-cell equivalence checks.
+Every cell runs the same qubit search, so a run is read from cell tables and
+class vectors: amplitude P(cell) f(cell) v[class(cell)], with P the envelope
+product, f a weight factor and v the n-qubit search vector of the cell's
+target class.  The dense loop (build_list, then apply) is the oracle, and a
+dense-vector qubit search the reference for the per-cell check.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -25,9 +27,10 @@ from .errors import (
     DuplicateTarget,
     NoAssociation,
     ShapeMismatch,
+    WeightOutOfRange,
     ZeroNorm,
 )
-from .kernel import JointState, ModularGrid, make_grid, normalize, tensor
+from .kernel import JointState, ModularGrid, make_grid, tensor
 from .operators import TargetSpec, joint_weight, mode_table_to_cells
 from .zak import EnvelopeSpec, logical_mode
 
@@ -37,6 +40,11 @@ DECISION_THRESHOLD = 1e-8
 # Cells with less amplitude than this are skipped by the per-cell check;
 # far above underflow, far below any cell an envelope actually populates.
 _CELL_FLOOR = 1e-200
+# A run takes r search steps per target class on the n-qubit register, at
+# 14-18 us each (apply plus the per-cell reference); this many take 0.7-0.9 s
+# on a 2-core x86 machine.  An automatic r takes at most 48 (n = 4: r = 3 on
+# 16 classes).
+MAX_CLASS_STEPS = 50_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +71,9 @@ def _check_capacity(grid: ModularGrid) -> None:
     """CapacityExceeded unless four dense states fit in physical memory.
 
     Runs and state builds take the grid from SearchConfig.grid before any
-    grid-sized array exists; a run peaks at about 3.3 states (at n = 1).
+    grid-sized array exists.  A run holds only a few cell tables, each at
+    most 1/2^n of a dense state; final_state and the list that `state save`
+    writes build one state, the dense oracle loop about two.
     """
     state_bytes = 16 * math.prod(grid.cell_shape + grid.band_shape)
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -126,19 +136,15 @@ def logical_basis(
 
 def _cell_profile(tables: Sequence[np.ndarray], grid: ModularGrid) -> np.ndarray:
     """Product of per-mode tables over the joint cell axes (broadcastable)."""
-    prof = np.ones((1,) * (2 * grid.n_modes), dtype=np.complex128)
+    prof = np.ones((1,) * (2 * grid.n_modes))
     for mode, table in enumerate(tables):
         prof = prof * mode_table_to_cells(table, mode, grid)
     return prof
 
 
-def _band_overlaps(coef: np.ndarray, state: JointState) -> dict[str, complex]:
-    """sum_cell coef(cell) amp(cell, s) cell_weight for each band string s, in one contraction."""
-    grid = state.grid
-    n = grid.n_modes
-    sums = np.einsum("c,cs->s", coef.reshape(-1), state.amp.reshape(coef.size, 2**n))
-    sums *= grid.cell_weight
-    return {format(idx, f"0{n}b"): complex(v) for idx, v in enumerate(sums)}
+def _by_string(values: np.ndarray, n: int) -> dict[str, complex]:
+    """{band string: value} for a vector indexed by band index."""
+    return {format(idx, f"0{n}b"): complex(v) for idx, v in enumerate(values)}
 
 
 def logical_overlaps(
@@ -152,8 +158,10 @@ def logical_overlaps(
     if state.n_ancilla:
         raise AncillaMismatch("take an ancilla branch before computing overlaps")
     grid = state.grid
+    n = grid.n_modes
     profile = np.conjugate(_cell_profile(_mode_tables(envelopes, grid), grid))
-    return _band_overlaps(profile, state)
+    sums = np.einsum("c,cs->s", profile.reshape(-1), state.amp.reshape(profile.size, 2**n))
+    return _by_string(sums * grid.cell_weight, n)
 
 
 def iteration_count(n_modes: int, m_targets: int) -> int:
@@ -202,59 +210,117 @@ def reference_qubit_grover(n: int, targets: Sequence[str], r: int) -> np.ndarray
     return v
 
 
-def _resolved_iterations(cfg: SearchConfig) -> int:
+def _resolved_iterations(cfg: SearchConfig, n_classes: int) -> int:
+    """The run's r; CapacityExceeded when r steps on each target class exceed MAX_CLASS_STEPS."""
     if cfg.iterations == AUTO:
-        return iteration_count(cfg.n_modes, cfg.target.n_targets)
-    r = int(cfg.iterations)
-    if r < 0:
-        raise ValueError(f"iterations must be >= 0 or '{AUTO}', got {cfg.iterations}")
+        r = iteration_count(cfg.n_modes, cfg.target.n_targets)
+    else:
+        r = int(cfg.iterations)
+        if r < 0:
+            raise ValueError(f"iterations must be >= 0 or '{AUTO}', got {cfg.iterations}")
+    if r * n_classes > MAX_CLASS_STEPS:
+        raise CapacityExceeded(
+            f"{r} iterations on {n_classes} target class(es) exceed the "
+            f"{MAX_CLASS_STEPS} search steps a run may take"
+        )
     return r
 
 
-def _check_not_degenerate(envelopes: Sequence[EnvelopeSpec], w, grid: ModularGrid) -> None:
-    gsq = _cell_profile([np.abs(t) ** 2 for t in _mode_tables(envelopes, grid)], grid).real
-    mass = float(np.sum(gsq * w**2)) * grid.cell_weight
-    if mass <= 1e-20:
-        raise DegenerateWeights(
-            f"weight product vanishes on the envelope support (mass {mass:.3e})"
-        )
+def _target_classes(target: TargetSpec, grid: ModularGrid) -> tuple[np.ndarray, list[TargetSpec]]:
+    """Each theta cell's class index (flattened) and each class's constant
+    target; classes are the distinct rows of band_indices (at most 2^n)."""
+    band = target.band_indices(grid)
+    rows, index = np.unique(band.reshape(-1, band.shape[-1]), axis=0, return_inverse=True)
+    n = grid.n_modes
+    index = np.broadcast_to(index.reshape(band.shape[:-1]), (grid.g_theta,) * n).reshape(-1)
+    return index, [TargetSpec.multi([format(t, f"0{n}b") for t in row]) for row in rows]
 
 
-def _evolved_state(cfg: SearchConfig) -> tuple[JointState, int, tuple]:
-    """Run the iteration loop; returns the unnormalized psi_r, r and the
-    per-cell factor of each readout branch (scalars or cell tables).
+def _class_vector(target: TargetSpec, r: int) -> JointState:
+    """v_r = G^r u on the bare n-qubit register (the one-cell grid), from the uniform vector."""
+    n = target.n_modes
+    qubits = make_grid(n, 1, 1)
+    op = ops.grover_cell(target, qubits)
+    state = JointState(qubits, np.full(qubits.cell_shape + qubits.band_shape, 2.0 ** (-n / 2)))
+    for _ in range(r):
+        state = ops.apply(op, state)
+    return state
 
-    A plain run has one branch, psi_r itself: factors (1,).  The dilated step
-    is G (x) A with A = w sigma_x + w' sigma_z, and (G (x) A)^r = G^r (x) A^r
-    with A^2 = 1, so dilated runs iterate the bare G; their ancilla branches
-    are psi_r times (1, 0) after an even r and (w', w) after an odd r.
+
+_FactoredRun = namedtuple("_FactoredRun", "grid r index targets vectors tables factors sums norms")
+
+
+def _factored_run(cfg: SearchConfig) -> _FactoredRun:
+    """Check cfg and build its run from cell tables and class vectors.
+
+    psi(cell, b) = P(cell) f(cell) v[class(cell)][b]: index maps each theta
+    cell to its class, vectors[c] is class c's search vector on the one-cell
+    grid, factors holds f per readout branch, sums[b] the per-class sums of
+    |P|^2 f and |P|^2 f^2 for branch b, norms[b] its squared norm.
+
+    A plain run has one branch, f = w^r.  The dilated step is G (x) A with
+    A = w sigma_x + w' sigma_z, and (G (x) A)^r = G^r (x) A^r with A^2 = 1,
+    so a dilated run iterates the bare G and its ancilla branches carry
+    f = (1, 0) after an even r and (w', w) after an odd r.
     """
     grid = cfg.grid
     if cfg.target.n_modes != grid.n_modes:
         raise ShapeMismatch(
             f"target spans {cfg.target.n_modes} modes, grid has {grid.n_modes}"
         )
-    w = joint_weight(cfg.zetas, grid)
-    _check_not_degenerate(cfg.envelopes, w, grid)
-    r = _resolved_iterations(cfg)
-    if cfg.use_dilation:
-        w_prime = ops.ancilla_weight(w)  # checked on every dilated run, before any work
-        factors = (w_prime, w) if r % 2 else (1.0, 0.0)
-    else:
-        factors = (1.0,)
-    op = ops.grover_cell(cfg.target, grid).with_weight(1.0 if cfg.use_dilation else w)
-    state = build_list(cfg.envelopes, grid)
-    for _ in range(r):
-        state = ops.apply(op, state)
-    return state, r, factors
+    index, targets = _target_classes(cfg.target, grid)
+    r = _resolved_iterations(cfg, len(targets))
+    # Theta cells class by class; a sequential sum over 12^3 of them is off by 3e-14.
+    order = np.argsort(index, kind="stable")
+    starts = np.searchsorted(index[order], np.arange(len(targets)))
+    tables = _mode_tables(cfg.envelopes, grid)
+    cells = (grid.g_theta**grid.n_modes, grid.g_k**grid.n_modes)
+    psq = _cell_profile([np.abs(t) ** 2 for t in tables], grid).reshape(cells)
+    with np.errstate(over="ignore", invalid="ignore"):  # out-of-range weights are named below
+        w = joint_weight(cfg.zetas, grid).reshape(cells)
+        mass = float(np.einsum("tk,tk,tk->", psq, w, w)) * grid.cell_weight
+        if mass <= 1e-20:
+            raise DegenerateWeights(
+                f"weight product vanishes on the envelope support (mass {mass:.3e})"
+            )
+        if cfg.use_dilation:
+            w_prime = ops.ancilla_weight(w)  # checked on every dilated run, whatever r
+            factors = (w_prime, w) if r % 2 else (np.ones(cells), np.zeros(cells))
+        else:
+            factors = (w**r,)
+        sums = []
+        for f in factors:  # over the k cells, then pairwise over each class's theta cells
+            pf = psq * f
+            per_theta = (np.einsum("tk->t", pf), np.einsum("tk,tk->t", pf, f))
+            sums.append(tuple(np.add.reduceat(p[order], starts) for p in per_theta))
+    vectors = [_class_vector(t, r) for t in targets]
+    vsq = np.array([_cell_sq(v.amp.reshape(-1)) for v in vectors])
+    norms = tuple(float(np.einsum("c,c->", vsq, sq)) * grid.cell_weight for _, sq in sums)
+    if not (np.isfinite(w).all() and all(np.isfinite(f).all() for f in factors)
+            and all(math.isfinite(x) for x in norms)):
+        raise WeightOutOfRange(
+            f"the weight w, w^{r} or a branch norm leaves the float range "
+            f"(|x| <= {np.finfo(np.float64).max:.4g})"
+        )
+    if not cfg.use_dilation and norms[0] < 1e-30:
+        raise ZeroNorm(f"cannot normalize state with squared norm {norms[0]:.3e}")
+    return _FactoredRun(grid, r, index, targets, vectors, tables, factors, sums, norms)
 
 
 def final_state(cfg: SearchConfig) -> JointState:
-    """The normalized post-iteration state of a plain (non-dilation) run."""
+    """The normalized post-iteration state of a plain (non-dilation) run,
+    built once as P(cell) w(cell)^r v[class(cell)] / sqrt(norm)."""
     if cfg.use_dilation:
         raise ValueError("dilated finals carry an ancilla; run without use_dilation")
-    state, _, _ = _evolved_state(cfg)
-    return normalize(state)
+    run = _factored_run(cfg)
+    grid = run.grid
+    f = run.factors[0]
+    coef = _cell_profile(run.tables, grid).reshape(f.shape) * (f / math.sqrt(run.norms[0]))
+    amp = np.empty(coef.shape + (2**grid.n_modes,), dtype=np.complex128)
+    for c, v in enumerate(run.vectors):  # one masked pass per class, no state-sized temporary
+        in_class = (run.index == c)[:, None, None]
+        np.multiply(coef[:, :, None], v.amp.reshape(-1), out=amp, where=in_class)
+    return JointState(grid, amp.reshape(grid.cell_shape + grid.band_shape))
 
 
 def _cell_sq(bands: np.ndarray) -> np.ndarray:
@@ -274,15 +340,12 @@ def per_cell_max_error(state: JointState, target: TargetSpec, r: int) -> float:
     n = grid.n_modes
     d = 2**n
     v = state.amp.reshape(grid.cell_shape + (d,))
-    # One reference per target class: the constant strings, or each theta
-    # cell's band string in extended mode.
-    band = target.band_indices(grid)
-    classes, index = np.unique(band.reshape(-1, band.shape[-1]), axis=0, return_inverse=True)
-    table = np.array([reference_qubit_grover(n, [f"{t:0{n}b}" for t in c], r) for c in classes])
-    ref = table[index.reshape(band.shape[:-1])].reshape(band.shape[:-1] + (1,) * n + (d,))
+    # One reference per target class.
+    index, targets = _target_classes(target, grid)
+    table = np.array([reference_qubit_grover(n, t.target_strings(), r) for t in targets])
+    ref = table[index].reshape((grid.g_theta,) * n + (1,) * n + (d,))
     worst = -math.inf  # stays so when no cell is above the floor
-    for i in range(grid.g_theta):
-        vi, ref_i = v[i], ref[i % ref.shape[0]]
+    for vi, ref_i in zip(v, ref):
         norms = np.sqrt(_cell_sq(vi))
         mask = norms > _CELL_FLOOR
         # Scale each cell to unit norm and remove the phase of <ref|v>; adding 0.0
@@ -313,26 +376,23 @@ def _readout(cfg: SearchConfig, overlaps: dict[str, complex], threshold: float) 
 def run_search(cfg: SearchConfig, threshold: float = DECISION_THRESHOLD) -> SearchReport:
     """Full pipeline: list, iterations, univocal readout of each branch.
 
-    Each branch is psi_r times a per-cell factor (see _evolved_state), so the
-    readout reads the unnormalized psi_r alone: branch norms from one table of
-    per-cell squared norms, overlaps from one contraction per branch, and one
-    per-cell check that covers all of psi_r.  norm_constant is the squared
-    norm after the last iteration (1 for unit weights); a dilated run's is the
-    sum of its two branch norms (1 up to rounding).
+    Read from cell tables and class vectors (see _factored_run), with no
+    dense state: a branch with factor f has squared norm
+    N = sum_c |v_c|^2 sum_{cells in c} |P|^2 f^2 dA and overlaps
+    sum_c v_c sum_{cells in c} |P|^2 f dA / sqrt(N).  The per-cell check
+    runs once per target class, on its search vector.  norm_constant is the
+    squared norm after the last iteration (1 for unit weights); a dilated
+    run's is the sum of its two branch norms (1 up to rounding).
     """
-    state, r, factors = _evolved_state(cfg)
-    grid = state.grid
-    cell_sq = _cell_sq(state.amp.reshape(grid.cell_shape + (2**grid.n_modes,)))
-    norms = tuple(float(np.sum(np.square(f) * cell_sq)) * grid.cell_weight for f in factors)
-    dilated = len(norms) == 2
-    if not dilated and norms[0] < 1e-30:
-        raise ZeroNorm(f"cannot normalize state with squared norm {norms[0]:.3e}")
-    profile = np.conjugate(_cell_profile(_mode_tables(cfg.envelopes, grid), grid))
+    run = _factored_run(cfg)
+    n = cfg.n_modes
+    bands = np.array([v.amp.reshape(-1) for v in run.vectors]) * run.grid.cell_weight
+    dilated = len(run.norms) == 2
     # Per branch: its readout, None for an empty dilated branch.
     readouts = [
         None if dilated and nrm <= 1e-20
-        else _readout(cfg, _band_overlaps(profile * (f / math.sqrt(nrm)), state), threshold)
-        for f, nrm in zip(factors, norms)
+        else _readout(cfg, _by_string(np.einsum("c,cs->s", m / math.sqrt(nrm), bands), n), threshold)
+        for (m, _), nrm in zip(run.sums, run.norms)
     ]
     live = [ro for ro in readouts if ro is not None]
     failure = next((ro[2] for ro in live if ro[2]), None)
@@ -345,15 +405,23 @@ def run_search(cfg: SearchConfig, threshold: float = DECISION_THRESHOLD) -> Sear
         identified, failure = None, "ambiguous-association"
     # The dominant branch holds at least half the norm, so it is live; a tie
     # picks ancilla 1.
-    dominant = readouts[int(dilated and norms[1] >= norms[0])]
+    dominant = readouts[int(dilated and run.norms[1] >= run.norms[0])]
     branches = [ro[1] if ro is not None and isinstance(ro[1], str) else None for ro in readouts]
+    # A class is checked when one of its cells has |P f| above the floor; a
+    # cell whose |P f|^2 underflows counts as empty.
+    class_sq = sum(sq for _, sq in run.sums)
+    errors = [
+        per_cell_max_error(v, t, run.r)
+        for v, t, sq in zip(run.vectors, run.targets, class_sq)
+        if math.sqrt(sq) > _CELL_FLOOR
+    ]
     return SearchReport(
-        norm_constant=sum(norms),
+        norm_constant=sum(run.norms),
         overlaps=dominant[0],
         identified=identified,
-        per_cell_max_error=per_cell_max_error(state, cfg.target, r),
-        iterations_used=r,
-        ancilla_branch_norms=norms if dilated else None,
+        per_cell_max_error=max(errors, default=math.nan),
+        iterations_used=run.r,
+        ancilla_branch_norms=run.norms if dilated else None,
         branch_identified=tuple(branches) if dilated else None,
         failure=failure,
     )

@@ -27,8 +27,11 @@ from .kernel import (
 from .operators import TargetSpec
 from .search import (
     AUTO,
+    DECISION_THRESHOLD,
     SearchConfig,
+    build_list,
     iteration_count,
+    logical_overlaps,
     reference_qubit_grover,
     run_search,
     sum_over_targets,
@@ -301,6 +304,82 @@ def check_iteration_schedule(corrupt=None):
         raise AssertionError(f"reference success probabilities {probs} not maximized at r=2")
 
 
+def _agreement_configs(rng) -> list[SearchConfig]:
+    """Small plain and dilated (odd and even r) runs over the three target
+    kinds, with complex envelopes and weights that change sign."""
+
+    def cfg(n, gt, gk, target, r, dilated):
+        tables = rng.uniform(0.2, 1.0, (n, gt, gk)) * np.exp(1j * rng.uniform(0, 7, (n, gt, gk)))
+        envs = tuple(EnvelopeSpec.tabulated(t) for t in tables)
+        zetas = tuple(rng.uniform(-1.0, 1.0, (gt, gk)) for _ in range(n))
+        return SearchConfig(n, gt, gk, envs, target, zetas, r, dilated)
+
+    intervals = TargetSpec.from_intervals([[(0.5, 2.0)], [(1.0, 3.0)]])
+    multi = TargetSpec.multi(["010", "101"])
+    return [
+        cfg(2, 3, 3, TargetSpec.bits("10"), AUTO, False),
+        cfg(3, 2, 2, multi, 2, False),
+        cfg(2, 4, 2, intervals, 3, False),
+        cfg(2, 3, 3, TargetSpec.bits("01"), 1, True),
+        cfg(2, 4, 2, intervals, 2, True),
+        cfg(3, 2, 2, multi, 3, True),
+    ]
+
+
+def _dense_run(cfg: SearchConfig, r: int) -> tuple[list, list]:
+    """Branch norms and normalized overlaps (None for an empty branch) of the
+    explicit dense loop: build_list, then r applications of grover_weighted,
+    or of dilation() with the ancilla in |0>."""
+    grid = cfg.grid
+    state = build_list(cfg.envelopes, grid)
+    if cfg.use_dilation:
+        op, state = ops.dilation(cfg.target, cfg.zetas, grid), with_ancilla(state, 0)
+    else:
+        op = ops.grover_weighted(cfg.target, cfg.zetas, grid)
+    for _ in range(r):
+        state = ops.apply(op, state)
+    branches = [ancilla_branch(state, a) for a in (0, 1)] if cfg.use_dilation else [state]
+    norms = [quad_norm(b) for b in branches]
+    overlaps = [
+        logical_overlaps(cfg.envelopes, normalize(b)) if nrm > 1e-20 else None
+        for b, nrm in zip(branches, norms)
+    ]
+    return norms, overlaps
+
+
+def _branch_hit(cfg: SearchConfig, overlaps: dict):
+    """One branch's answer under the univocal rule, or None."""
+    found = tuple(sorted(s for s, v in overlaps.items() if abs(v) > DECISION_THRESHOLD))
+    if cfg.target.is_constant and cfg.target.n_targets > 1:
+        return found or None
+    return found[0] if len(found) == 1 else None
+
+
+def check_engine_agreement(corrupt=None):
+    rng = np.random.default_rng(23)
+    for i, cfg in enumerate(_agreement_configs(rng)):
+        report = run_search(cfg)
+        norms, overlaps = _dense_run(cfg, report.iterations_used)
+        total = sum(norms)
+        _assert_close(report.norm_constant / total, 1.0, 1e-12, f"config {i} norm")
+        if cfg.use_dilation:
+            _assert_close(report.ancilla_branch_norms, norms, 1e-12 * total, f"config {i} norms")
+        dominant = overlaps[int(cfg.use_dilation and norms[1] >= norms[0])]
+        for s, v in dominant.items():
+            _assert_close(report.overlaps[s], v, 1e-12, f"config {i} overlap {s}")
+        branch_hits = [None if ov is None else _branch_hit(cfg, ov) for ov in overlaps]
+        hits = [h for h in branch_hits if h is not None]
+        identified = hits[0] if hits and all(h == hits[0] for h in hits) else None
+        branches = tuple(h if isinstance(h, str) else None for h in branch_hits)
+        if report.identified != identified or (
+            cfg.use_dilation and report.branch_identified != branches
+        ):
+            raise AssertionError(
+                f"config {i}: readout {report.identified!r} {report.branch_identified!r}, "
+                f"dense loop {identified!r} {branches!r}"
+            )
+
+
 FAST_CHECKS: list[tuple[str, Callable]] = [
     ("grid-midpoint-rule", check_grid_midpoint_rule),
     ("unitary-norm-invariance", check_unitary_norm_invariance),
@@ -323,6 +402,7 @@ FULL_CHECKS: list[tuple[str, Callable]] = FAST_CHECKS + [
     ("per-cell-equivalence-n3", check_per_cell_equivalence_n3),
     ("zak-roundtrip-sweep", check_zak_roundtrip_sweep),
     ("iteration-schedule-reference", check_iteration_schedule),
+    ("engine-agreement", check_engine_agreement),
 ]
 
 

@@ -206,9 +206,14 @@ class EnvelopeSpec:
                 raise ShapeMismatch(
                     f"envelope table has shape {raw.shape}, grid needs {(g.g_theta, g.g_k)}"
                 )
-        nrm = float(np.vdot(raw, raw).real) * g.d_theta * g.d_k
-        if nrm < 1e-30:
+        # Scaled to a largest magnitude of 1 first, so the norm neither
+        # overflows nor underflows; only an all-zero table has none.  The
+        # division is real: complex division by a subnormal overflows 1/scale.
+        scale = float(np.max(np.abs(raw)))
+        if scale == 0.0:
             raise ZeroNorm("envelope table has zero quadrature norm")
+        raw = (raw.view(np.float64) / scale).view(np.complex128)
+        nrm = float(np.vdot(raw, raw).real) * g.d_theta * g.d_k
         return raw / math.sqrt(nrm)
 
 

@@ -4,13 +4,15 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mvgrover import EnvelopeSpec, SearchConfig, TargetSpec, run_search
+from mvgrover import EnvelopeSpec, SearchConfig, TargetSpec, make_grid, run_search
 from mvgrover.cli import main
-from mvgrover.errors import CapacityExceeded
+from mvgrover.config import parse_config
+from mvgrover.errors import CapacityExceeded, WeightOutOfRange
 
 BASE = {
     "n_modes": 2,
@@ -87,6 +89,48 @@ def test_capacity_exceeded_before_allocation(tmp_path, capsys):
         assert save(tmp_path, HUGE, stage) == 1
         assert "CapacityExceeded" in capsys.readouterr().err
     assert not (tmp_path / "s.mvgr").exists()
+
+
+# --- numbers beyond the float range or the step budget ----------------------------
+
+OVERFLOW = {
+    "product": dict(BASE, zetas=[{"kind": "constant", "params": {"value": 1e200}}] * 2),
+    "power": dict(BASE, zetas=[{"kind": "constant", "params": {"value": 1e10}}] * 2,
+                  iterations=40),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOW))
+def test_weights_beyond_float_range_are_named(tmp_path, capsys, case):
+    doc = OVERFLOW[case]
+    with pytest.raises(WeightOutOfRange, match="float range"):
+        run_search(parse_config(doc))
+    code, record = run(tmp_path, doc)
+    assert code == 1
+    assert record["report"] is None and record["error"].startswith("WeightOutOfRange: ")
+    assert save(tmp_path, doc) == 1
+    assert "WeightOutOfRange" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [1e300, 1e-20, 2.2250738585e-313])
+def test_extreme_tabulated_envelopes_scale_to_the_ones_table(tmp_path, value):
+    grid = make_grid(1, 3, 3)
+    ones = EnvelopeSpec.tabulated(np.ones((3, 3))).table_for(grid)
+    table = EnvelopeSpec.tabulated(np.full((3, 3), value)).table_for(grid)
+    assert np.max(np.abs(table - ones)) <= 1e-15
+    doc = dict(BASE, envelopes=[{"kind": "tabulated", "values": [[value] * 3] * 3}] * 2)
+    assert run(tmp_path, doc)[0] == 0
+
+
+def test_iterations_beyond_step_budget_refused(tmp_path, capsys):
+    doc = dict(BASE, iterations=10**12)
+    with pytest.raises(CapacityExceeded):
+        run_search(parse_config(doc))
+    code, record = run(tmp_path, doc)
+    assert code == 1
+    assert record["report"] is None and record["error"].startswith("CapacityExceeded: ")
+    assert save(tmp_path, doc) == 1
+    assert "CapacityExceeded" in capsys.readouterr().err
 
 
 # --- config validation by the domain objects -------------------------------------

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import mvgrover.search as search
 from mvgrover import (
     EnvelopeSpec,
     SearchConfig,
@@ -14,11 +15,14 @@ from mvgrover import (
     apply,
     build_list,
     dilation,
+    final_state,
     grover_weighted,
     logical_overlaps,
     make_grid,
     normalize,
+    per_cell_max_error,
     quad_norm,
+    reference_qubit_grover,
     run_search,
     with_ancilla,
 )
@@ -114,3 +118,68 @@ def test_run_search_peak_memory(n, g, use_dilation):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * state_bytes
+
+
+@pytest.mark.parametrize("n, g", [(2, 4), (3, 3)])
+@pytest.mark.parametrize("kind", sorted(TARGETS))
+def test_final_state_matches_explicit_loop(n, g, kind):
+    rng = np.random.default_rng(5 * n + len(kind))
+    grid = make_grid(n, g, g)
+    target = TARGETS[kind](n)
+    for r in range(4):
+        zetas = tuple(rng.uniform(-1.0, 1.0, (g, g)) for _ in range(n))
+        tables = rng.uniform(0.2, 1.0, (n, g, g)) * np.exp(1j * rng.uniform(0, 6, (n, g, g)))
+        envs = tuple(EnvelopeSpec.tabulated(t) for t in tables)
+        state = build_list(envs, grid)
+        for _ in range(r):
+            state = apply(grover_weighted(target, zetas, grid), state)
+        built = final_state(SearchConfig(n, g, g, envs, target, zetas=zetas, iterations=r))
+        assert np.max(np.abs(built.amp - normalize(state).amp)) <= 1e-13
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_constant_envelopes_read_the_reference_search(r):
+    # Unit weights and constant envelopes: every overlap is the reference
+    # amplitude itself, summed over 12**6 cells.
+    cfg = SearchConfig(3, 12, 12, (EnvelopeSpec.constant(),) * 3, TargetSpec.bits("011"),
+                       iterations=r)
+    report = run_search(cfg)
+    ref = reference_qubit_grover(3, ["011"], r)
+    for idx, v in enumerate(ref):
+        assert abs(report.overlaps[format(idx, "03b")] - v) <= 1e-14
+    assert report.norm_constant == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("build", [run_search, final_state])
+def test_interval_run_peak_memory(build):
+    # Interval targets with g_k = 1: the per-cell oracle matrices of a dense
+    # run would be far larger than the state.
+    grid = make_grid(3, 16, 1)
+    cfg = SearchConfig(3, 16, 1, gaussian_envs(3), TARGETS["intervals"](3),
+                       zetas=cos_zetas(grid), iterations=3)
+    state_bytes = 16 * math.prod(grid.cell_shape + grid.band_shape)
+    tracemalloc.start()
+    try:
+        build(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * state_bytes
+
+
+@pytest.mark.parametrize("low, checked", [(1.0, [("0",), ("1",)]), (1e-250, [("1",)])])
+def test_per_cell_check_skips_classes_below_floor(monkeypatch, low, checked):
+    # theta = pi/4 searches "1", theta = 3pi/4 searches "0"; the envelope
+    # puts `low` on the second cell.
+    calls = []
+
+    def spy(state, target, r):
+        calls.append(target.target_strings())
+        return per_cell_max_error(state, target, r)
+
+    monkeypatch.setattr(search, "per_cell_max_error", spy)
+    envs = (EnvelopeSpec.tabulated(np.array([[1.0], [low]])),)
+    cfg = SearchConfig(1, 2, 1, envs, TargetSpec.from_intervals([[(0.0, 1.0)]]))
+    report = run_search(cfg)
+    assert sorted(calls) == checked
+    assert report.per_cell_max_error <= 1e-12

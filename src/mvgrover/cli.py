@@ -25,7 +25,7 @@ from .errors import (
     MvGroverError,
     TruncatedFile,
 )
-from .kernel import load_state, quad_norm, save_state, state_to_bytes
+from .kernel import load_state, quad_norm, save_state
 from .search import SearchReport, build_list, final_state, run_search
 
 
@@ -203,8 +203,8 @@ def cmd_state_save(config_path: str, path: str, stage: str) -> int:
     except (MvGroverError, ValueError) as exc:
         print(f"cannot build {stage} state: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _exit_code(exc)
-    save_state(state, path)
-    print(f"saved {stage} state ({len(state_to_bytes(state))} bytes) to {path}")
+    size = save_state(state, path)
+    print(f"saved {stage} state ({size} bytes) to {path}")
     return 0
 
 

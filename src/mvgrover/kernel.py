@@ -10,6 +10,7 @@ last index fastest, and all reductions run in that lexicographic order.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 from typing import Sequence, Union
@@ -142,8 +143,13 @@ State = Union[ModeState, JointState]
 
 
 def quad_norm(state: State) -> float:
-    """Squared quadrature norm: sum |amp|^2 * (d_theta*d_k)**n_modes."""
-    return float(np.vdot(state.amp, state.amp).real) * state.grid.cell_weight
+    """Squared quadrature norm: sum |amp|^2 * (d_theta*d_k)**n_modes.
+
+    A dot product of the float64 view with itself: einsum runs in this
+    thread, where vdot would hand a large state to the BLAS threads.
+    """
+    real = state.amp.reshape(-1).view(np.float64)
+    return float(np.einsum("i,i->", real, real)) * state.grid.cell_weight
 
 
 def inner(a: State, b: State) -> complex:
@@ -222,42 +228,65 @@ def ancilla_branch(state: JointState, value: int) -> JointState:
 # ---------------------------------------------------------------------------
 
 
-def state_to_bytes(state: JointState) -> bytes:
+def _state_parts(state: JointState) -> tuple[bytes, np.ndarray]:
+    """The header and the payload array (a view, not a copy, of a C-ordered
+    complex128 state on a little-endian machine)."""
     if state.n_ancilla != 0:
         raise AncillaMismatch("ancilla-extended states have no file representation")
     g = state.grid
     header = STATE_MAGIC + _HEADER.pack(g.n_modes, g.g_theta, g.g_k)
-    return header + np.ascontiguousarray(state.amp).astype("<c16").tobytes()
+    return header, np.ascontiguousarray(state.amp, dtype="<c16")
+
+
+def _grid_from_header(head: bytes, size: int) -> ModularGrid:
+    """The grid a file or blob of `size` bytes starting with `head` declares."""
+    if head[: len(STATE_MAGIC)] != STATE_MAGIC:
+        raise BadMagic(
+            f"expected magic {STATE_MAGIC!r}, got {bytes(head[:len(STATE_MAGIC)])!r}"
+        )
+    offset = len(STATE_MAGIC)
+    if size < offset + _HEADER.size:
+        raise TruncatedFile(
+            f"header needs {offset + _HEADER.size} bytes, file has {size}"
+        )
+    grid = ModularGrid(*_HEADER.unpack_from(head, offset))
+    expected = int(np.prod(grid.cell_shape + grid.band_shape)) * 16
+    if size - offset - _HEADER.size != expected:
+        raise TruncatedFile(
+            f"expected {expected} payload bytes, got {size - offset - _HEADER.size}"
+        )
+    return grid
+
+
+def state_to_bytes(state: JointState) -> bytes:
+    header, payload = _state_parts(state)
+    return header + payload.tobytes()
 
 
 def state_from_bytes(buf: bytes) -> JointState:
-    if buf[: len(STATE_MAGIC)] != STATE_MAGIC:
-        raise BadMagic(
-            f"expected magic {STATE_MAGIC!r}, got {bytes(buf[:len(STATE_MAGIC)])!r}"
-        )
-    offset = len(STATE_MAGIC)
-    if len(buf) < offset + _HEADER.size:
-        raise TruncatedFile(
-            f"header needs {offset + _HEADER.size} bytes, file has {len(buf)}"
-        )
-    n_modes, g_theta, g_k = _HEADER.unpack_from(buf, offset)
-    grid = ModularGrid(n_modes, g_theta, g_k)
-    shape = grid.cell_shape + grid.band_shape
-    expected = int(np.prod(shape)) * 16
-    payload = buf[offset + _HEADER.size :]
-    if len(payload) != expected:
-        raise TruncatedFile(
-            f"expected {expected} payload bytes, got {len(payload)}"
-        )
-    amp = np.frombuffer(payload, dtype="<c16").reshape(shape)
+    grid = _grid_from_header(buf, len(buf))
+    payload = buf[len(STATE_MAGIC) + _HEADER.size :]
+    amp = np.frombuffer(payload, dtype="<c16").reshape(grid.cell_shape + grid.band_shape)
     return JointState(grid, amp.astype(np.complex128))
 
 
-def save_state(state: JointState, path) -> None:
+def save_state(state: JointState, path) -> int:
+    """Write the state file; returns its size in bytes.  The payload goes
+    to the file straight from the state's memory."""
+    header, payload = _state_parts(state)
     with open(path, "wb") as fh:
-        fh.write(state_to_bytes(state))
+        fh.write(header)
+        fh.write(payload.view(np.uint8))
+    return len(header) + payload.nbytes
 
 
 def load_state(path) -> JointState:
+    """Read a state file into one freshly allocated array, with no bytes copy."""
     with open(path, "rb") as fh:
-        return state_from_bytes(fh.read())
+        head = fh.read(len(STATE_MAGIC) + _HEADER.size)
+        grid = _grid_from_header(head, os.fstat(fh.fileno()).st_size)
+        amp = np.empty(grid.cell_shape + grid.band_shape, dtype="<c16")
+        got = fh.readinto(amp.view(np.uint8))
+    if got != amp.nbytes:  # the file shrank while it was read
+        raise TruncatedFile(f"expected {amp.nbytes} payload bytes, got {got}")
+    return JointState(grid, amp.astype(np.complex128, copy=False))

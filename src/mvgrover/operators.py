@@ -281,14 +281,19 @@ def joint_weight(zetas, grid: ModularGrid) -> np.ndarray:
     zetas may be None (all ones) or one entry per mode, each entry a table,
     a scalar, or None.
     """
+    w = np.ones((1,) * (2 * grid.n_modes))
+    for mode, table in enumerate(mode_weight_tables(zetas, grid)):
+        w = w * mode_table_to_cells(table, mode, grid)
+    return w
+
+
+def mode_weight_tables(zetas, grid: ModularGrid) -> list[np.ndarray]:
+    """The real (g_theta, g_k) weight table of each mode; zetas as in joint_weight."""
     if zetas is None:
         zetas = [None] * grid.n_modes
     if len(zetas) != grid.n_modes:
         raise ShapeMismatch(f"need {grid.n_modes} weight tables, got {len(zetas)}")
-    w = np.ones((1,) * (2 * grid.n_modes))
-    for mode, zeta in enumerate(zetas):
-        w = w * mode_table_to_cells(_resolve_zeta(zeta, grid), mode, grid)
-    return w
+    return [_resolve_zeta(zeta, grid) for zeta in zetas]
 
 
 def gamma(axis: str, mode: int, zeta, grid: ModularGrid) -> GlobalOperator:

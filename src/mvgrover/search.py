@@ -31,7 +31,7 @@ from .errors import (
     ZeroNorm,
 )
 from .kernel import JointState, ModularGrid, make_grid, tensor
-from .operators import TargetSpec, joint_weight, mode_table_to_cells
+from .operators import TargetSpec, joint_weight
 from .zak import EnvelopeSpec, logical_mode
 
 AUTO = "auto"
@@ -40,11 +40,12 @@ DECISION_THRESHOLD = 1e-8
 # Cells with less amplitude than this are skipped by the per-cell check;
 # far above underflow, far below any cell an envelope actually populates.
 _CELL_FLOOR = 1e-200
-# A run takes r search steps per target class on the n-qubit register, at
-# 14-18 us each (apply plus the per-cell reference); this many take 0.7-0.9 s
-# on a 2-core x86 machine.  An automatic r takes at most 48 (n = 4: r = 3 on
-# 16 classes).
-MAX_CLASS_STEPS = 50_000
+# A run takes r steps of the search on the n-qubit register and r steps of
+# the dense reference on all its target classes at once, about 30 us together
+# on a 2-core x86 machine.  r times the number of classes is bounded by this:
+# a one-class run at the bound takes about 1 s, a 16-class one about 0.06 s.
+# An automatic r takes at most 48 (n = 4: r = 3 on 16 classes).
+MAX_CLASS_STEPS = 30_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,9 +72,9 @@ def _check_capacity(grid: ModularGrid) -> None:
     """CapacityExceeded unless four dense states fit in physical memory.
 
     Runs and state builds take the grid from SearchConfig.grid before any
-    grid-sized array exists.  A run holds only a few cell tables, each at
-    most 1/2^n of a dense state; final_state and the list that `state save`
-    writes build one state, the dense oracle loop about two.
+    grid-sized array exists.  A run holds only a few theta_1 slices of its
+    cell tables; final_state and the list that `state save` writes build one
+    state, the dense oracle loop about two.
     """
     state_bytes = 16 * math.prod(grid.cell_shape + grid.band_shape)
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -134,12 +135,13 @@ def logical_basis(
     return basis
 
 
-def _cell_profile(tables: Sequence[np.ndarray], grid: ModularGrid) -> np.ndarray:
-    """Product of per-mode tables over the joint cell axes (broadcastable)."""
-    prof = np.ones((1,) * (2 * grid.n_modes))
-    for mode, table in enumerate(tables):
-        prof = prof * mode_table_to_cells(table, mode, grid)
-    return prof
+def _joint_table(tables: Sequence[np.ndarray]) -> np.ndarray:
+    """Product of 2D tables over joint (row, column) axes, the first table's
+    axes most significant: per-mode (theta, k) tables give (theta cells, k cells)."""
+    out = np.ones((1, 1))
+    for t in tables:
+        out = (out[:, None, :, None] * t[None, :, None, :]).reshape(out.shape[0] * t.shape[0], -1)
+    return out
 
 
 def _by_string(values: np.ndarray, n: int) -> dict[str, complex]:
@@ -159,7 +161,7 @@ def logical_overlaps(
         raise AncillaMismatch("take an ancilla branch before computing overlaps")
     grid = state.grid
     n = grid.n_modes
-    profile = np.conjugate(_cell_profile(_mode_tables(envelopes, grid), grid))
+    profile = np.conjugate(_joint_table(_mode_tables(envelopes, grid)))
     sums = np.einsum("c,cs->s", profile.reshape(-1), state.amp.reshape(profile.size, 2**n))
     return _by_string(sums * grid.cell_weight, n)
 
@@ -203,10 +205,19 @@ def reference_qubit_grover(n: int, targets: Sequence[str], r: int) -> np.ndarray
     big_n = 2**n
     if not all(0 <= i < big_n for i in idx):
         raise ValueError(f"targets out of range for n={n}: {list(targets)}")
-    v = np.full(big_n, 1.0 / math.sqrt(big_n), dtype=np.complex128)
+    return _reference_rows(n, np.array([idx], dtype=np.intp), r)[0]
+
+
+def _reference_rows(n: int, rows: np.ndarray, r: int) -> np.ndarray:
+    """reference_qubit_grover for each row of target band indices, as one
+    (rows, 2^n) array; the same numpy calls whatever the number of rows."""
+    big_n = 2**n
+    v = np.full((len(rows), big_n), 1.0 / math.sqrt(big_n), dtype=np.complex128)
+    sign = np.ones(v.shape)
+    np.put_along_axis(sign, rows, -1.0, axis=1)
     for _ in range(r):
-        v[idx] *= -1.0
-        v = 2.0 * v.mean() - v
+        v *= sign
+        v = 2.0 * v.mean(axis=1, keepdims=True) - v
     return v
 
 
@@ -226,85 +237,109 @@ def _resolved_iterations(cfg: SearchConfig, n_classes: int) -> int:
     return r
 
 
-def _target_classes(target: TargetSpec, grid: ModularGrid) -> tuple[np.ndarray, list[TargetSpec]]:
-    """Each theta cell's class index (flattened) and each class's constant
-    target; classes are the distinct rows of band_indices (at most 2^n)."""
+def _target_classes(target: TargetSpec, grid: ModularGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Each theta cell's class index (flattened) and each class's target band
+    indices; classes are the distinct rows of band_indices (at most 2^n)."""
     band = target.band_indices(grid)
     rows, index = np.unique(band.reshape(-1, band.shape[-1]), axis=0, return_inverse=True)
-    n = grid.n_modes
-    index = np.broadcast_to(index.reshape(band.shape[:-1]), (grid.g_theta,) * n).reshape(-1)
-    return index, [TargetSpec.multi([format(t, f"0{n}b") for t in row]) for row in rows]
+    index = np.broadcast_to(index.reshape(band.shape[:-1]), (grid.g_theta,) * grid.n_modes)
+    return index.reshape(-1), rows
 
 
-def _class_vector(target: TargetSpec, r: int) -> JointState:
-    """v_r = G^r u on the bare n-qubit register (the one-cell grid), from the uniform vector."""
-    n = target.n_modes
+def _class_vectors(n: int, rows: np.ndarray, r: int) -> np.ndarray:
+    """v_r = G^r u of every class, as one (classes, 2^n) array.
+
+    The first class runs r steps of grover_cell on the bare n-qubit register
+    (the one-cell grid) from the uniform vector.  Only interval targets have
+    more than one class, each with one string t; X^a fixes u and the
+    diffusion and turns the oracle of t into that of t ^ a, so class t's
+    vector is the first one's read at band index b ^ t ^ t_0.  The cost does
+    not depend on the number of classes.
+    """
     qubits = make_grid(n, 1, 1)
-    op = ops.grover_cell(target, qubits)
+    op = ops.grover_cell(TargetSpec.multi([format(t, f"0{n}b") for t in rows[0]]), qubits)
     state = JointState(qubits, np.full(qubits.cell_shape + qubits.band_shape, 2.0 ** (-n / 2)))
     for _ in range(r):
         state = ops.apply(op, state)
-    return state
+    return state.amp.reshape(-1)[np.arange(2**n) ^ (rows[:, :1] ^ rows[0, 0])]
 
 
-_FactoredRun = namedtuple("_FactoredRun", "grid r index targets vectors tables factors sums norms")
+_FactoredRun = namedtuple("_FactoredRun", "grid r index rows vectors tables sums norms")
 
 
 def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     """Check cfg and build its run from cell tables and class vectors.
 
     psi(cell, b) = P(cell) f(cell) v[class(cell)][b]: index maps each theta
-    cell to its class, vectors[c] is class c's search vector on the one-cell
-    grid, factors holds f per readout branch, sums[b] the per-class sums of
-    |P|^2 f and |P|^2 f^2 for branch b, norms[b] its squared norm.
+    cell to its class, rows[c] holds class c's target band indices and
+    vectors[c] its search vector, sums[b] the per-class sums of |P|^2 f and
+    |P|^2 f^2 for readout branch b, norms[b] its squared norm.
 
     A plain run has one branch, f = w^r.  The dilated step is G (x) A with
     A = w sigma_x + w' sigma_z, and (G (x) A)^r = G^r (x) A^r with A^2 = 1,
     so a dilated run iterates the bare G and its ancilla branches carry
     f = (1, 0) after an even r and (w', w) after an odd r.
+
+    The cell tables are built one theta_1 value at a time, g_theta^(n-1)
+    g_k^n cells each, from the per-mode tables: no table of the whole grid
+    is allocated, and each slice's temporaries stay in cache.
     """
     grid = cfg.grid
     if cfg.target.n_modes != grid.n_modes:
         raise ShapeMismatch(
             f"target spans {cfg.target.n_modes} modes, grid has {grid.n_modes}"
         )
-    index, targets = _target_classes(cfg.target, grid)
-    r = _resolved_iterations(cfg, len(targets))
-    # Theta cells class by class; a sequential sum over 12^3 of them is off by 3e-14.
-    order = np.argsort(index, kind="stable")
-    starts = np.searchsorted(index[order], np.arange(len(targets)))
+    index, rows = _target_classes(cfg.target, grid)
+    r = _resolved_iterations(cfg, len(rows))
     tables = _mode_tables(cfg.envelopes, grid)
-    cells = (grid.g_theta**grid.n_modes, grid.g_k**grid.n_modes)
-    psq = _cell_profile([np.abs(t) ** 2 for t in tables], grid).reshape(cells)
+    psq_modes = [np.abs(t) ** 2 for t in tables]
+    w_modes = ops.mode_weight_tables(cfg.zetas, grid)
+    psq_rest, w_rest = _joint_table(psq_modes[1:]), _joint_table(w_modes[1:])
+    step = psq_rest.shape[0]  # theta cells per slice
+    # Per branch, per theta cell: the sums of |P|^2 f and |P|^2 f^2 over the k cells.
+    per_theta = np.empty((1 + cfg.use_dilation, 2, grid.g_theta**grid.n_modes))
+    mass, w_max, finite = 0.0, 0.0, True
     with np.errstate(over="ignore", invalid="ignore"):  # out-of-range weights are named below
-        w = joint_weight(cfg.zetas, grid).reshape(cells)
-        mass = float(np.einsum("tk,tk,tk->", psq, w, w)) * grid.cell_weight
+        for j in range(grid.g_theta):
+            psq = _joint_table([psq_modes[0][j : j + 1], psq_rest])
+            w = _joint_table([w_modes[0][j : j + 1], w_rest])
+            mass += float(np.einsum("tk,tk,tk->", psq, w, w))
+            if cfg.use_dilation:
+                w_max = max(w_max, float(np.max(np.abs(w))))
+                try:
+                    w_prime = ops.ancilla_weight(w)
+                except WeightOutOfRange:
+                    continue  # raised below, after the degeneracy check
+                factors = (w_prime, w) if r % 2 else (np.ones_like(w), np.zeros_like(w))
+            else:
+                factors = (w**r,)
+            finite = finite and np.isfinite(w).all() and all(np.isfinite(f).all() for f in factors)
+            for out, f in zip(per_theta, factors):
+                pf = psq * f
+                np.einsum("tk->t", pf, out=out[0, j * step : (j + 1) * step])
+                np.einsum("tk,tk->t", pf, f, out=out[1, j * step : (j + 1) * step])
+        mass *= grid.cell_weight
         if mass <= 1e-20:
             raise DegenerateWeights(
                 f"weight product vanishes on the envelope support (mass {mass:.3e})"
             )
         if cfg.use_dilation:
-            w_prime = ops.ancilla_weight(w)  # checked on every dilated run, whatever r
-            factors = (w_prime, w) if r % 2 else (np.ones(cells), np.zeros(cells))
-        else:
-            factors = (w**r,)
-        sums = []
-        for f in factors:  # over the k cells, then pairwise over each class's theta cells
-            pf = psq * f
-            per_theta = (np.einsum("tk->t", pf), np.einsum("tk,tk->t", pf, f))
-            sums.append(tuple(np.add.reduceat(p[order], starts) for p in per_theta))
-    vectors = [_class_vector(t, r) for t in targets]
-    vsq = np.array([_cell_sq(v.amp.reshape(-1)) for v in vectors])
+            ops.ancilla_weight(np.array(w_max))  # checked on every dilated run, whatever r
+        # Pairwise over each class's theta cells; a sequential sum over 12^3 of them is off by 3e-14.
+        order = np.argsort(index, kind="stable")
+        starts = np.searchsorted(index[order], np.arange(len(rows)))
+        sums = [tuple(np.add.reduceat(p[order], starts) for p in branch) for branch in per_theta]
+    vectors = _class_vectors(grid.n_modes, rows, r)
+    vsq = _cell_sq(vectors)
     norms = tuple(float(np.einsum("c,c->", vsq, sq)) * grid.cell_weight for _, sq in sums)
-    if not (np.isfinite(w).all() and all(np.isfinite(f).all() for f in factors)
-            and all(math.isfinite(x) for x in norms)):
+    if not (finite and all(math.isfinite(x) for x in norms)):
         raise WeightOutOfRange(
             f"the weight w, w^{r} or a branch norm leaves the float range "
             f"(|x| <= {np.finfo(np.float64).max:.4g})"
         )
     if not cfg.use_dilation and norms[0] < 1e-30:
         raise ZeroNorm(f"cannot normalize state with squared norm {norms[0]:.3e}")
-    return _FactoredRun(grid, r, index, targets, vectors, tables, factors, sums, norms)
+    return _FactoredRun(grid, r, index, rows, vectors, tables, sums, norms)
 
 
 def final_state(cfg: SearchConfig) -> JointState:
@@ -314,12 +349,12 @@ def final_state(cfg: SearchConfig) -> JointState:
         raise ValueError("dilated finals carry an ancilla; run without use_dilation")
     run = _factored_run(cfg)
     grid = run.grid
-    f = run.factors[0]
-    coef = _cell_profile(run.tables, grid).reshape(f.shape) * (f / math.sqrt(run.norms[0]))
+    f = joint_weight(cfg.zetas, grid).reshape(grid.g_theta**grid.n_modes, -1) ** run.r
+    coef = _joint_table(run.tables) * (f / math.sqrt(run.norms[0]))
     amp = np.empty(coef.shape + (2**grid.n_modes,), dtype=np.complex128)
     for c, v in enumerate(run.vectors):  # one masked pass per class, no state-sized temporary
         in_class = (run.index == c)[:, None, None]
-        np.multiply(coef[:, :, None], v.amp.reshape(-1), out=amp, where=in_class)
+        np.multiply(coef[:, :, None], v, out=amp, where=in_class)
     return JointState(grid, amp.reshape(grid.cell_shape + grid.band_shape))
 
 
@@ -327,6 +362,21 @@ def _cell_sq(bands: np.ndarray) -> np.ndarray:
     """Squared norm of each cell's band vector, with no band-sized temporary."""
     real = bands.view(np.float64)
     return np.einsum("...i,...i->...", real, real)
+
+
+def _max_deviation(v: np.ndarray, ref: np.ndarray) -> float:
+    """Largest |v phase / |v| - ref| over the cells (all axes but the last)
+    whose |v| is above _CELL_FLOOR, with phase that of <ref|v>; -inf if none."""
+    norms = np.sqrt(_cell_sq(v))
+    mask = norms > _CELL_FLOOR
+    # Adding 0.0 makes a -0.0 real part +0.0, so an orthogonal cell keeps phase 1.
+    overlap = np.einsum("...i,...i->...", np.conjugate(ref), v) + 0.0
+    scale = np.exp(-1j * np.angle(overlap))
+    np.divide(scale, norms, out=scale, where=mask)
+    diff = v * scale[..., None]
+    diff -= ref
+    np.abs(diff, out=diff)  # in place: the deviations land in the real parts
+    return float(np.max(diff.real.max(axis=-1), where=mask, initial=-math.inf))
 
 
 def per_cell_max_error(state: JointState, target: TargetSpec, r: int) -> float:
@@ -341,22 +391,9 @@ def per_cell_max_error(state: JointState, target: TargetSpec, r: int) -> float:
     d = 2**n
     v = state.amp.reshape(grid.cell_shape + (d,))
     # One reference per target class.
-    index, targets = _target_classes(target, grid)
-    table = np.array([reference_qubit_grover(n, t.target_strings(), r) for t in targets])
-    ref = table[index].reshape((grid.g_theta,) * n + (1,) * n + (d,))
-    worst = -math.inf  # stays so when no cell is above the floor
-    for vi, ref_i in zip(v, ref):
-        norms = np.sqrt(_cell_sq(vi))
-        mask = norms > _CELL_FLOOR
-        # Scale each cell to unit norm and remove the phase of <ref|v>; adding 0.0
-        # makes a -0.0 real part +0.0, so an orthogonal cell keeps phase 1.
-        overlap = np.einsum("...i,...i->...", np.conjugate(ref_i), vi) + 0.0
-        scale = np.exp(-1j * np.angle(overlap))
-        np.divide(scale, norms, out=scale, where=mask)
-        diff = vi * scale[..., None]
-        diff -= ref_i
-        np.abs(diff, out=diff)  # in place: the deviations land in the real parts
-        worst = max(worst, float(np.max(diff.real.max(axis=-1), where=mask, initial=-math.inf)))
+    index, rows = _target_classes(target, grid)
+    ref = _reference_rows(n, rows, r)[index].reshape((grid.g_theta,) * n + (1,) * n + (d,))
+    worst = max(_max_deviation(vi, ref_i) for vi, ref_i in zip(v, ref))
     return worst if worst >= 0.0 else math.nan
 
 
@@ -380,13 +417,14 @@ def run_search(cfg: SearchConfig, threshold: float = DECISION_THRESHOLD) -> Sear
     dense state: a branch with factor f has squared norm
     N = sum_c |v_c|^2 sum_{cells in c} |P|^2 f^2 dA and overlaps
     sum_c v_c sum_{cells in c} |P|^2 f dA / sqrt(N).  The per-cell check
-    runs once per target class, on its search vector.  norm_constant is the
+    compares the search vector of every class that carries amplitude with
+    its reference, all classes in one pass.  norm_constant is the
     squared norm after the last iteration (1 for unit weights); a dilated
     run's is the sum of its two branch norms (1 up to rounding).
     """
     run = _factored_run(cfg)
     n = cfg.n_modes
-    bands = np.array([v.amp.reshape(-1) for v in run.vectors]) * run.grid.cell_weight
+    bands = run.vectors * run.grid.cell_weight
     dilated = len(run.norms) == 2
     # Per branch: its readout, None for an empty dilated branch.
     readouts = [
@@ -408,18 +446,15 @@ def run_search(cfg: SearchConfig, threshold: float = DECISION_THRESHOLD) -> Sear
     dominant = readouts[int(dilated and run.norms[1] >= run.norms[0])]
     branches = [ro[1] if ro is not None and isinstance(ro[1], str) else None for ro in readouts]
     # A class is checked when one of its cells has |P f| above the floor; a
-    # cell whose |P f|^2 underflows counts as empty.
-    class_sq = sum(sq for _, sq in run.sums)
-    errors = [
-        per_cell_max_error(v, t, run.r)
-        for v, t, sq in zip(run.vectors, run.targets, class_sq)
-        if math.sqrt(sq) > _CELL_FLOOR
-    ]
+    # cell whose |P f|^2 underflows counts as empty.  All checked classes go
+    # through one comparison with their references.
+    checked = np.sqrt(sum(sq for _, sq in run.sums)) > _CELL_FLOOR
+    error = _max_deviation(run.vectors[checked], _reference_rows(n, run.rows[checked], run.r))
     return SearchReport(
         norm_constant=sum(run.norms),
         overlaps=dominant[0],
         identified=identified,
-        per_cell_max_error=max(errors, default=math.nan),
+        per_cell_max_error=error if error >= 0.0 else math.nan,
         iterations_used=run.r,
         ancilla_branch_norms=run.norms if dilated else None,
         branch_identified=tuple(branches) if dilated else None,
@@ -435,7 +470,8 @@ def weighted_list(
     amp[cell, b] = w(cell) * prod_i g_i(cell_i) on every band string b; this
     is what the four single-step search results add up to at n = 2.
     """
-    base = _cell_profile(_mode_tables(envelopes, grid), grid) * joint_weight(zetas, grid)
+    profile = _joint_table(_mode_tables(envelopes, grid)).reshape(grid.cell_shape)
+    base = profile * joint_weight(zetas, grid)
     amp = np.empty(grid.cell_shape + grid.band_shape, dtype=np.complex128)
     amp[...] = base[(Ellipsis,) + (None,) * grid.n_modes]
     return JointState(grid, amp)

@@ -15,11 +15,13 @@ from mvgrover import (
     grover_cell,
     hadamard,
     inner,
+    load_state,
     logical_one,
     logical_zero,
     make_grid,
     normalize,
     quad_norm,
+    save_state,
     state_from_bytes,
     state_to_bytes,
     tensor,
@@ -303,3 +305,31 @@ def test_state_truncated_payload():
     assert "expected 128 payload bytes, got 120" in str(excinfo.value)
     with pytest.raises(TruncatedFile):
         state_from_bytes(blob[:10])
+
+
+def test_state_file_roundtrip_and_size(tmp_path):
+    rng = np.random.default_rng(22)
+    grid = make_grid(2, 3, 2)
+    shape = grid.cell_shape + grid.band_shape
+    state = JointState(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    path = tmp_path / "s.mvgr"
+    blob = state_to_bytes(state)
+    assert save_state(state, path) == len(blob)
+    assert path.read_bytes() == blob
+    again = load_state(path)
+    assert again.grid == grid and again.amp.tobytes() == state.amp.tobytes()
+    assert quad_norm(again) == quad_norm(state)
+
+
+@pytest.mark.parametrize("cut, message", [(-8, "expected 128 payload bytes, got 120"),
+                                          (10, "header needs 17 bytes, file has 10")])
+def test_state_file_truncated(tmp_path, cut, message):
+    grid = make_grid(1, 2, 2)
+    blob = state_to_bytes(JointState(grid, np.zeros((2, 2, 2))))
+    path = tmp_path / "s.mvgr"
+    path.write_bytes(blob[:cut])
+    with pytest.raises(TruncatedFile, match=message):
+        load_state(path)
+    path.write_bytes(blob + b"\x00" * 16)
+    with pytest.raises(TruncatedFile, match="expected 128 payload bytes, got 144"):
+        load_state(path)

@@ -20,7 +20,6 @@ from mvgrover import (
     logical_overlaps,
     make_grid,
     normalize,
-    per_cell_max_error,
     quad_norm,
     reference_qubit_grover,
     run_search,
@@ -172,14 +171,47 @@ def test_per_cell_check_skips_classes_below_floor(monkeypatch, low, checked):
     # theta = pi/4 searches "1", theta = 3pi/4 searches "0"; the envelope
     # puts `low` on the second cell.
     calls = []
+    reference_rows = search._reference_rows
 
-    def spy(state, target, r):
-        calls.append(target.target_strings())
-        return per_cell_max_error(state, target, r)
+    def spy(n, rows, r):
+        calls.extend(tuple(format(t, f"0{n}b") for t in row) for row in rows)
+        return reference_rows(n, rows, r)
 
-    monkeypatch.setattr(search, "per_cell_max_error", spy)
+    monkeypatch.setattr(search, "_reference_rows", spy)
     envs = (EnvelopeSpec.tabulated(np.array([[1.0], [low]])),)
     cfg = SearchConfig(1, 2, 1, envs, TargetSpec.from_intervals([[(0.0, 1.0)]]))
     report = run_search(cfg)
     assert sorted(calls) == checked
+    assert report.per_cell_max_error <= 1e-12
+
+
+@pytest.mark.parametrize("n, r", [(1, 1), (2, 3), (3, 2), (4, 5)])
+def test_interval_class_vectors_match_reference(n, r):
+    # Interval classes search one string each; all but the first are
+    # relabelings of the first class's search.
+    rows = np.arange(2**n)[::-1, None]
+    vectors = search._class_vectors(n, rows, r)
+    for row, v in zip(rows, vectors):
+        ref = reference_qubit_grover(n, [format(int(row[0]), f"0{n}b")], r)
+        assert np.max(np.abs(v - ref)) <= 1e-14
+
+
+def test_interval_run_builds_one_class_operator(monkeypatch):
+    # 16 target classes, one grover_cell and r apply calls on the one-cell grid.
+    calls = []
+    grover_cell, apply_op = search.ops.grover_cell, search.ops.apply
+
+    def count(fn, name):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(search.ops, "grover_cell", count(grover_cell, "grover_cell"))
+    monkeypatch.setattr(search.ops, "apply", count(apply_op, "apply"))
+    target = TargetSpec.from_intervals([[(0.0, 1.5)]] * 4)
+    cfg = SearchConfig(4, 2, 1, gaussian_envs(4), target, iterations=2)
+    assert len(search._target_classes(target, cfg.grid)[1]) == 16
+    report = run_search(cfg)
+    assert calls == ["grover_cell", "apply", "apply"]
     assert report.per_cell_max_error <= 1e-12

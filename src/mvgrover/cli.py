@@ -9,6 +9,7 @@ digits, so reading one back reproduces each value bit for bit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -228,7 +229,9 @@ def cmd_state_load(path: str, resave: Optional[str] = None) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="mvgrover",
         description="Grover search on qubits encoded in a discretized modular-variable grid",

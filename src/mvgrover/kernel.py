@@ -153,14 +153,22 @@ def quad_norm(state: State) -> float:
 
 
 def inner(a: State, b: State) -> complex:
-    """Quadrature inner product, conjugate-linear in the first argument."""
+    """Quadrature inner product, conjugate-linear in the first argument.
+
+    Dot products of the float64 views, in this thread as in quad_norm, with
+    no conjugated copy: Re = a_re b_re + a_im b_im, Im = a_re b_im - a_im b_re.
+    """
     if a.grid != b.grid:
         raise GridMismatch(f"grids differ: {a.grid} vs {b.grid}")
     if a.amp.shape != b.amp.shape:
         raise AncillaMismatch(
             f"state shapes differ: {a.amp.shape} vs {b.amp.shape}"
         )
-    return complex(np.vdot(a.amp, b.amp)) * a.grid.cell_weight
+    x = a.amp.reshape(-1).view(np.float64)
+    y = b.amp.reshape(-1).view(np.float64)
+    re = np.einsum("i,i->", x, y)
+    im = np.einsum("i,i->", x[0::2], y[1::2]) - np.einsum("i,i->", x[1::2], y[0::2])
+    return complex(float(re), float(im)) * a.grid.cell_weight
 
 
 def tensor(modes: Sequence[ModeState]) -> JointState:

@@ -128,16 +128,23 @@ class TargetSpec:
         if self.strings is not None:
             idx = [sum(b << (n - 1 - i) for i, b in enumerate(s)) for s in self.strings]
             return np.asarray(idx, dtype=np.intp).reshape((1,) * n + (len(idx),))
-        theta = grid.theta_values()
         index = np.zeros((grid.g_theta,) * n, dtype=np.intp)
-        for i, mode_set in enumerate(self.intervals):
-            bit = np.zeros(grid.g_theta, dtype=np.intp)
-            for lo, hi in mode_set:
-                bit |= (theta >= lo) & (theta < hi)
+        for i, bit in enumerate(self.mode_bits(grid)):
             shape = [1] * n
             shape[i] = grid.g_theta
             index = index | (bit.reshape(shape) << (n - 1 - i))
         return index[..., None]
+
+    def mode_bits(self, grid: ModularGrid) -> np.ndarray:
+        """(n, g_theta) searched bit of each mode at each theta value (extended mode)."""
+        if self.intervals is None:
+            raise ValueError("constant targets have no per-mode bits")
+        theta = grid.theta_values()
+        bits = np.zeros((len(self.intervals), grid.g_theta), dtype=np.intp)
+        for bit, mode_set in zip(bits, self.intervals):
+            for lo, hi in mode_set:
+                bit |= (theta >= lo) & (theta < hi)
+        return bits
 
 
 def _check_weight(weight) -> np.ndarray:

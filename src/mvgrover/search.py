@@ -1,10 +1,10 @@
 """Search pipeline: list preparation, iteration schedule, weighted run, readout.
 
-Every cell runs the same qubit search, so a run is read from cell tables and
-class vectors: amplitude P(cell) f(cell) v[class(cell)], with P the envelope
-product, f a weight factor and v the n-qubit search vector of the cell's
-target class.  The dense loop (build_list, then apply) is the oracle, and a
-dense-vector qubit search the reference for the per-cell check.
+Every cell runs the same qubit search, so a run is read from per-mode sums
+and class vectors: amplitude P(cell) f(cell) v[class(cell)], with P the
+envelope product, f a weight factor and v the n-qubit search vector of the
+cell's target class.  The dense loop (build_list, then apply) is the oracle,
+and a dense-vector qubit search the reference for the per-cell check.
 """
 
 from __future__ import annotations
@@ -241,9 +241,10 @@ def _target_classes(target: TargetSpec, grid: ModularGrid) -> tuple[np.ndarray, 
     """Each theta cell's class index (flattened) and each class's target band
     indices; classes are the distinct rows of band_indices (at most 2^n)."""
     band = target.band_indices(grid)
-    rows, index = np.unique(band.reshape(-1, band.shape[-1]), axis=0, return_inverse=True)
-    index = np.broadcast_to(index.reshape(band.shape[:-1]), (grid.g_theta,) * grid.n_modes)
-    return index.reshape(-1), rows
+    if target.is_constant:
+        return np.zeros(grid.g_theta**grid.n_modes, dtype=np.intp), band.reshape(1, -1)
+    values, index = np.unique(band.reshape(-1), return_inverse=True)
+    return index, values[:, None]
 
 
 def _class_vectors(n: int, rows: np.ndarray, r: int) -> np.ndarray:
@@ -264,93 +265,161 @@ def _class_vectors(n: int, rows: np.ndarray, r: int) -> np.ndarray:
     return state.amp.reshape(-1)[np.arange(2**n) ^ (rows[:, :1] ^ rows[0, 0])]
 
 
-_FactoredRun = namedtuple("_FactoredRun", "grid r index rows vectors tables sums norms")
+_FactoredRun = namedtuple("_FactoredRun", "grid r index rows vectors tables scaled k sums norms")
+
+_LOG2_MAX = math.log2(np.finfo(np.float64).max)
+
+
+def _pow2_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x / 2^e, e), e the binary exponent of max|x| (0 for zeros): exact, and
+    the largest |entry| lands in [0.5, 1)."""
+    e = int(np.frexp(np.max(np.abs(x)))[1])
+    return np.ldexp(x, -e), e
+
+
+def _unscaled(x, exponent: int):
+    """x * 2^exponent; inf or 0 where that leaves the float range."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(x, min(max(exponent, -4096), 4096))
+
+
+def _pattern_sums(per_mode: Sequence[np.ndarray], bits: np.ndarray) -> tuple[np.ndarray, int]:
+    """Sum of prod_i x_i over the cells of each n-bit pattern, in scaled form.
+
+    per_mode[i] is mode i's real (g_theta, g_k) table and bits[i] its searched
+    bit at each theta value; pattern p (mode 0 the most significant bit) holds
+    the cells whose bits spell p, a product set, so its sum is the product of
+    per-mode sums.  Returns (sums / 2^e, e), each mode's two sums scaled by a
+    power of two, so the product neither overflows nor underflows.
+    """
+    out, exponent = np.ones(1), 0
+    for x, b in zip(per_mode, bits):
+        t, e = _pow2_scaled(np.bincount(b, weights=x.sum(axis=1), minlength=2))
+        out, exponent = np.multiply.outer(out, t).reshape(-1), exponent + e
+    return out, exponent
+
+
+def _streamed_branch(psq_modes, w_modes, index: np.ndarray, n_classes: int) -> tuple:
+    """Per class, the sums of |P|^2 w' and |P|^2 w'^2 of the ancilla-0 branch of
+    an odd dilated run, with w' = sqrt(1 - w^2) per cell, which is no product
+    over modes.  Summed over the k cells one theta_1 slice at a time, then
+    pairwise over each class's theta cells (a sequential sum over 12^3 of them
+    is off by 3e-14)."""
+    psq_rest, w_rest = _joint_table(psq_modes[1:]), _joint_table(w_modes[1:])
+    step = psq_rest.shape[0]  # theta cells per slice
+    per_theta = np.empty((2, len(index)))
+    for j in range(len(psq_modes[0])):
+        psq = _joint_table([psq_modes[0][j : j + 1], psq_rest])
+        f = ops.ancilla_weight(_joint_table([w_modes[0][j : j + 1], w_rest]))
+        pf = psq * f
+        np.einsum("tk->t", pf, out=per_theta[0, j * step : (j + 1) * step])
+        np.einsum("tk,tk->t", pf, f, out=per_theta[1, j * step : (j + 1) * step])
+    order = np.argsort(index, kind="stable")
+    starts = np.searchsorted(index[order], np.arange(n_classes))
+    s1, s2 = (np.add.reduceat(p[order], starts) for p in per_theta)
+    return s1, s2, 0
 
 
 def _factored_run(cfg: SearchConfig) -> _FactoredRun:
-    """Check cfg and build its run from cell tables and class vectors.
+    """Check cfg and build its run from per-mode sums and class vectors.
 
     psi(cell, b) = P(cell) f(cell) v[class(cell)][b]: index maps each theta
     cell to its class, rows[c] holds class c's target band indices and
-    vectors[c] its search vector, sums[b] the per-class sums of |P|^2 f and
-    |P|^2 f^2 for readout branch b, norms[b] its squared norm.
+    vectors[c] its search vector, tables[i] mode i's envelope table and
+    scaled[i] its weights in scaled form (w = 2^k prod_i scaled[i] on the
+    envelope support), norms[b] the squared norm of readout branch b and
+    sums[b] = (s1, s2, e) its per-class sums in scaled form:
+    sum |P|^2 f = s1 2^(e/2) and sum |P|^2 f^2 = s2 2^e over the class's cells.
 
     A plain run has one branch, f = w^r.  The dilated step is G (x) A with
     A = w sigma_x + w' sigma_z, and (G (x) A)^r = G^r (x) A^r with A^2 = 1,
     so a dilated run iterates the bare G and its ancilla branches carry
     f = (1, 0) after an even r and (w', w) after an odd r.
 
-    The cell tables are built one theta_1 value at a time, g_theta^(n-1)
-    g_k^n cells each, from the per-mode tables: no table of the whole grid
-    is allocated, and each slice's temporaries stay in cache.
+    P, w and so f = w^p are products over modes, and a class is a product
+    set of cells (all theta cells for a constant target, else those whose
+    per-mode interval bits spell its string), so its sums are products of
+    per-mode sums: O(n g_theta g_k) work, no cell-sized array.  The weight
+    scale 2^(p k) cancels in the overlaps and enters only the norms and the
+    range checks, which use per-mode maxima (max |w| = prod max |w_i| on a
+    product set).  Only the ancilla-0 branch of an odd dilated run, f = w',
+    is summed over the cells, one theta_1 slice at a time.
     """
     grid = cfg.grid
-    if cfg.target.n_modes != grid.n_modes:
-        raise ShapeMismatch(
-            f"target spans {cfg.target.n_modes} modes, grid has {grid.n_modes}"
-        )
+    n = grid.n_modes
+    if cfg.target.n_modes != n:
+        raise ShapeMismatch(f"target spans {cfg.target.n_modes} modes, grid has {n}")
     index, rows = _target_classes(cfg.target, grid)
     r = _resolved_iterations(cfg, len(rows))
     tables = _mode_tables(cfg.envelopes, grid)
     psq_modes = [np.abs(t) ** 2 for t in tables]
     w_modes = ops.mode_weight_tables(cfg.zetas, grid)
-    psq_rest, w_rest = _joint_table(psq_modes[1:]), _joint_table(w_modes[1:])
-    step = psq_rest.shape[0]  # theta cells per slice
-    # Per branch, per theta cell: the sums of |P|^2 f and |P|^2 f^2 over the k cells.
-    per_theta = np.empty((1 + cfg.use_dilation, 2, grid.g_theta**grid.n_modes))
-    mass, w_max, finite = 0.0, 0.0, True
-    with np.errstate(over="ignore", invalid="ignore"):  # out-of-range weights are named below
-        for j in range(grid.g_theta):
-            psq = _joint_table([psq_modes[0][j : j + 1], psq_rest])
-            w = _joint_table([w_modes[0][j : j + 1], w_rest])
-            mass += float(np.einsum("tk,tk,tk->", psq, w, w))
-            if cfg.use_dilation:
-                w_max = max(w_max, float(np.max(np.abs(w))))
-                try:
-                    w_prime = ops.ancilla_weight(w)
-                except WeightOutOfRange:
-                    continue  # raised below, after the degeneracy check
-                factors = (w_prime, w) if r % 2 else (np.ones_like(w), np.zeros_like(w))
-            else:
-                factors = (w**r,)
-            finite = finite and np.isfinite(w).all() and all(np.isfinite(f).all() for f in factors)
-            for out, f in zip(per_theta, factors):
-                pf = psq * f
-                np.einsum("tk->t", pf, out=out[0, j * step : (j + 1) * step])
-                np.einsum("tk,tk->t", pf, f, out=out[1, j * step : (j + 1) * step])
-        mass *= grid.cell_weight
-        if mass <= 1e-20:
-            raise DegenerateWeights(
-                f"weight product vanishes on the envelope support (mass {mass:.3e})"
-            )
-        if cfg.use_dilation:
-            ops.ancilla_weight(np.array(w_max))  # checked on every dilated run, whatever r
-        # Pairwise over each class's theta cells; a sequential sum over 12^3 of them is off by 3e-14.
-        order = np.argsort(index, kind="stable")
-        starts = np.searchsorted(index[order], np.arange(len(rows)))
-        sums = [tuple(np.add.reduceat(p[order], starts) for p in branch) for branch in per_theta]
-    vectors = _class_vectors(grid.n_modes, rows, r)
+    if cfg.target.is_constant:
+        bits, patterns = np.zeros((n, grid.g_theta), dtype=np.intp), np.zeros(1, dtype=np.intp)
+    else:
+        bits, patterns = cfg.target.mode_bits(grid), rows[:, 0]
+    # Each mode's weights on its envelope support (0 elsewhere) divided by the
+    # power of two 2^k_i that brings them below 1 in magnitude: no power of
+    # them overflows, and w^p = 2^(p k) prod_i w~_i^p there, k = sum k_i.
+    scaled, k = [], 0
+    for psq, w in zip(psq_modes, w_modes):
+        w_tilde, e = _pow2_scaled(np.where(psq > 0, w, 0.0))
+        scaled.append(w_tilde)
+        k += e
+
+    def branch(p: int) -> tuple:
+        """(s1, s2, e) of f = w^p; the powers of w~ stay within [-1, 1]."""
+        s1, e1 = _pattern_sums([psq * wt**p for psq, wt in zip(psq_modes, scaled)], bits)
+        s2, e2 = _pattern_sums([psq * wt ** (2 * p) for psq, wt in zip(psq_modes, scaled)], bits)
+        return s1[patterns] * 2.0 ** (e1 - e2 / 2), s2[patterns], e2 + 2 * p * k
+
+    weighted = branch(1)
+    mass = float(_unscaled(np.sum(weighted[1]) * grid.cell_weight, weighted[2]))
+    if mass <= 1e-20:
+        raise DegenerateWeights(
+            f"weight product vanishes on the envelope support (mass {mass:.3e})"
+        )
+    w_max = [float(np.max(np.abs(w))) for w in w_modes]  # each > 0 above the mass floor
+    if cfg.use_dilation:
+        ops.ancilla_weight(np.array(math.prod(w_max)))  # checked on every dilated run, whatever r
+        if r % 2:
+            sums = [_streamed_branch(psq_modes, w_modes, index, len(rows)), weighted]
+        else:
+            sums = [branch(0), (np.zeros(len(rows)), np.zeros(len(rows)), 0)]
+    else:
+        sums = [branch(r)]
+    vectors = _class_vectors(n, rows, r)
     vsq = _cell_sq(vectors)
-    norms = tuple(float(np.einsum("c,c->", vsq, sq)) * grid.cell_weight for _, sq in sums)
-    if not (finite and all(math.isfinite(x) for x in norms)):
+    norms = tuple(
+        float(_unscaled(float(np.einsum("c,c->", vsq, s2)) * grid.cell_weight, e))
+        for _, s2, e in sums
+    )
+    # log2 of the largest |w| and |w|^r over the cells, from the per-mode maxima.
+    w_log2 = math.fsum(math.log2(m) for m in w_max)
+    if max(r, 1) * w_log2 > _LOG2_MAX or not all(math.isfinite(x) for x in norms):
         raise WeightOutOfRange(
             f"the weight w, w^{r} or a branch norm leaves the float range "
             f"(|x| <= {np.finfo(np.float64).max:.4g})"
         )
     if not cfg.use_dilation and norms[0] < 1e-30:
         raise ZeroNorm(f"cannot normalize state with squared norm {norms[0]:.3e}")
-    return _FactoredRun(grid, r, index, rows, vectors, tables, sums, norms)
+    return _FactoredRun(grid, r, index, rows, vectors, tables, scaled, k, sums, norms)
 
 
 def final_state(cfg: SearchConfig) -> JointState:
     """The normalized post-iteration state of a plain (non-dilation) run,
-    built once as P(cell) w(cell)^r v[class(cell)] / sqrt(norm)."""
+    built once as P(cell) w(cell)^r v[class(cell)] / sqrt(norm).
+
+    P w^r / sqrt(N) = prod_i g_i w~_i^r / sqrt(N 2^(-2 r k)) with the run's
+    scaled weights, so no factor leaves the float range when w or N lies far
+    from 1.
+    """
     if cfg.use_dilation:
         raise ValueError("dilated finals carry an ancilla; run without use_dilation")
     run = _factored_run(cfg)
     grid = run.grid
-    f = joint_weight(cfg.zetas, grid).reshape(grid.g_theta**grid.n_modes, -1) ** run.r
-    coef = _joint_table(run.tables) * (f / math.sqrt(run.norms[0]))
+    coef = _joint_table([t * wt**run.r for t, wt in zip(run.tables, run.scaled)])
+    coef /= math.sqrt(float(_unscaled(run.norms[0], -2 * run.r * run.k)))
     amp = np.empty(coef.shape + (2**grid.n_modes,), dtype=np.complex128)
     for c, v in enumerate(run.vectors):  # one masked pass per class, no state-sized temporary
         in_class = (run.index == c)[:, None, None]
@@ -413,24 +482,31 @@ def _readout(cfg: SearchConfig, overlaps: dict[str, complex], threshold: float) 
 def run_search(cfg: SearchConfig, threshold: float = DECISION_THRESHOLD) -> SearchReport:
     """Full pipeline: list, iterations, univocal readout of each branch.
 
-    Read from cell tables and class vectors (see _factored_run), with no
-    dense state: a branch with factor f has squared norm
+    Read from per-mode sums and class vectors (see _factored_run), with no
+    dense state and, but for odd dilated runs, no pass over the cells: a
+    branch with factor f has squared norm
     N = sum_c |v_c|^2 sum_{cells in c} |P|^2 f^2 dA and overlaps
-    sum_c v_c sum_{cells in c} |P|^2 f dA / sqrt(N).  The per-cell check
-    compares the search vector of every class that carries amplitude with
-    its reference, all classes in one pass.  norm_constant is the
-    squared norm after the last iteration (1 for unit weights); a dilated
-    run's is the sum of its two branch norms (1 up to rounding).
+    sum_c v_c sum_{cells in c} |P|^2 f dA / sqrt(N), in which the scale of
+    the per-mode sums cancels.  The per-cell check compares the search
+    vector of every class that carries amplitude with its reference, all
+    classes in one pass.  norm_constant is the squared norm after the last
+    iteration (1 for unit weights); a dilated run's is the sum of its two
+    branch norms (1 up to rounding).
     """
     run = _factored_run(cfg)
     n = cfg.n_modes
-    bands = run.vectors * run.grid.cell_weight
+    vsq = _cell_sq(run.vectors)
     dilated = len(run.norms) == 2
+
+    def overlaps(s1: np.ndarray, s2: np.ndarray) -> dict[str, complex]:
+        # sum_c v_c S1_c dA / sqrt(N) with S1 = s1 2^(e/2) and N = dA sum_c |v_c|^2 s2 2^e.
+        coef = s1 * math.sqrt(run.grid.cell_weight / float(np.einsum("c,c->", vsq, s2)))
+        return _by_string(np.einsum("c,cs->s", coef, run.vectors), n)
+
     # Per branch: its readout, None for an empty dilated branch.
     readouts = [
-        None if dilated and nrm <= 1e-20
-        else _readout(cfg, _by_string(np.einsum("c,cs->s", m / math.sqrt(nrm), bands), n), threshold)
-        for (m, _), nrm in zip(run.sums, run.norms)
+        None if dilated and nrm <= 1e-20 else _readout(cfg, overlaps(s1, s2), threshold)
+        for (s1, s2, _), nrm in zip(run.sums, run.norms)
     ]
     live = [ro for ro in readouts if ro is not None]
     failure = next((ro[2] for ro in live if ro[2]), None)
@@ -448,7 +524,7 @@ def run_search(cfg: SearchConfig, threshold: float = DECISION_THRESHOLD) -> Sear
     # A class is checked when one of its cells has |P f| above the floor; a
     # cell whose |P f|^2 underflows counts as empty.  All checked classes go
     # through one comparison with their references.
-    checked = np.sqrt(sum(sq for _, sq in run.sums)) > _CELL_FLOOR
+    checked = np.sqrt(sum(_unscaled(s2, e) for _, s2, e in run.sums)) > _CELL_FLOOR
     error = _max_deviation(run.vectors[checked], _reference_rows(n, run.rows[checked], run.r))
     return SearchReport(
         norm_constant=sum(run.norms),

@@ -8,6 +8,7 @@ implementation against it.  `corrupt` deliberately mis-builds one construction
 from __future__ import annotations
 
 import math
+import time
 from typing import Callable, Optional
 
 import numpy as np
@@ -407,7 +408,8 @@ FULL_CHECKS: list[tuple[str, Callable]] = FAST_CHECKS + [
 
 
 def run_suite(level: str, corrupt: Optional[str] = None, out=print) -> bool:
-    """Run the named suite; prints one PASS/FAIL line per check."""
+    """Run the named suite; prints one PASS/FAIL line per check, a pass with
+    its wall time."""
     if level not in ("fast", "full"):
         raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
     if corrupt is not None and corrupt not in CORRUPTIONS:
@@ -415,11 +417,12 @@ def run_suite(level: str, corrupt: Optional[str] = None, out=print) -> bool:
     checks = FAST_CHECKS if level == "fast" else FULL_CHECKS
     ok = True
     for name, fn in checks:
+        started = time.perf_counter()
         try:
             fn(corrupt)
         except AssertionError as exc:
             out(f"FAIL {name}: {exc}")
             ok = False
         else:
-            out(f"PASS {name}")
+            out(f"PASS {name} ({(time.perf_counter() - started) * 1e3:.1f} ms)")
     return ok

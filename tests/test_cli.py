@@ -1,10 +1,11 @@
 import json
 import math
+import re
 
 import pytest
 
 from mvgrover import load_state, quad_norm, state_to_bytes
-from mvgrover.cli import dumps_record, main
+from mvgrover.cli import _build_parser, dumps_record, main
 
 
 def write_config(path, **overrides):
@@ -184,6 +185,35 @@ def test_verify_corrupted_sign_names_invariant(capsys):
     assert main(["verify", "--level", "fast", "--corrupt", "grover-sign"]) == 1
     out = capsys.readouterr().out
     assert "FAIL grover-operator-identity" in out
+
+
+def test_verify_lines_carry_check_times(capsys):
+    assert main(["verify", "--level", "full"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) >= 10
+    for line in lines:
+        assert re.fullmatch(r"PASS [a-z0-9-]+ \(\d+\.\d ms\)", line), line
+
+
+# --- one process, several commands -------------------------------------------
+
+
+def test_successive_main_calls_reuse_one_parser(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "report.json"
+    write_config(cfg)
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "identified 10" in capsys.readouterr().out
+    assert main(["verify", "--level", "fast", "--corrupt", "grover-sign"]) == 1
+    assert "FAIL grover-operator-identity" in capsys.readouterr().out
+    assert main(["state", "load", "--path", str(tmp_path / "missing.bin")]) == 1
+    assert "no such file" in capsys.readouterr().err
+    write_config(cfg, g_theta=0)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 1
+    assert "/g_theta" in capsys.readouterr().err
+    assert main(["verify", "--level", "fast"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert _build_parser() is _build_parser()
 
 
 # --- state ------------------------------------------------------------------

@@ -26,6 +26,7 @@ from mvgrover import (
     with_ancilla,
 )
 from mvgrover.errors import WeightOutOfRange, ZeroNorm
+from mvgrover.verify import _branch_hit, _dense_run
 
 TARGETS = {
     "single": lambda n: TargetSpec.bits("1" * n),
@@ -215,3 +216,80 @@ def test_interval_run_builds_one_class_operator(monkeypatch):
     report = run_search(cfg)
     assert calls == ["grover_cell", "apply", "apply"]
     assert report.per_cell_max_error <= 1e-12
+
+
+def _dense_readout(cfg, overlaps):
+    """(identified, branch_identified) of the dense loop's branches under the univocal rule."""
+    per_branch = [None if ov is None else _branch_hit(cfg, ov) for ov in overlaps]
+    found = [h for h in per_branch if h is not None]
+    identified = found[0] if found and all(h == found[0] for h in found) else None
+    branches = tuple(h if isinstance(h, str) else None for h in per_branch)
+    return identified, branches if cfg.use_dilation else None
+
+
+def _assert_matches_dense_loop(cfg):
+    report = run_search(cfg)
+    norms, overlaps = _dense_run(cfg, report.iterations_used)
+    assert report.norm_constant == pytest.approx(sum(norms), rel=1e-12, abs=0)
+    if cfg.use_dilation:
+        for got, want in zip(report.ancilla_branch_norms, norms):
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * sum(norms))
+    dominant = overlaps[int(cfg.use_dilation and norms[1] >= norms[0])]
+    for s, v in dominant.items():
+        assert abs(report.overlaps[s] - v) <= 1e-12
+    assert (report.identified, report.branch_identified) == _dense_readout(cfg, overlaps)
+
+
+@pytest.mark.parametrize("n, gt, gk", [(1, 4, 3), (2, 4, 3), (3, 3, 2), (4, 2, 2)])
+@pytest.mark.parametrize("kind", sorted(TARGETS))
+@pytest.mark.parametrize("use_dilation", [False, True])
+def test_per_mode_sums_match_dense_loop(n, gt, gk, kind, use_dilation):
+    # Complex tabulated envelopes and weights of both signs, each mode's
+    # weights spread over a different range; r = 1..3 covers odd and even
+    # dilated runs.
+    rng = np.random.default_rng([n, len(kind), use_dilation])
+    for r in (1, 2, 3):
+        tables = rng.uniform(0.2, 1.0, (n, gt, gk)) * np.exp(1j * rng.uniform(0, 7, (n, gt, gk)))
+        envs = tuple(EnvelopeSpec.tabulated(t) for t in tables)
+        zetas = tuple(rng.uniform(-1.0, 1.0, (gt, gk)) * 0.5**i for i in range(n))
+        cfg = SearchConfig(n, gt, gk, envs, TARGETS[kind](n), zetas=zetas, iterations=r,
+                           use_dilation=use_dilation)
+        _assert_matches_dense_loop(cfg)
+
+
+@pytest.mark.parametrize("kind", sorted(TARGETS))
+def test_compensating_weights_read_like_dense_loop(kind):
+    # w = 1 on every cell, from 1e200 on mode 0 and 1e-200 on mode 1: a
+    # plain product of per-mode power sums would overflow and underflow.
+    cfg = SearchConfig(2, 4, 4, gaussian_envs(2), TARGETS[kind](2), zetas=(1e200, 1e-200),
+                       iterations=2)
+    _assert_matches_dense_loop(cfg)
+    assert run_search(cfg).norm_constant == pytest.approx(1.0, abs=1e-14)
+
+
+def test_plain_run_peak_memory_without_cell_tables():
+    # A plain run allocates per-mode tables and one class index per theta
+    # cell: no array of the g_theta^2 g_k^2 = 16.8M cells.
+    grid = make_grid(2, 64, 64)
+    cfg = SearchConfig(2, 64, 64, gaussian_envs(2), TargetSpec.bits("10"),
+                       zetas=cos_zetas(grid), iterations=3)
+    tracemalloc.start()
+    try:
+        run_search(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+
+
+def test_weights_out_of_range_only_in_pairs_read_like_unit_weights():
+    # Constant weights 1e200, 1e200 and 1e-300 give w = 1e100 on every cell,
+    # though the first two modes alone multiply to 1e400.
+    envs, target = gaussian_envs(3), TargetSpec.bits("101")
+    unit = SearchConfig(3, 4, 4, envs, target, iterations=1)
+    big = SearchConfig(3, 4, 4, envs, target, zetas=(1e200, 1e200, 1e-300), iterations=1)
+    want, got = run_search(unit), run_search(big)
+    assert got.norm_constant == pytest.approx(want.norm_constant * 1e200, rel=1e-12)
+    for s, v in want.overlaps.items():
+        assert abs(got.overlaps[s] - v) <= 1e-14
+    assert np.max(np.abs(final_state(big).amp - final_state(unit).amp)) <= 1e-14

@@ -9,6 +9,7 @@ and a dense-vector qubit search the reference for the per-cell check.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections import namedtuple
@@ -265,22 +266,25 @@ def _class_vectors(n: int, rows: np.ndarray, r: int) -> np.ndarray:
     return state.amp.reshape(-1)[np.arange(2**n) ^ (rows[:, :1] ^ rows[0, 0])]
 
 
-_FactoredRun = namedtuple("_FactoredRun", "grid r index rows vectors tables scaled k sums norms")
+_FactoredRun = namedtuple("_FactoredRun", "grid r index rows vectors tables scaled w_log2 sums norms")
 
 _LOG2_MAX = math.log2(np.finfo(np.float64).max)
 
 
-def _pow2_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """(x / 2^e, e), e the binary exponent of max|x| (0 for zeros): exact, and
-    the largest |entry| lands in [0.5, 1)."""
-    e = int(np.frexp(np.max(np.abs(x)))[1])
-    return np.ldexp(x, -e), e
-
-
-def _unscaled(x, exponent: int):
-    """x * 2^exponent; inf or 0 where that leaves the float range."""
+def _product(values) -> float:
+    """prod(values) with no partial product leaving the float range: inf or 0
+    only where the product itself does."""
+    mant, exp = np.frexp(np.asarray(values, dtype=np.float64))
     with np.errstate(over="ignore"):
-        return np.ldexp(x, min(max(exponent, -4096), 4096))
+        return float(np.ldexp(np.prod(mant), int(np.sum(exp))))
+
+
+def _unscaled(x, log2_scale: float):
+    """x * 2^log2_scale; inf or 0 where that leaves the float range."""
+    e = min(max(log2_scale, -4096.0), 4096.0)
+    whole = math.floor(e)
+    with np.errstate(over="ignore"):
+        return np.ldexp(x * 2.0 ** (e - whole), whole)
 
 
 def _pattern_sums(per_mode: Sequence[np.ndarray], bits: np.ndarray) -> tuple[np.ndarray, int]:
@@ -289,35 +293,39 @@ def _pattern_sums(per_mode: Sequence[np.ndarray], bits: np.ndarray) -> tuple[np.
     per_mode[i] is mode i's real (g_theta, g_k) table and bits[i] its searched
     bit at each theta value; pattern p (mode 0 the most significant bit) holds
     the cells whose bits spell p, a product set, so its sum is the product of
-    per-mode sums.  Returns (sums / 2^e, e), each mode's two sums scaled by a
-    power of two, so the product neither overflows nor underflows.
+    per-mode sums.  Returns (sums / 2^e, e): each mode's two sums are divided
+    by the power of two that brings the larger below 1, exactly, so the
+    product neither overflows nor underflows.
     """
     out, exponent = np.ones(1), 0
     for x, b in zip(per_mode, bits):
-        t, e = _pow2_scaled(np.bincount(b, weights=x.sum(axis=1), minlength=2))
-        out, exponent = np.multiply.outer(out, t).reshape(-1), exponent + e
+        t = np.bincount(b, weights=x.sum(axis=1), minlength=2)
+        e = int(np.frexp(np.max(np.abs(t)))[1])
+        out, exponent = np.multiply.outer(out, np.ldexp(t, -e)).reshape(-1), exponent + e
     return out, exponent
 
 
-def _streamed_branch(psq_modes, w_modes, index: np.ndarray, n_classes: int) -> tuple:
+def _streamed_branch(psq_modes, scaled, scale: float, index: np.ndarray, n_classes: int) -> tuple:
     """Per class, the sums of |P|^2 w' and |P|^2 w'^2 of the ancilla-0 branch of
     an odd dilated run, with w' = sqrt(1 - w^2) per cell, which is no product
-    over modes.  Summed over the k cells one theta_1 slice at a time, then
-    pairwise over each class's theta cells (a sequential sum over 12^3 of them
-    is off by 3e-14)."""
-    psq_rest, w_rest = _joint_table(psq_modes[1:]), _joint_table(w_modes[1:])
+    over modes.  w = scale prod_i scaled[i] is built from the run's scaled
+    weights (each at most 1 in magnitude, scale = prod_i max |w_i| <= 1 by the
+    dilation check), so no partial product leaves the float range.  Summed
+    over the k cells one theta_1 slice at a time, then pairwise over each
+    class's theta cells (a sequential sum over 12^3 of them is off by 3e-14)."""
+    psq_rest, w_rest = _joint_table(psq_modes[1:]), _joint_table(scaled[1:]) * scale
     step = psq_rest.shape[0]  # theta cells per slice
     per_theta = np.empty((2, len(index)))
     for j in range(len(psq_modes[0])):
         psq = _joint_table([psq_modes[0][j : j + 1], psq_rest])
-        f = ops.ancilla_weight(_joint_table([w_modes[0][j : j + 1], w_rest]))
+        f = ops.ancilla_weight(_joint_table([scaled[0][j : j + 1], w_rest]))
         pf = psq * f
         np.einsum("tk->t", pf, out=per_theta[0, j * step : (j + 1) * step])
         np.einsum("tk,tk->t", pf, f, out=per_theta[1, j * step : (j + 1) * step])
     order = np.argsort(index, kind="stable")
     starts = np.searchsorted(index[order], np.arange(n_classes))
     s1, s2 = (np.add.reduceat(p[order], starts) for p in per_theta)
-    return s1, s2, 0
+    return s1, s2, 0.0
 
 
 def _factored_run(cfg: SearchConfig) -> _FactoredRun:
@@ -326,10 +334,11 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     psi(cell, b) = P(cell) f(cell) v[class(cell)][b]: index maps each theta
     cell to its class, rows[c] holds class c's target band indices and
     vectors[c] its search vector, tables[i] mode i's envelope table and
-    scaled[i] its weights in scaled form (w = 2^k prod_i scaled[i] on the
-    envelope support), norms[b] the squared norm of readout branch b and
-    sums[b] = (s1, s2, e) its per-class sums in scaled form:
-    sum |P|^2 f = s1 2^(e/2) and sum |P|^2 f^2 = s2 2^e over the class's cells.
+    scaled[i] its weights on the envelope support divided by their largest
+    |w_i| (w = 2^w_log2 prod_i scaled[i] there), norms[b] the squared norm of
+    readout branch b and sums[b] = (s1, s2, e) its per-class sums in scaled
+    form: sum |P|^2 f = s1 2^(e/2) and sum |P|^2 f^2 = s2 2^e over the
+    class's cells, e a float.
 
     A plain run has one branch, f = w^r.  The dilated step is G (x) A with
     A = w sigma_x + w' sigma_z, and (G (x) A)^r = G^r (x) A^r with A^2 = 1,
@@ -339,11 +348,13 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     P, w and so f = w^p are products over modes, and a class is a product
     set of cells (all theta cells for a constant target, else those whose
     per-mode interval bits spell its string), so its sums are products of
-    per-mode sums: O(n g_theta g_k) work, no cell-sized array.  The weight
-    scale 2^(p k) cancels in the overlaps and enters only the norms and the
-    range checks, which use per-mode maxima (max |w| = prod max |w_i| on a
-    product set).  Only the ancilla-0 branch of an odd dilated run, f = w',
-    is summed over the cells, one theta_1 slice at a time.
+    per-mode sums: O(n g_theta g_k) work, no cell-sized array.  Each mode's
+    largest scaled weight is +-1, so no power of the scaled weights vanishes
+    and none overflows.  The weight scale 2^(p w_log2) cancels in the
+    overlaps and enters only the norms and the range checks, which use
+    per-mode maxima (max |w| = prod max |w_i| on a product set).  Only the
+    ancilla-0 branch of an odd dilated run, f = w', is summed over the
+    cells, one theta_1 slice at a time.
     """
     grid = cfg.grid
     n = grid.n_modes
@@ -358,34 +369,43 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
         bits, patterns = np.zeros((n, grid.g_theta), dtype=np.intp), np.zeros(1, dtype=np.intp)
     else:
         bits, patterns = cfg.target.mode_bits(grid), rows[:, 0]
-    # Each mode's weights on its envelope support (0 elsewhere) divided by the
-    # power of two 2^k_i that brings them below 1 in magnitude: no power of
-    # them overflows, and w^p = 2^(p k) prod_i w~_i^p there, k = sum k_i.
-    scaled, k = [], 0
-    for psq, w in zip(psq_modes, w_modes):
-        w_tilde, e = _pow2_scaled(np.where(psq > 0, w, 0.0))
-        scaled.append(w_tilde)
-        k += e
+    # Each mode's weights on its envelope support (0 elsewhere) divided by
+    # their largest magnitude, which becomes exactly 1, so w^p = peak^p
+    # prod_i scaled_i^p there with peak = 2^w_log2 the largest |w| on the
+    # support.  A mode with no weight on its support keeps zeros and
+    # w_log2 = -inf: its mass is 0, as it is when the peak underflows (the
+    # envelopes are normalized, so the mass is at most peak^2).
+    support = [np.where(psq > 0, w, 0.0) for psq, w in zip(psq_modes, w_modes)]
+    peaks = [float(np.max(np.abs(w))) for w in support]
+    scaled = [w / peak if peak > 0 else w for w, peak in zip(support, peaks)]
+    peak = _product(peaks)
+    w_log2 = math.log2(peak) if peak > 0 else -math.inf
+
+    @functools.cache
+    def power_sums(q: int) -> tuple:
+        """Per-class sums of |P|^2 scaled^q, and their exponent."""
+        s, e = _pattern_sums([psq * wt**q for psq, wt in zip(psq_modes, scaled)], bits)
+        return s[patterns], e
 
     def branch(p: int) -> tuple:
-        """(s1, s2, e) of f = w^p; the powers of w~ stay within [-1, 1]."""
-        s1, e1 = _pattern_sums([psq * wt**p for psq, wt in zip(psq_modes, scaled)], bits)
-        s2, e2 = _pattern_sums([psq * wt ** (2 * p) for psq, wt in zip(psq_modes, scaled)], bits)
-        return s1[patterns] * 2.0 ** (e1 - e2 / 2), s2[patterns], e2 + 2 * p * k
+        """(s1, s2, e) of f = w^p, from the sums of the powers p and 2 p."""
+        (s1, e1), (s2, e2) = power_sums(p), power_sums(2 * p)
+        return s1 * 2.0 ** (e1 - e2 / 2), s2, e2 + (2 * p * w_log2 if p else 0.0)
 
-    weighted = branch(1)
-    mass = float(_unscaled(np.sum(weighted[1]) * grid.cell_weight, weighted[2]))
+    mass_sums, mass_exp = power_sums(2)
+    mass = float(_unscaled(np.sum(mass_sums) * grid.cell_weight, mass_exp + 2 * w_log2))
     if mass <= 1e-20:
         raise DegenerateWeights(
             f"weight product vanishes on the envelope support (mass {mass:.3e})"
         )
     w_max = [float(np.max(np.abs(w))) for w in w_modes]  # each > 0 above the mass floor
     if cfg.use_dilation:
-        ops.ancilla_weight(np.array(math.prod(w_max)))  # checked on every dilated run, whatever r
+        ops.ancilla_weight(np.array(_product(w_max)))  # checked on every dilated run, whatever r
         if r % 2:
-            sums = [_streamed_branch(psq_modes, w_modes, index, len(rows)), weighted]
+            streamed = _streamed_branch(psq_modes, scaled, peak, index, len(rows))
+            sums = [streamed, branch(1)]
         else:
-            sums = [branch(0), (np.zeros(len(rows)), np.zeros(len(rows)), 0)]
+            sums = [branch(0), (np.zeros(len(rows)), np.zeros(len(rows)), 0.0)]
     else:
         sums = [branch(r)]
     vectors = _class_vectors(n, rows, r)
@@ -395,31 +415,31 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
         for _, s2, e in sums
     )
     # log2 of the largest |w| and |w|^r over the cells, from the per-mode maxima.
-    w_log2 = math.fsum(math.log2(m) for m in w_max)
-    if max(r, 1) * w_log2 > _LOG2_MAX or not all(math.isfinite(x) for x in norms):
+    top_log2 = math.fsum(math.log2(m) for m in w_max)
+    if max(r, 1) * top_log2 > _LOG2_MAX or not all(math.isfinite(x) for x in norms):
         raise WeightOutOfRange(
             f"the weight w, w^{r} or a branch norm leaves the float range "
             f"(|x| <= {np.finfo(np.float64).max:.4g})"
         )
     if not cfg.use_dilation and norms[0] < 1e-30:
         raise ZeroNorm(f"cannot normalize state with squared norm {norms[0]:.3e}")
-    return _FactoredRun(grid, r, index, rows, vectors, tables, scaled, k, sums, norms)
+    return _FactoredRun(grid, r, index, rows, vectors, tables, scaled, w_log2, sums, norms)
 
 
 def final_state(cfg: SearchConfig) -> JointState:
     """The normalized post-iteration state of a plain (non-dilation) run,
     built once as P(cell) w(cell)^r v[class(cell)] / sqrt(norm).
 
-    P w^r / sqrt(N) = prod_i g_i w~_i^r / sqrt(N 2^(-2 r k)) with the run's
-    scaled weights, so no factor leaves the float range when w or N lies far
-    from 1.
+    P w^r / sqrt(N) = prod_i g_i w~_i^r / sqrt(N 2^(-2 r w_log2)) with the
+    run's scaled weights w~_i, so no factor leaves the float range when w or
+    N lies far from 1.
     """
     if cfg.use_dilation:
         raise ValueError("dilated finals carry an ancilla; run without use_dilation")
     run = _factored_run(cfg)
     grid = run.grid
     coef = _joint_table([t * wt**run.r for t, wt in zip(run.tables, run.scaled)])
-    coef /= math.sqrt(float(_unscaled(run.norms[0], -2 * run.r * run.k)))
+    coef /= math.sqrt(float(_unscaled(run.norms[0], -2 * run.r * run.w_log2)))
     amp = np.empty(coef.shape + (2**grid.n_modes,), dtype=np.complex128)
     for c, v in enumerate(run.vectors):  # one masked pass per class, no state-sized temporary
         in_class = (run.index == c)[:, None, None]

@@ -293,3 +293,44 @@ def test_weights_out_of_range_only_in_pairs_read_like_unit_weights():
     for s, v in want.overlaps.items():
         assert abs(got.overlaps[s] - v) <= 1e-14
     assert np.max(np.abs(final_state(big).amp - final_state(unit).amp)) <= 1e-14
+
+
+@pytest.mark.parametrize("r", [600, 2000])
+@pytest.mark.parametrize("use_dilation", [False, True])
+def test_long_runs_match_dense_loop(r, use_dilation):
+    # Past r = 512 a largest weight scaled into [0.5, 1) would underflow in
+    # w^(2r); each mode's largest scaled weight is exactly 1, so no power of
+    # it vanishes.  Plain runs keep weights whose largest magnitude is 1 (any
+    # smaller one drives the norm below the ZeroNorm floor at this r).
+    grid = make_grid(2, 4, 3)
+    theta = grid.theta_values()
+    cos = np.cos(theta - theta[1])[:, None] * np.ones(3)  # 1 at theta_1
+    signed = np.random.default_rng(r).uniform(-0.9, 0.9, (4, 3))
+    signed[1, :] = (-1.0, 1.0, -1.0)
+    weights = [None, (cos, cos), (signed, signed.T[::-1].reshape(4, 3))]
+    if use_dilation:
+        weights.append(tuple(0.8 * z for z in cos_zetas(grid, 0.9)))
+    for zetas in weights:
+        cfg = SearchConfig(2, 4, 3, gaussian_envs(2), TargetSpec.bits("10"), zetas=zetas,
+                           iterations=r, use_dilation=use_dilation)
+        _assert_matches_dense_loop(cfg)
+    unit = SearchConfig(1, 4, 3, gaussian_envs(1), TargetSpec.bits("1"), iterations=r)
+    assert run_search(unit).norm_constant == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(final_state(unit).amp) ** 2 * unit.grid.cell_weight == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_compensating_weights_on_a_dilated_run(r):
+    # w = 1 from weights of 1e-300 ... 1e200 on four modes: the ancilla-0
+    # branch of an odd run builds w from the scaled weights, so no partial
+    # product overflows (a RuntimeWarning is an error here), in either order.
+    envs, target = gaussian_envs(4), TargetSpec.bits("1010")
+    cfg = SearchConfig(4, 2, 2, envs, target, zetas=(1e-300, 1e200, 1e200, 1e-100),
+                       iterations=r, use_dilation=True)
+    _assert_matches_dense_loop(cfg)
+    swapped = SearchConfig(4, 2, 2, envs, target, zetas=(1e200, 1e200, 1e-300, 1e-100),
+                           iterations=r, use_dilation=True)
+    want, got = run_search(cfg), run_search(swapped)
+    assert got.norm_constant == pytest.approx(1.0, abs=1e-14)
+    assert got.ancilla_branch_norms == pytest.approx(want.ancilla_branch_norms, abs=1e-14)
+    assert (got.identified, got.branch_identified) == (want.identified, want.branch_identified)

@@ -110,7 +110,8 @@ def _mode_tables(envelopes: Sequence[EnvelopeSpec], grid: ModularGrid) -> list[n
     """The (g_theta, g_k) table of each mode's envelope, one envelope per mode."""
     if len(envelopes) != grid.n_modes:
         raise ShapeMismatch(f"need {grid.n_modes} envelopes, got {len(envelopes)}")
-    return [env.table_for(grid.single_mode()) for env in envelopes]
+    mode_grid = grid.single_mode()
+    return [env.table_for(mode_grid) for env in envelopes]
 
 
 def build_list(envelopes: Sequence[EnvelopeSpec], grid: ModularGrid) -> JointState:
@@ -215,10 +216,10 @@ def _reference_rows(n: int, rows: np.ndarray, r: int) -> np.ndarray:
     big_n = 2**n
     v = np.full((len(rows), big_n), 1.0 / math.sqrt(big_n), dtype=np.complex128)
     sign = np.ones(v.shape)
-    np.put_along_axis(sign, rows, -1.0, axis=1)
+    sign[np.arange(len(rows))[:, None], rows] = -1.0
     for _ in range(r):
         v *= sign
-        v = 2.0 * v.mean(axis=1, keepdims=True) - v
+        v = (2.0 / big_n) * v.sum(axis=1, keepdims=True) - v
     return v
 
 
@@ -248,25 +249,42 @@ def _target_classes(target: TargetSpec, grid: ModularGrid) -> tuple[np.ndarray, 
     return index, values[:, None]
 
 
+@functools.cache
+def _search_step(n: int, m: int) -> ops.GlobalOperator:
+    """grover_cell on the bare n-qubit register (the one-cell grid) with the
+    band indices 0..m-1 as targets; built once per process for each (n, m)."""
+    return ops.grover_cell(
+        TargetSpec.multi([format(t, f"0{n}b") for t in range(m)]), make_grid(n, 1, 1)
+    )
+
+
 def _class_vectors(n: int, rows: np.ndarray, r: int) -> np.ndarray:
     """v_r = G^r u of every class, as one (classes, 2^n) array.
 
-    The first class runs r steps of grover_cell on the bare n-qubit register
-    (the one-cell grid) from the uniform vector.  Only interval targets have
-    more than one class, each with one string t; X^a fixes u and the
-    diffusion and turns the oracle of t into that of t ^ a, so class t's
-    vector is the first one's read at band index b ^ t ^ t_0.  The cost does
+    r steps of _search_step(n, m) from the uniform vector give the search
+    vector of the targets 0..m-1.  A permutation of the band indices fixes u
+    and the diffusion, so a class is that vector read through the one that
+    sends its m targets to 0..m-1 and its other indices, in order, to
+    m..2^n-1: it turns the canonical oracle into the class's.  The cost does
     not depend on the number of classes.
     """
-    qubits = make_grid(n, 1, 1)
-    op = ops.grover_cell(TargetSpec.multi([format(t, f"0{n}b") for t in rows[0]]), qubits)
+    n_classes, m = rows.shape
+    step = _search_step(n, m)
+    qubits = step.grid
     state = JointState(qubits, np.full(qubits.cell_shape + qubits.band_shape, 2.0 ** (-n / 2)))
     for _ in range(r):
-        state = ops.apply(op, state)
-    return state.amp.reshape(-1)[np.arange(2**n) ^ (rows[:, :1] ^ rows[0, 0])]
+        state = ops.apply(step, state)
+    on_class = np.arange(n_classes)[:, None]
+    others = np.ones((n_classes, 2**n), dtype=bool)
+    others[on_class, rows] = False
+    perm = np.cumsum(others, axis=1) + (m - 1)
+    perm[on_class, rows] = np.arange(m)
+    return state.amp.reshape(-1)[perm]
 
 
-_FactoredRun = namedtuple("_FactoredRun", "grid r index rows vectors tables scaled w_log2 sums norms")
+_FactoredRun = namedtuple(
+    "_FactoredRun", "grid r index rows vectors vsq tables scaled w_log2 sums norms"
+)
 
 _LOG2_MAX = math.log2(np.finfo(np.float64).max)
 
@@ -287,7 +305,7 @@ def _unscaled(x, log2_scale: float):
         return np.ldexp(x * 2.0 ** (e - whole), whole)
 
 
-def _pattern_sums(per_mode: Sequence[np.ndarray], bits: np.ndarray) -> tuple[np.ndarray, int]:
+def _pattern_sums(per_mode: Sequence[np.ndarray], bits: Sequence[list]) -> tuple[np.ndarray, int]:
     """Sum of prod_i x_i over the cells of each n-bit pattern, in scaled form.
 
     per_mode[i] is mode i's real (g_theta, g_k) table and bits[i] its searched
@@ -297,31 +315,41 @@ def _pattern_sums(per_mode: Sequence[np.ndarray], bits: np.ndarray) -> tuple[np.
     by the power of two that brings the larger below 1, exactly, so the
     product neither overflows nor underflows.
     """
-    out, exponent = np.ones(1), 0
+    out, exponent = [1.0], 0
     for x, b in zip(per_mode, bits):
-        t = np.bincount(b, weights=x.sum(axis=1), minlength=2)
-        e = int(np.frexp(np.max(np.abs(t)))[1])
-        out, exponent = np.multiply.outer(out, np.ldexp(t, -e)).reshape(-1), exponent + e
-    return out, exponent
+        t = [0.0, 0.0]
+        for v, bit in zip(x.sum(axis=1).tolist(), b):
+            t[bit] += v
+        e = math.frexp(max(abs(t[0]), abs(t[1])))[1]
+        t = [math.ldexp(q, -e) for q in t]
+        out, exponent = [p * q for p in out for q in t], exponent + e
+    return np.array(out), exponent
 
 
 def _streamed_branch(psq_modes, scaled, scale: float, index: np.ndarray, n_classes: int) -> tuple:
     """Per class, the sums of |P|^2 w' and |P|^2 w'^2 of the ancilla-0 branch of
     an odd dilated run, with w' = sqrt(1 - w^2) per cell, which is no product
-    over modes.  w = scale prod_i scaled[i] is built from the run's scaled
-    weights (each at most 1 in magnitude, scale = prod_i max |w_i| <= 1 by the
-    dilation check), so no partial product leaves the float range.  Summed
-    over the k cells one theta_1 slice at a time, then pairwise over each
-    class's theta cells (a sequential sum over 12^3 of them is off by 3e-14)."""
-    psq_rest, w_rest = _joint_table(psq_modes[1:]), _joint_table(scaled[1:]) * scale
+    over modes.  w^2 = scale^2 prod_i scaled[i]^2 is built from the run's
+    scaled weights (each at most 1 in magnitude, scale = prod_i max |w_i| <= 1
+    by the dilation check), so no partial product leaves the float range.
+    Summed over the k cells one theta_1 slice at a time, in one buffer, then
+    pairwise over each class's theta cells (a sequential sum over 12^3 of them
+    is off by 3e-14)."""
+    psq_rest = _joint_table(psq_modes[1:])
+    wsq_rest = _joint_table([wt * wt for wt in scaled[1:]])
+    wsq_first = scaled[0] * scaled[0] * (scale * scale)
     step = psq_rest.shape[0]  # theta cells per slice
+    buf = np.empty((step, wsq_first.shape[1], psq_rest.shape[1]))  # (theta, k_1, other k)
     per_theta = np.empty((2, len(index)))
-    for j in range(len(psq_modes[0])):
-        psq = _joint_table([psq_modes[0][j : j + 1], psq_rest])
-        f = ops.ancilla_weight(_joint_table([scaled[0][j : j + 1], w_rest]))
-        pf = psq * f
-        np.einsum("tk->t", pf, out=per_theta[0, j * step : (j + 1) * step])
-        np.einsum("tk,tk->t", pf, f, out=per_theta[1, j * step : (j + 1) * step])
+    for j, (psq, wsq) in enumerate(zip(psq_modes[0], wsq_first)):
+        cells = slice(j * step, (j + 1) * step)
+        np.multiply(wsq_rest[:, None, :], wsq[:, None], out=buf)
+        np.subtract(1.0, buf, out=buf)
+        np.maximum(buf, 0.0, out=buf)  # w'^2, clipped at 0
+        # |P|^2 = psq_rest[t, k] psq[k_1]: contracted over k, then over k_1.
+        np.einsum("ta,a->t", np.einsum("tak,tk->ta", buf, psq_rest), psq, out=per_theta[1, cells])
+        np.sqrt(buf, out=buf)
+        np.einsum("ta,a->t", np.einsum("tak,tk->ta", buf, psq_rest), psq, out=per_theta[0, cells])
     order = np.argsort(index, kind="stable")
     starts = np.searchsorted(index[order], np.arange(n_classes))
     s1, s2 = (np.add.reduceat(p[order], starts) for p in per_theta)
@@ -332,13 +360,14 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     """Check cfg and build its run from per-mode sums and class vectors.
 
     psi(cell, b) = P(cell) f(cell) v[class(cell)][b]: index maps each theta
-    cell to its class, rows[c] holds class c's target band indices and
-    vectors[c] its search vector, tables[i] mode i's envelope table and
-    scaled[i] its weights on the envelope support divided by their largest
-    |w_i| (w = 2^w_log2 prod_i scaled[i] there), norms[b] the squared norm of
-    readout branch b and sums[b] = (s1, s2, e) its per-class sums in scaled
-    form: sum |P|^2 f = s1 2^(e/2) and sum |P|^2 f^2 = s2 2^e over the
-    class's cells, e a float.
+    cell to its class, rows[c] holds class c's target band indices,
+    vectors[c] its search vector and vsq[c] that vector's squared norm,
+    tables[i] mode i's envelope table and scaled[i] its weights on the
+    envelope support divided by their largest |w_i| (w = 2^w_log2 prod_i
+    scaled[i] there), norms[b] the squared norm of readout branch b and
+    sums[b] = (s1, s2, e) its per-class sums in scaled form:
+    sum |P|^2 f = s1 2^(e/2) and sum |P|^2 f^2 = s2 2^e over the class's
+    cells, e a float.
 
     A plain run has one branch, f = w^r.  The dilated step is G (x) A with
     A = w sigma_x + w' sigma_z, and (G (x) A)^r = G^r (x) A^r with A^2 = 1,
@@ -366,9 +395,9 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     psq_modes = [np.abs(t) ** 2 for t in tables]
     w_modes = ops.mode_weight_tables(cfg.zetas, grid)
     if cfg.target.is_constant:
-        bits, patterns = np.zeros((n, grid.g_theta), dtype=np.intp), np.zeros(1, dtype=np.intp)
+        bits, patterns = [[0] * grid.g_theta] * n, np.zeros(1, dtype=np.intp)
     else:
-        bits, patterns = cfg.target.mode_bits(grid), rows[:, 0]
+        bits, patterns = cfg.target.mode_bits(grid).tolist(), rows[:, 0]
     # Each mode's weights on its envelope support (0 elsewhere) divided by
     # their largest magnitude, which becomes exactly 1, so w^p = peak^p
     # prod_i scaled_i^p there with peak = 2^w_log2 the largest |w| on the
@@ -423,7 +452,7 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
         )
     if not cfg.use_dilation and norms[0] < 1e-30:
         raise ZeroNorm(f"cannot normalize state with squared norm {norms[0]:.3e}")
-    return _FactoredRun(grid, r, index, rows, vectors, tables, scaled, w_log2, sums, norms)
+    return _FactoredRun(grid, r, index, rows, vectors, vsq, tables, scaled, w_log2, sums, norms)
 
 
 def final_state(cfg: SearchConfig) -> JointState:
@@ -515,12 +544,11 @@ def run_search(cfg: SearchConfig, threshold: float = DECISION_THRESHOLD) -> Sear
     """
     run = _factored_run(cfg)
     n = cfg.n_modes
-    vsq = _cell_sq(run.vectors)
     dilated = len(run.norms) == 2
 
     def overlaps(s1: np.ndarray, s2: np.ndarray) -> dict[str, complex]:
         # sum_c v_c S1_c dA / sqrt(N) with S1 = s1 2^(e/2) and N = dA sum_c |v_c|^2 s2 2^e.
-        coef = s1 * math.sqrt(run.grid.cell_weight / float(np.einsum("c,c->", vsq, s2)))
+        coef = s1 * math.sqrt(run.grid.cell_weight / float(np.einsum("c,c->", run.vsq, s2)))
         return _by_string(np.einsum("c,cs->s", coef, run.vectors), n)
 
     # Per branch: its readout, None for an empty dilated branch.

@@ -191,30 +191,44 @@ class EnvelopeSpec:
         return cls("tabulated", table=values)
 
     def table_for(self, grid: ModularGrid) -> np.ndarray:
-        """Quadrature-normalized (g_theta, g_k) table of g on the grid."""
+        """Quadrature-normalized (g_theta, g_k) table of g on the grid.
+
+        A gaussian is the product of a theta and a k profile, each normalized
+        on its own axis before one outer product.
+        """
         g = grid.single_mode()
         if self.kind == "constant":
-            raw = np.full((g.g_theta, g.g_k), 1.0 + 0.0j)
-        elif self.kind == "gaussian":
-            with np.errstate(over="ignore"):  # a tiny width overflows dt**2; exp(-inf) = 0
-                dt = (g.theta_values() - self.center_theta) / (2.0 * self.sigma_theta)
-                dk = (g.k_values() - self.center_k) / (2.0 * self.sigma_k)
-                raw = np.exp(-(dt**2))[:, None] * np.exp(-(dk**2))[None, :] + 0.0j
-        else:
+            area = g.g_theta * g.g_k * g.d_theta * g.d_k
+            return np.full((g.g_theta, g.g_k), 1.0 / math.sqrt(area), dtype=np.complex128)
+        if self.kind == "tabulated":
             raw = np.asarray(self.table, dtype=np.complex128)
             if raw.shape != (g.g_theta, g.g_k):
                 raise ShapeMismatch(
                     f"envelope table has shape {raw.shape}, grid needs {(g.g_theta, g.g_k)}"
                 )
-        # Scaled to a largest magnitude of 1 first, so the norm neither
-        # overflows nor underflows; only an all-zero table has none.  The
-        # division is real: complex division by a subnormal overflows 1/scale.
-        scale = float(np.max(np.abs(raw)))
-        if scale == 0.0:
-            raise ZeroNorm("envelope table has zero quadrature norm")
-        raw = (raw.view(np.float64) / scale).view(np.complex128)
-        nrm = float(np.vdot(raw, raw).real) * g.d_theta * g.d_k
-        return raw / math.sqrt(nrm)
+            return _normalized(raw, g.d_theta * g.d_k)
+        with np.errstate(over="ignore"):  # a tiny width overflows dt**2; exp(-inf) = 0
+            dt = (g.theta_values() - self.center_theta) / (2.0 * self.sigma_theta)
+            dk = (g.k_values() - self.center_k) / (2.0 * self.sigma_k)
+            rows, cols = np.exp(-(dt**2)), np.exp(-(dk**2))
+        return np.multiply.outer(
+            _normalized(rows, g.d_theta), _normalized(cols, g.d_k), dtype=np.complex128
+        )
+
+
+def _normalized(raw: np.ndarray, d_area: float) -> np.ndarray:
+    """raw scaled to unit quadrature norm, sum |raw|^2 d_area = 1.
+
+    Scaled to a largest magnitude of 1 first, so the norm neither overflows
+    nor underflows; only an all-zero table has none.  The division is real:
+    complex division by a subnormal overflows 1/scale.
+    """
+    scale = float(np.abs(raw).max())
+    if scale == 0.0:
+        raise ZeroNorm("envelope table has zero quadrature norm")
+    raw = (raw.view(np.float64) / scale).view(raw.dtype)
+    nrm = float(np.vdot(raw, raw).real) * d_area
+    return raw / math.sqrt(nrm)
 
 
 def logical_mode(table: np.ndarray, bit: int, grid: ModularGrid) -> ModeState:

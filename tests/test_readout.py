@@ -9,6 +9,8 @@ import pytest
 import mvgrover.search as search
 from mvgrover import (
     EnvelopeSpec,
+    GlobalOperator,
+    JointState,
     SearchConfig,
     TargetSpec,
     ancilla_branch,
@@ -16,6 +18,7 @@ from mvgrover import (
     build_list,
     dilation,
     final_state,
+    grover_cell,
     grover_weighted,
     logical_overlaps,
     make_grid,
@@ -198,7 +201,8 @@ def test_interval_class_vectors_match_reference(n, r):
 
 
 def test_interval_run_builds_one_class_operator(monkeypatch):
-    # 16 target classes, one grover_cell and r apply calls on the one-cell grid.
+    # 16 target classes, one grover_cell (the step is built once per (n, M)
+    # per process) and r apply calls on the one-cell grid.
     calls = []
     grover_cell, apply_op = search.ops.grover_cell, search.ops.apply
 
@@ -210,12 +214,61 @@ def test_interval_run_builds_one_class_operator(monkeypatch):
 
     monkeypatch.setattr(search.ops, "grover_cell", count(grover_cell, "grover_cell"))
     monkeypatch.setattr(search.ops, "apply", count(apply_op, "apply"))
+    search._search_step.cache_clear()
     target = TargetSpec.from_intervals([[(0.0, 1.5)]] * 4)
     cfg = SearchConfig(4, 2, 1, gaussian_envs(4), target, iterations=2)
     assert len(search._target_classes(target, cfg.grid)[1]) == 16
     report = run_search(cfg)
     assert calls == ["grover_cell", "apply", "apply"]
     assert report.per_cell_max_error <= 1e-12
+    calls.clear()
+    other = TargetSpec.from_intervals([[(0.5, 2.5)]] * 4)
+    run_search(SearchConfig(4, 3, 2, gaussian_envs(4), other, iterations=2))
+    assert calls == ["apply", "apply"]
+
+
+def _own_step_vector(n, targets, r):
+    """r steps of grover_cell on the class's own targets, from the uniform vector."""
+    qubits = make_grid(n, 1, 1)
+    op = grover_cell(TargetSpec.multi([format(int(t), f"0{n}b") for t in targets]), qubits)
+    state = JointState(qubits, np.full(qubits.cell_shape + qubits.band_shape, 2.0 ** (-n / 2)))
+    for _ in range(r):
+        state = apply(op, state)
+    return state.amp.reshape(-1)
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cached_step_class_vectors_match_reference(n, r):
+    # Constant targets: one class of M random strings, each M; interval
+    # targets: every string, one class each.  Both read the one cached step
+    # through a permutation.
+    rng = np.random.default_rng(10 * n + r)
+    row_sets = [rng.permutation(2**n)[:m][None, :] for m in range(1, 2**n)]
+    row_sets.append(rng.permutation(2**n)[:, None])
+    for rows in row_sets:
+        vectors = search._class_vectors(n, rows, r)
+        for row, v in zip(rows, vectors):
+            ref = reference_qubit_grover(n, [format(int(t), f"0{n}b") for t in row], r)
+            assert np.max(np.abs(v - ref)) <= 1e-14
+            assert np.max(np.abs(v - _own_step_vector(n, row, r))) <= 1e-15
+
+
+def test_wrong_search_step_fails_the_per_cell_check(monkeypatch):
+    # The per-cell check compares the class vectors with an independent
+    # reference, so one wrong-sign oracle entry in the cached step shows.
+    step = search._search_step
+
+    def flipped(n, m):
+        good = step(n, m)
+        sign = np.ones(2**n)
+        sign[m] = -1.0  # a band that is no target of the canonical step
+        return GlobalOperator(good.grid, good.mats * sign)
+
+    monkeypatch.setattr(search, "_search_step", flipped)
+    for kind in sorted(TARGETS):
+        cfg = SearchConfig(3, 3, 2, gaussian_envs(3), TARGETS[kind](3), iterations=1)
+        assert run_search(cfg).per_cell_max_error > 1e-12
 
 
 def _dense_readout(cfg, overlaps):

@@ -247,3 +247,48 @@ def test_tabulated_envelope_normalized_and_zero_rejected():
         EnvelopeSpec.tabulated(np.zeros((3, 3))).table_for(grid)
     with pytest.raises(ShapeMismatch):
         EnvelopeSpec.tabulated(np.ones((2, 2))).table_for(grid)
+
+
+def _whole_table(env, grid):
+    """The constant or gaussian envelope as one 2-D table, scaled and
+    normalized as a whole."""
+    if env.kind == "constant":
+        raw = np.ones((grid.g_theta, grid.g_k))
+    else:
+        dt = (grid.theta_values() - env.center_theta) / (2.0 * env.sigma_theta)
+        dk = (grid.k_values() - env.center_k) / (2.0 * env.sigma_k)
+        with np.errstate(over="ignore"):
+            raw = np.exp(-(dt**2))[:, None] * np.exp(-(dk**2))[None, :]
+    raw = raw / np.max(raw)
+    return raw / math.sqrt(np.sum(raw**2) * grid.d_theta * grid.d_k)
+
+
+@pytest.mark.parametrize("g_theta, g_k", [(8, 8), (5, 12), (32, 32), (1, 1)])
+def test_separable_tables_match_whole_tables(g_theta, g_k):
+    grid = make_grid(1, g_theta, g_k)
+    narrow = grid.theta_values()[g_theta // 2]  # a width of 1e-3 centred on a cell
+    envs = [
+        EnvelopeSpec.constant(),
+        EnvelopeSpec.gaussian(),
+        EnvelopeSpec.gaussian(1.3, 0.4, 0.7, 0.2),
+        EnvelopeSpec.gaussian(narrow, 0.55, 1e-3, 0.05),
+    ]
+    for env in envs:
+        table, want = env.table_for(grid), _whole_table(env, grid)
+        assert table.dtype == np.complex128
+        assert np.max(np.abs(table - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_gaussian_with_underflowing_product_is_normalized():
+    # Centred between cells at 21.4 widths from the nearest on each axis: each
+    # axis profile peaks near 1e-200, so their product underflows, but each
+    # axis is normalized before the outer product.
+    grid = make_grid(1, 8, 8)
+    dt, dk = grid.d_theta / 2, grid.d_k / 2
+    env = EnvelopeSpec.gaussian(
+        grid.theta_values()[3] + dt, grid.k_values()[3] + dk, dt / 42.9, dk / 42.9
+    )
+    table = env.table_for(grid)
+    norm = float(np.sum(np.abs(table) ** 2)) * grid.d_theta * grid.d_k
+    assert norm == pytest.approx(1.0, rel=1e-14)
+    assert np.count_nonzero(table) == 4

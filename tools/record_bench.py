@@ -50,17 +50,19 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float, trace: int) 
 
 
 def describe(root: Path) -> str:
-    """The commit of the checkout at root, and whether its tree has changes."""
+    """The commit of the checkout at root, and whether the program or the
+    benchmark (src/, perfbench/) differ from it there."""
     def git(*args) -> str:
         return subprocess.run(
             ["git", "-C", str(root), *args], capture_output=True, text=True, check=True
         ).stdout.strip()
 
     try:
-        sha, dirty = git("rev-parse", "HEAD"), git("status", "--porcelain")
+        sha = git("rev-parse", "HEAD")
+        dirty = git("status", "--porcelain", "--", "src", "perfbench")
     except (OSError, subprocess.CalledProcessError):
         return f"{root} (not a git checkout)"
-    return f"{sha}" + (" with uncommitted changes" if dirty else "")
+    return sha + (" with uncommitted changes under src/ or perfbench/" if dirty else "")
 
 
 def record(root: Path, seed: int, seconds: float, run=run_bench) -> dict:

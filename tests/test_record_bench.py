@@ -18,17 +18,13 @@ def test_record_has_the_layout_of_committed_bench_files():
     recorder = _load_recorder()
     calls = []
 
-    def fake_run(root, workload, seed, seconds, trace):
-        calls.append((workload, seed, seconds, trace))
-        return {"environment": {"nproc": 2}, "samples": 3, "result": {"correct": True}}
+    def fake_run(root, workload, trace):
+        calls.append((workload, trace))
+        return {"environment": {"git_sha": "abc"}, "samples": 3, "result": {"correct": True}}
 
-    doc = recorder.record(ROOT, 7, 30.0, run=fake_run)
-    assert calls == [
-        ("dense_plain", 7, 30.0, 0),
-        ("dense_dilation", 7, 30.0, 0),
-        ("cli_small", 7, 30.0, 0),
-        ("dense_plain", 7, 30.0, 1),
-    ]
+    doc = recorder.record(ROOT, run=fake_run)
+    assert calls == [("dense_plain", 0), ("dense_dilation", 0), ("cli_small", 0), ("dense_plain", 1)]
+    assert doc["measured_on"] == "abc"
     committed = json.loads((ROOT / "BENCH_pr7.json").read_text(encoding="utf-8"))
     assert doc.keys() == committed.keys()
     assert doc["command"] == committed["command"]

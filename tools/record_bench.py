@@ -7,7 +7,7 @@ Run from anywhere:
 
 Runs `perfbench/run.py` of the checkout at --root (default: this one) on the
 three workloads with `--trace 0`, then once more on `dense_plain` with
-`--trace 1`, each for the same seed and window, one after another.  Each
+`--trace 1`, each for seed SEED and a SECONDS window, one after another.  Each
 run's environment, sample count and result object go to
 `BENCH_<label>.json` at the root of this repository: the untraced runs under
 `workloads`, the traced one under `traced`.
@@ -24,19 +24,21 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 WORKLOADS = ("dense_plain", "dense_dilation", "cli_small")
 TRACED = "dense_plain"
+SEED = 7
+SECONDS = 30
 
 
-def bench_command(workload: str, seed: int, seconds: float, trace: int) -> list[str]:
+def bench_command(workload: str, trace: int) -> list[str]:
     return [
         "python3", "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", str(trace),
+        "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace),
     ]
 
 
-def run_bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_bench(root: Path, workload: str, trace: int) -> dict:
     """One perfbench run: {environment, samples, result} from its last two lines."""
     done = subprocess.run(
-        bench_command(workload, seed, seconds, trace),
+        bench_command(workload, trace),
         cwd=root, capture_output=True, text=True, check=False,
     )
     lines = done.stdout.strip().splitlines()
@@ -49,48 +51,27 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float, trace: int) 
     return record
 
 
-def describe(root: Path) -> str:
-    """The commit of the checkout at root, and whether the program or the
-    benchmark (src/, perfbench/) differ from it there."""
-    def git(*args) -> str:
-        return subprocess.run(
-            ["git", "-C", str(root), *args], capture_output=True, text=True, check=True
-        ).stdout.strip()
-
-    try:
-        sha = git("rev-parse", "HEAD")
-        dirty = git("status", "--porcelain", "--", "src", "perfbench")
-    except (OSError, subprocess.CalledProcessError):
-        return f"{root} (not a git checkout)"
-    return sha + (" with uncommitted changes under src/ or perfbench/" if dirty else "")
-
-
-def record(root: Path, seed: int, seconds: float, run=run_bench) -> dict:
+def record(root: Path, run=run_bench) -> dict:
     """The BENCH document: every workload untraced, then TRACED traced."""
-    command = " ".join(bench_command("W", seed, seconds, 0))
-    doc = {
-        "command": command,
-        "measured_on": describe(root),
-        "workloads": {w: run(root, w, seed, seconds, 0) for w in WORKLOADS},
+    workloads = {w: run(root, w, 0) for w in WORKLOADS}
+    traced = run(root, TRACED, 1)
+    return {
+        "command": " ".join(bench_command("W", 0)),
+        "measured_on": traced["environment"]["git_sha"],
+        "workloads": workloads,
+        "traced": {"command": " ".join(bench_command(TRACED, 1)), TRACED: traced},
     }
-    doc["traced"] = {
-        "command": " ".join(bench_command(TRACED, seed, seconds, 1)),
-        TRACED: run(root, TRACED, seed, seconds, 1),
-    }
-    return doc
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     parser.add_argument("--root", type=Path, default=REPO, help="checkout to measure")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
     if not (args.root / "perfbench" / "run.py").is_file():
         parser.error(f"no perfbench/run.py under {args.root}")
     try:
-        doc = record(args.root.resolve(), args.seed, args.seconds)
+        doc = record(args.root.resolve())
     except RuntimeError as exc:
         print(f"record_bench: {exc}", file=sys.stderr)
         return 1

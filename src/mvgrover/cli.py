@@ -46,9 +46,9 @@ def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
         return "null"  # JSON has no NaN/Infinity
     text = format(x, ".17g")
-    if not any(c in text for c in ".eE"):  # bare integers keep float-ness
-        text += ".0"
-    return text
+    if "." in text or "e" in text:
+        return text
+    return text + ".0"  # bare integers keep float-ness
 
 
 def _write_json(obj, out: list) -> None:
@@ -76,6 +76,8 @@ def _write_json(obj, out: list) -> None:
             out.append(": ")
             _write_json(value, out)
         out.append("}")
+    elif isinstance(obj, (list, tuple)) and all(type(value) is float for value in obj):
+        out.append("[" + ", ".join(map(_fmt_float, obj)) + "]")  # a table row, a complex pair
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, value in enumerate(obj):

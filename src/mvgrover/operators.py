@@ -122,29 +122,35 @@ class TargetSpec:
         Shape (1,)*n + (M,) in constant mode, (g_theta,)*n + (1,) in extended
         mode; broadcastable against the theta axes of the cell shape.
         """
+        if self.strings is None:
+            return band_of_bits(self.mode_bits(grid))[..., None]
         n = self.n_modes
         if grid.n_modes != n:
             raise GridMismatch(f"target has {n} modes, grid has {grid.n_modes}")
-        if self.strings is not None:
-            idx = [sum(b << (n - 1 - i) for i, b in enumerate(s)) for s in self.strings]
-            return np.asarray(idx, dtype=np.intp).reshape((1,) * n + (len(idx),))
-        index = np.zeros((grid.g_theta,) * n, dtype=np.intp)
-        for i, bit in enumerate(self.mode_bits(grid)):
-            shape = [1] * n
-            shape[i] = grid.g_theta
-            index = index | (bit.reshape(shape) << (n - 1 - i))
-        return index[..., None]
+        idx = [sum(b << (n - 1 - i) for i, b in enumerate(s)) for s in self.strings]
+        return np.asarray(idx, dtype=np.intp).reshape((1,) * n + (len(idx),))
 
     def mode_bits(self, grid: ModularGrid) -> np.ndarray:
         """(n, g_theta) searched bit of each mode at each theta value (extended mode)."""
         if self.intervals is None:
             raise ValueError("constant targets have no per-mode bits")
+        if grid.n_modes != self.n_modes:
+            raise GridMismatch(f"target has {self.n_modes} modes, grid has {grid.n_modes}")
         theta = grid.theta_values()
         bits = np.zeros((len(self.intervals), grid.g_theta), dtype=np.intp)
         for bit, mode_set in zip(bits, self.intervals):
             for lo, hi in mode_set:
                 bit |= (theta >= lo) & (theta < hi)
         return bits
+
+
+def band_of_bits(bits: np.ndarray) -> np.ndarray:
+    """The (g_theta,)*n band index of each theta cell from (n, g_theta)
+    per-mode bits, mode 0 the most significant bit."""
+    band = bits[0]
+    for bit in bits[1:]:
+        band = (band[..., None] << 1) | bit
+    return band
 
 
 def _check_weight(weight) -> np.ndarray:
@@ -368,7 +374,7 @@ def ancilla_weight(w: np.ndarray) -> np.ndarray:
         raise WeightOutOfRange(
             f"dilation needs |weight| <= 1 everywhere, max is {np.max(np.abs(w)):.6g}"
         )
-    return np.sqrt(np.clip(1.0 - w**2, 0.0, None))
+    return np.sqrt(np.maximum(1.0 - w**2, 0.0))
 
 
 def dilation(target: TargetSpec, zetas, grid: ModularGrid) -> GlobalOperator:

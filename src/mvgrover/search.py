@@ -33,7 +33,7 @@ from .errors import (
 )
 from .kernel import JointState, ModularGrid, make_grid, tensor
 from .operators import TargetSpec, joint_weight
-from .zak import EnvelopeSpec, logical_mode
+from .zak import EnvelopeSpec, envelope_densities, logical_mode
 
 AUTO = "auto"
 
@@ -47,6 +47,10 @@ _CELL_FLOOR = 1e-200
 # a one-class run at the bound takes about 1 s, a 16-class one about 0.06 s.
 # An automatic r takes at most 48 (n = 4: r = 3 on 16 classes).
 MAX_CLASS_STEPS = 30_000
+# The ancilla-0 branch of an odd dilated run is streamed in chunks of whole
+# theta_1 slices of at most this many cells (one slice at (n, g) = (2, 24)),
+# or one slice where a slice is larger.
+_STREAM_CELLS = 13_824
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,11 +110,16 @@ class SearchReport:
     failure: Optional[str] = None
 
 
-def _mode_tables(envelopes: Sequence[EnvelopeSpec], grid: ModularGrid) -> list[np.ndarray]:
-    """The (g_theta, g_k) table of each mode's envelope, one envelope per mode."""
+def _mode_grid(envelopes: Sequence[EnvelopeSpec], grid: ModularGrid) -> ModularGrid:
+    """grid's one-mode grid; ShapeMismatch unless there is one envelope per mode."""
     if len(envelopes) != grid.n_modes:
         raise ShapeMismatch(f"need {grid.n_modes} envelopes, got {len(envelopes)}")
-    mode_grid = grid.single_mode()
+    return grid.single_mode()
+
+
+def _mode_tables(envelopes: Sequence[EnvelopeSpec], grid: ModularGrid) -> list[np.ndarray]:
+    """The (g_theta, g_k) table of each mode's envelope, one envelope per mode."""
+    mode_grid = _mode_grid(envelopes, grid)
     return [env.table_for(mode_grid) for env in envelopes]
 
 
@@ -139,16 +148,22 @@ def logical_basis(
 
 def _joint_table(tables: Sequence[np.ndarray]) -> np.ndarray:
     """Product of 2D tables over joint (row, column) axes, the first table's
-    axes most significant: per-mode (theta, k) tables give (theta cells, k cells)."""
-    out = np.ones((1, 1))
-    for t in tables:
+    axes most significant: per-mode (theta, k) tables give (theta cells, k cells).
+    One table is returned as it is."""
+    out = tables[0] if len(tables) else np.ones((1, 1))
+    for t in tables[1:]:
         out = (out[:, None, :, None] * t[None, :, None, :]).reshape(out.shape[0] * t.shape[0], -1)
     return out
 
 
+@functools.cache
+def _band_strings(n: int) -> tuple[str, ...]:
+    return tuple(format(idx, f"0{n}b") for idx in range(2**n))
+
+
 def _by_string(values: np.ndarray, n: int) -> dict[str, complex]:
     """{band string: value} for a vector indexed by band index."""
-    return {format(idx, f"0{n}b"): complex(v) for idx, v in enumerate(values)}
+    return dict(zip(_band_strings(n), np.asarray(values, dtype=np.complex128).tolist()))
 
 
 def logical_overlaps(
@@ -239,14 +254,18 @@ def _resolved_iterations(cfg: SearchConfig, n_classes: int) -> int:
     return r
 
 
-def _target_classes(target: TargetSpec, grid: ModularGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Each theta cell's class index (flattened) and each class's target band
-    indices; classes are the distinct rows of band_indices (at most 2^n)."""
-    band = target.band_indices(grid)
+def _target_classes(target: TargetSpec, grid: ModularGrid) -> tuple:
+    """(index, rows, bits): each theta cell's class index (flattened), each
+    class's target band indices, and for interval targets the (n, g_theta)
+    per-mode bits that both come from (None for a constant target).
+    Interval classes are the band strings that some theta cell searches."""
     if target.is_constant:
-        return np.zeros(grid.g_theta**grid.n_modes, dtype=np.intp), band.reshape(1, -1)
-    values, index = np.unique(band.reshape(-1), return_inverse=True)
-    return index, values[:, None]
+        band = target.band_indices(grid)
+        return np.zeros(grid.g_theta**grid.n_modes, dtype=np.intp), band.reshape(1, -1), None
+    bits = target.mode_bits(grid)
+    band = ops.band_of_bits(bits).reshape(-1)
+    present = np.bincount(band, minlength=2**grid.n_modes) > 0
+    return (np.cumsum(present) - 1)[band], np.flatnonzero(present)[:, None], bits
 
 
 @functools.cache
@@ -283,18 +302,20 @@ def _class_vectors(n: int, rows: np.ndarray, r: int) -> np.ndarray:
 
 
 _FactoredRun = namedtuple(
-    "_FactoredRun", "grid r index rows vectors vsq tables scaled w_log2 sums norms"
+    "_FactoredRun", "grid r index rows vectors vsq scaled w_log2 sums norms"
 )
 
 _LOG2_MAX = math.log2(np.finfo(np.float64).max)
 
 
-def _product(values) -> float:
-    """prod(values) with no partial product leaving the float range: inf or 0
-    only where the product itself does."""
-    mant, exp = np.frexp(np.asarray(values, dtype=np.float64))
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(np.prod(mant), int(np.sum(exp))))
+def _product(values: np.ndarray) -> float:
+    """prod(values) of nonnegative values with no partial product leaving the
+    float range: inf or 0 only where the product itself does."""
+    mant, exp = np.frexp(values)
+    try:
+        return math.ldexp(math.prod(mant.tolist()), sum(exp.tolist()))
+    except OverflowError:
+        return math.inf
 
 
 def _unscaled(x, log2_scale: float):
@@ -305,55 +326,59 @@ def _unscaled(x, log2_scale: float):
         return np.ldexp(x * 2.0 ** (e - whole), whole)
 
 
-def _pattern_sums(per_mode: Sequence[np.ndarray], bits: Sequence[list]) -> tuple[np.ndarray, int]:
-    """Sum of prod_i x_i over the cells of each n-bit pattern, in scaled form.
+def _pattern_sums(per_theta: np.ndarray, onehot: np.ndarray, pattern_bits: np.ndarray) -> tuple:
+    """Sum of prod_i x_i over the cells of each pattern, in scaled form, for
+    each of a stack of real per-mode tables x.
 
-    per_mode[i] is mode i's real (g_theta, g_k) table and bits[i] its searched
-    bit at each theta value; pattern p (mode 0 the most significant bit) holds
-    the cells whose bits spell p, a product set, so its sum is the product of
-    per-mode sums.  Returns (sums / 2^e, e): each mode's two sums are divided
-    by the power of two that brings the larger below 1, exactly, so the
-    product neither overflows nor underflows.
+    per_theta[p, i, t] is table p of mode i summed over k at theta value t,
+    onehot[i, t] the one-hot of mode i's searched bit there and
+    pattern_bits[c] the n bits of pattern c (mode 0 first).  A pattern holds
+    the cells whose bits spell it, a product set, so its sum is the product of
+    per-mode per-bit sums.  Returns (sums / 2^e, e), one row of sums and one
+    exponent per table: each mode's two sums are divided by the power of two
+    that brings the larger below 1, exactly, so the product neither
+    overflows nor underflows.
     """
-    out, exponent = [1.0], 0
-    for x, b in zip(per_mode, bits):
-        t = [0.0, 0.0]
-        for v, bit in zip(x.sum(axis=1).tolist(), b):
-            t[bit] += v
-        e = math.frexp(max(abs(t[0]), abs(t[1])))[1]
-        t = [math.ldexp(q, -e) for q in t]
-        out, exponent = [p * q for p in out for q in t], exponent + e
-    return np.array(out), exponent
+    per_bit = np.matmul(per_theta[:, :, None, :], onehot)[:, :, 0, :]
+    exps = np.frexp(np.abs(per_bit).max(axis=2))[1]
+    per_bit = np.ldexp(per_bit, -exps[..., None])
+    n = per_bit.shape[1]
+    return per_bit[:, np.arange(n), pattern_bits].prod(axis=2), exps.sum(axis=1)
 
 
-def _streamed_branch(psq_modes, scaled, scale: float, index: np.ndarray, n_classes: int) -> tuple:
-    """Per class, the sums of |P|^2 w' and |P|^2 w'^2 of the ancilla-0 branch of
-    an odd dilated run, with w' = sqrt(1 - w^2) per cell, which is no product
-    over modes.  w^2 = scale^2 prod_i scaled[i]^2 is built from the run's
-    scaled weights (each at most 1 in magnitude, scale = prod_i max |w_i| <= 1
-    by the dilation check), so no partial product leaves the float range.
-    Summed over the k cells one theta_1 slice at a time, in one buffer, then
-    pairwise over each class's theta cells (a sequential sum over 12^3 of them
-    is off by 3e-14)."""
-    psq_rest = _joint_table(psq_modes[1:])
-    wsq_rest = _joint_table([wt * wt for wt in scaled[1:]])
-    wsq_first = scaled[0] * scaled[0] * (scale * scale)
-    step = psq_rest.shape[0]  # theta cells per slice
-    buf = np.empty((step, wsq_first.shape[1], psq_rest.shape[1]))  # (theta, k_1, other k)
-    per_theta = np.empty((2, len(index)))
-    for j, (psq, wsq) in enumerate(zip(psq_modes[0], wsq_first)):
-        cells = slice(j * step, (j + 1) * step)
-        np.multiply(wsq_rest[:, None, :], wsq[:, None], out=buf)
-        np.subtract(1.0, buf, out=buf)
-        np.maximum(buf, 0.0, out=buf)  # w'^2, clipped at 0
-        # |P|^2 = psq_rest[t, k] psq[k_1]: contracted over k, then over k_1.
-        np.einsum("ta,a->t", np.einsum("tak,tk->ta", buf, psq_rest), psq, out=per_theta[1, cells])
-        np.sqrt(buf, out=buf)
-        np.einsum("ta,a->t", np.einsum("tak,tk->ta", buf, psq_rest), psq, out=per_theta[0, cells])
+def _streamed_branch(psq, scaled, scale: float, index: np.ndarray, n_classes: int) -> np.ndarray:
+    """Per class, the sum of |P|^2 w' over its cells, w' = sqrt(1 - w^2) the
+    ancilla-0 factor of an odd dilated run, which is no product over modes.
+
+    w^2 = scale^2 prod_i scaled[i]^2 is built from the run's scaled weights
+    (each at most 1 in magnitude, scale = prod_i max |w_i| <= 1 + 1e-12 by the
+    dilation check), so no partial product leaves the float range, and
+    1 - w^2 can be negative only when scale > 1: only then is it clipped at 0.
+    Summed over the k cells in chunks of whole theta_1 slices through one
+    buffer, then pairwise over each class's theta cells (a sequential sum
+    over 12^3 of them is off by 3e-14).
+    """
+    psq_rest = _joint_table(psq[1:])  # (theta cells, k cells) of modes 1..n-1
+    wsq_rest = _joint_table(np.square(scaled[1:])).reshape(-1)
+    wsq_first = np.square(scaled[0]) * (scale * scale)
+    g_theta, g_k = wsq_first.shape
+    chunk = max(1, _STREAM_CELLS // (g_k * psq_rest.size))
+    buf = np.empty((chunk, g_k, psq_rest.size))  # (theta_1, k_1, cells of modes 1..n-1)
+    per_theta = np.empty((g_theta, psq_rest.shape[0]))
+    for lo in range(0, g_theta, chunk):
+        hi = min(lo + chunk, g_theta)
+        b = buf[: hi - lo]
+        np.einsum("ja,c->jac", wsq_first[lo:hi], wsq_rest, out=b)
+        np.subtract(1.0, b, out=b)
+        if scale > 1.0:
+            np.maximum(b, 0.0, out=b)
+        np.sqrt(b, out=b)
+        # |P|^2 = psq[0][theta_1, k_1] psq_rest[t, k]: contracted over k_1, then over k.
+        over_k1 = np.matmul(psq[0, lo:hi, None, :], b).reshape((hi - lo,) + psq_rest.shape)
+        np.einsum("jtk,tk->jt", over_k1, psq_rest, out=per_theta[lo:hi])
     order = np.argsort(index, kind="stable")
     starts = np.searchsorted(index[order], np.arange(n_classes))
-    s1, s2 = (np.add.reduceat(p[order], starts) for p in per_theta)
-    return s1, s2, 0.0
+    return np.add.reduceat(per_theta.reshape(-1)[order], starts)
 
 
 def _factored_run(cfg: SearchConfig) -> _FactoredRun:
@@ -362,12 +387,11 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     psi(cell, b) = P(cell) f(cell) v[class(cell)][b]: index maps each theta
     cell to its class, rows[c] holds class c's target band indices,
     vectors[c] its search vector and vsq[c] that vector's squared norm,
-    tables[i] mode i's envelope table and scaled[i] its weights on the
-    envelope support divided by their largest |w_i| (w = 2^w_log2 prod_i
-    scaled[i] there), norms[b] the squared norm of readout branch b and
-    sums[b] = (s1, s2, e) its per-class sums in scaled form:
-    sum |P|^2 f = s1 2^(e/2) and sum |P|^2 f^2 = s2 2^e over the class's
-    cells, e a float.
+    scaled[i] mode i's weights on the envelope support divided by their
+    largest |w_i| (w = 2^w_log2 prod_i scaled[i] there), norms[b] the squared
+    norm of readout branch b and sums[b] = (s1, s2, e) its per-class sums in
+    scaled form: sum |P|^2 f = s1 2^(e/2) and sum |P|^2 f^2 = s2 2^e over the
+    class's cells, e a float.
 
     A plain run has one branch, f = w^r.  The dilated step is G (x) A with
     A = w sigma_x + w' sigma_z, and (G (x) A)^r = G^r (x) A^r with A^2 = 1,
@@ -377,62 +401,74 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     P, w and so f = w^p are products over modes, and a class is a product
     set of cells (all theta cells for a constant target, else those whose
     per-mode interval bits spell its string), so its sums are products of
-    per-mode sums: O(n g_theta g_k) work, no cell-sized array.  Each mode's
-    largest scaled weight is +-1, so no power of the scaled weights vanishes
-    and none overflows.  The weight scale 2^(p w_log2) cancels in the
-    overlaps and enters only the norms and the range checks, which use
-    per-mode maxima (max |w| = prod max |w_i| on a product set).  Only the
-    ancilla-0 branch of an odd dilated run, f = w', is summed over the
-    cells, one theta_1 slice at a time.
+    per-mode sums: O(n g_theta g_k) work, no cell-sized array.  The per-mode
+    inputs are real (n, g_theta, g_k) stacks: |g_i|^2, the scaled weights
+    and the one-hot interval bits; each power p of the scaled weights costs
+    one contraction.  Each mode's largest scaled weight is +-1, so no power
+    of the scaled weights vanishes and none overflows.  The weight scale
+    2^(p w_log2) cancels in the overlaps and enters only the norms and the
+    range checks, which use per-mode maxima (max |w| = prod max |w_i| on a
+    product set).  The ancilla-0 branch of an odd dilated run has
+    f^2 = 1 - w^2, so its f^2 sums are sum |P|^2 - sum |P|^2 w^2; only its
+    f = w' is summed over the cells.
     """
     grid = cfg.grid
     n = grid.n_modes
     if cfg.target.n_modes != n:
         raise ShapeMismatch(f"target spans {cfg.target.n_modes} modes, grid has {n}")
-    index, rows = _target_classes(cfg.target, grid)
+    index, rows, bits = _target_classes(cfg.target, grid)
     r = _resolved_iterations(cfg, len(rows))
-    tables = _mode_tables(cfg.envelopes, grid)
-    psq_modes = [np.abs(t) ** 2 for t in tables]
-    w_modes = ops.mode_weight_tables(cfg.zetas, grid)
-    if cfg.target.is_constant:
-        bits, patterns = [[0] * grid.g_theta] * n, np.zeros(1, dtype=np.intp)
+    psq = envelope_densities(cfg.envelopes, _mode_grid(cfg.envelopes, grid))
+    scaled = np.array(ops.mode_weight_tables(cfg.zetas, grid))  # the weights w, scaled below
+    if bits is None:
+        bits, pattern_bits = np.zeros((n, grid.g_theta), dtype=np.intp), np.zeros((1, n), np.intp)
     else:
-        bits, patterns = cfg.target.mode_bits(grid).tolist(), rows[:, 0]
+        pattern_bits = rows >> np.arange(n - 1, -1, -1) & 1
+    onehot = np.eye(2)[bits]
     # Each mode's weights on its envelope support (0 elsewhere) divided by
     # their largest magnitude, which becomes exactly 1, so w^p = peak^p
     # prod_i scaled_i^p there with peak = 2^w_log2 the largest |w| on the
     # support.  A mode with no weight on its support keeps zeros and
     # w_log2 = -inf: its mass is 0, as it is when the peak underflows (the
     # envelopes are normalized, so the mass is at most peak^2).
-    support = [np.where(psq > 0, w, 0.0) for psq, w in zip(psq_modes, w_modes)]
-    peaks = [float(np.max(np.abs(w))) for w in support]
-    scaled = [w / peak if peak > 0 else w for w, peak in zip(support, peaks)]
+    w_max = np.abs(scaled).max(axis=(1, 2))
+    np.copyto(scaled, 0.0, where=psq == 0)  # in place: a run holds two (n, g_theta, g_k) stacks
+    peaks = np.abs(scaled).max(axis=(1, 2))
+    np.divide(scaled, np.where(peaks > 0, peaks, 1.0)[:, None, None], out=scaled)
     peak = _product(peaks)
     w_log2 = math.log2(peak) if peak > 0 else -math.inf
 
-    @functools.cache
-    def power_sums(q: int) -> tuple:
-        """Per-class sums of |P|^2 scaled^q, and their exponent."""
-        s, e = _pattern_sums([psq * wt**q for psq, wt in zip(psq_modes, scaled)], bits)
-        return s[patterns], e
+    # Per-class sums of |P|^2 scaled^q, and their exponent, for the powers
+    # the mass (2) and the branches (p and 2 p) read.  Every power takes the
+    # same contraction, so on a class whose scaled weights are all +-1 the
+    # q = 0 and q = 2 sums agree bit for bit: with a weight scale of 1 (|w| = 1
+    # there) the ancilla-0 branch of an odd dilated run is exactly empty.
+    if cfg.use_dilation:
+        powers = (0, 1, 2) if r % 2 else (0, 2)
+    else:
+        powers = tuple(sorted({2, r, 2 * r}))
+    per_theta = np.array([np.einsum("itk,itk->it", psq, scaled**q) for q in powers])
+    power_sums = dict(zip(powers, zip(*_pattern_sums(per_theta, onehot, pattern_bits))))
 
     def branch(p: int) -> tuple:
         """(s1, s2, e) of f = w^p, from the sums of the powers p and 2 p."""
-        (s1, e1), (s2, e2) = power_sums(p), power_sums(2 * p)
+        (s1, e1), (s2, e2) = power_sums[p], power_sums[2 * p]
         return s1 * 2.0 ** (e1 - e2 / 2), s2, e2 + (2 * p * w_log2 if p else 0.0)
 
-    mass_sums, mass_exp = power_sums(2)
+    mass_sums, mass_exp = power_sums[2]
     mass = float(_unscaled(np.sum(mass_sums) * grid.cell_weight, mass_exp + 2 * w_log2))
     if mass <= 1e-20:
         raise DegenerateWeights(
             f"weight product vanishes on the envelope support (mass {mass:.3e})"
         )
-    w_max = [float(np.max(np.abs(w))) for w in w_modes]  # each > 0 above the mass floor
-    if cfg.use_dilation:
+    if cfg.use_dilation:  # each w_max > 0 above the mass floor
         ops.ancilla_weight(np.array(_product(w_max)))  # checked on every dilated run, whatever r
         if r % 2:
-            streamed = _streamed_branch(psq_modes, scaled, peak, index, len(rows))
-            sums = [streamed, branch(1)]
+            # sum |P|^2 w'^2 = sum |P|^2 - sum |P|^2 w^2, clipped at 0 per class.
+            (s0, e0), (s2, e2) = power_sums[0], power_sums[2]
+            f2 = np.maximum(_unscaled(s0, e0) - _unscaled(s2, e2 + 2 * w_log2), 0.0)
+            f1 = _streamed_branch(psq, scaled, peak, index, len(rows))
+            sums = [(f1, f2, 0.0), branch(1)]
         else:
             sums = [branch(0), (np.zeros(len(rows)), np.zeros(len(rows)), 0.0)]
     else:
@@ -452,7 +488,7 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
         )
     if not cfg.use_dilation and norms[0] < 1e-30:
         raise ZeroNorm(f"cannot normalize state with squared norm {norms[0]:.3e}")
-    return _FactoredRun(grid, r, index, rows, vectors, vsq, tables, scaled, w_log2, sums, norms)
+    return _FactoredRun(grid, r, index, rows, vectors, vsq, scaled, w_log2, sums, norms)
 
 
 def final_state(cfg: SearchConfig) -> JointState:
@@ -467,12 +503,10 @@ def final_state(cfg: SearchConfig) -> JointState:
         raise ValueError("dilated finals carry an ancilla; run without use_dilation")
     run = _factored_run(cfg)
     grid = run.grid
-    coef = _joint_table([t * wt**run.r for t, wt in zip(run.tables, run.scaled)])
+    tables = _mode_tables(cfg.envelopes, grid)
+    coef = _joint_table([t * wt**run.r for t, wt in zip(tables, run.scaled)])
     coef /= math.sqrt(float(_unscaled(run.norms[0], -2 * run.r * run.w_log2)))
-    amp = np.empty(coef.shape + (2**grid.n_modes,), dtype=np.complex128)
-    for c, v in enumerate(run.vectors):  # one masked pass per class, no state-sized temporary
-        in_class = (run.index == c)[:, None, None]
-        np.multiply(coef[:, :, None], v, out=amp, where=in_class)
+    amp = coef[:, :, None] * run.vectors[run.index][:, None, :]
     return JointState(grid, amp.reshape(grid.cell_shape + grid.band_shape))
 
 
@@ -509,7 +543,7 @@ def per_cell_max_error(state: JointState, target: TargetSpec, r: int) -> float:
     d = 2**n
     v = state.amp.reshape(grid.cell_shape + (d,))
     # One reference per target class.
-    index, rows = _target_classes(target, grid)
+    index, rows, _ = _target_classes(target, grid)
     ref = _reference_rows(n, rows, r)[index].reshape((grid.g_theta,) * n + (1,) * n + (d,))
     worst = max(_max_deviation(vi, ref_i) for vi, ref_i in zip(v, ref))
     return worst if worst >= 0.0 else math.nan

@@ -193,42 +193,75 @@ class EnvelopeSpec:
     def table_for(self, grid: ModularGrid) -> np.ndarray:
         """Quadrature-normalized (g_theta, g_k) table of g on the grid.
 
-        A gaussian is the product of a theta and a k profile, each normalized
-        on its own axis before one outer product.
+        A gaussian is the outer product of its two gaussian_axes profiles.
         """
         g = grid.single_mode()
         if self.kind == "constant":
             area = g.g_theta * g.g_k * g.d_theta * g.d_k
             return np.full((g.g_theta, g.g_k), 1.0 / math.sqrt(area), dtype=np.complex128)
         if self.kind == "tabulated":
-            raw = np.asarray(self.table, dtype=np.complex128)
-            if raw.shape != (g.g_theta, g.g_k):
+            if self.table.shape != (g.g_theta, g.g_k):
                 raise ShapeMismatch(
-                    f"envelope table has shape {raw.shape}, grid needs {(g.g_theta, g.g_k)}"
+                    f"envelope table has shape {self.table.shape}, grid needs {(g.g_theta, g.g_k)}"
                 )
-            return _normalized(raw, g.d_theta * g.d_k)
-        with np.errstate(over="ignore"):  # a tiny width overflows dt**2; exp(-inf) = 0
-            dt = (g.theta_values() - self.center_theta) / (2.0 * self.sigma_theta)
-            dk = (g.k_values() - self.center_k) / (2.0 * self.sigma_k)
-            rows, cols = np.exp(-(dt**2)), np.exp(-(dk**2))
-        return np.multiply.outer(
-            _normalized(rows, g.d_theta), _normalized(cols, g.d_k), dtype=np.complex128
-        )
+            table = _normalized(self.table.reshape(1, -1), g.d_theta * g.d_k)
+            return table.reshape(g.g_theta, g.g_k)
+        rows, cols = gaussian_axes([self], g)
+        return np.multiply.outer(rows[0], cols[0], dtype=np.complex128)
+
+
+def envelope_densities(envelopes, grid: ModularGrid) -> np.ndarray:
+    """|g|^2 of each envelope as one real (len(envelopes), g_theta, g_k) array.
+
+    The gaussians come from one gaussian_axes pass, with no complex table;
+    the others are the squared magnitudes of their table_for tables.
+    """
+    g = grid.single_mode()
+    gauss = [env for env in envelopes if env.kind == "gaussian"]
+    if gauss:
+        rows, cols = (np.square(p) for p in gaussian_axes(gauss, g))
+    out = np.empty((len(envelopes), g.g_theta, g.g_k))
+    j = 0
+    for i, env in enumerate(envelopes):
+        if env.kind == "gaussian":
+            np.multiply.outer(rows[j], cols[j], out=out[i])
+            j += 1
+        else:
+            out[i] = np.abs(env.table_for(g)) ** 2
+    return out
+
+
+def gaussian_axes(specs, grid: ModularGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The theta and k profiles of gaussian envelopes, one row per spec.
+
+    Returns (m, g_theta) and (m, g_k) real arrays, each row normalized on its
+    own axis, so the outer product of row i of the two is spec i's table.
+    """
+    g = grid.single_mode()
+    c_theta, s_theta, c_k, s_k = np.array(
+        [(s.center_theta, s.sigma_theta, s.center_k, s.sigma_k) for s in specs]
+    ).T[:, :, None]
+    with np.errstate(over="ignore"):  # a tiny width overflows dev**2; exp(-inf) = 0
+        rows = np.exp(-(((g.theta_values() - c_theta) / (2.0 * s_theta)) ** 2))
+        cols = np.exp(-(((g.k_values() - c_k) / (2.0 * s_k)) ** 2))
+    return _normalized(rows, g.d_theta), _normalized(cols, g.d_k)
 
 
 def _normalized(raw: np.ndarray, d_area: float) -> np.ndarray:
-    """raw scaled to unit quadrature norm, sum |raw|^2 d_area = 1.
+    """Each row of raw scaled to unit quadrature norm, sum |row|^2 d_area = 1.
 
     Scaled to a largest magnitude of 1 first, so the norm neither overflows
-    nor underflows; only an all-zero table has none.  The division is real:
+    nor underflows; only an all-zero row has none.  The division is real:
     complex division by a subnormal overflows 1/scale.
     """
-    scale = float(np.abs(raw).max())
-    if scale == 0.0:
+    scale = np.abs(raw).max(axis=1, keepdims=True)
+    if np.count_nonzero(scale) < len(scale):
         raise ZeroNorm("envelope table has zero quadrature norm")
-    raw = (raw.view(np.float64) / scale).view(raw.dtype)
-    nrm = float(np.vdot(raw, raw).real) * d_area
-    return raw / math.sqrt(nrm)
+    real = raw.view(np.float64) / scale
+    nrm = np.matmul(real[:, None, :], real[:, :, None])[:, 0]
+    nrm *= d_area
+    real /= np.sqrt(nrm, out=nrm)
+    return real.view(raw.dtype)
 
 
 def logical_mode(table: np.ndarray, bit: int, grid: ModularGrid) -> ModeState:

@@ -2,6 +2,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from mvgrover import load_state, quad_norm, state_to_bytes
@@ -162,6 +163,84 @@ def test_seed_is_echoed_but_not_carried(tmp_path):
     assert json.loads(out.read_text())["config"]["seed"] == 7
     write_config(cfg, seed=1.5)
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+
+
+def _reference_dumps(obj) -> str:
+    """The recursive writer with one call per value that dumps_record replaced."""
+
+    def fmt(x):
+        if not math.isfinite(x):
+            return "null"
+        text = format(x, ".17g")
+        if not any(c in text for c in ".eE"):
+            text += ".0"
+        return text
+
+    def write(obj, out):
+        if obj is None:
+            out.append("null")
+        elif obj is True:
+            out.append("true")
+        elif obj is False:
+            out.append("false")
+        elif isinstance(obj, str):
+            out.append(json.dumps(obj))
+        elif isinstance(obj, int):
+            out.append(str(obj))
+        elif isinstance(obj, float):
+            out.append(fmt(obj))
+        elif isinstance(obj, complex):
+            write([obj.real, obj.imag], out)
+        elif isinstance(obj, dict):
+            out.append("{")
+            for i, (key, value) in enumerate(obj.items()):
+                if i:
+                    out.append(", ")
+                out.append(json.dumps(str(key)))
+                out.append(": ")
+                write(value, out)
+            out.append("}")
+        elif isinstance(obj, (list, tuple)):
+            out.append("[")
+            for i, value in enumerate(obj):
+                if i:
+                    out.append(", ")
+                write(value, out)
+            out.append("]")
+        else:
+            raise TypeError(type(obj).__name__)
+
+    buf = []
+    write(obj, buf)
+    return "".join(buf)
+
+
+def test_dumps_record_matches_the_recursive_writer():
+    rng = np.random.default_rng(4)
+    table = rng.uniform(-1e3, 1e3, (5, 4)).tolist()
+    record = {
+        "config": {
+            "envelopes": [{"kind": "tabulated", "values": table},
+                          {"values": [[[1.0, -2.5], [0.1, 3e-300]], [[2.0, 0.0], [-0.0, 1e300]]]}],
+            "zetas": [{"values": [[1.0, 2.0, 3.0], [4.5, -6.0, 7.25]]}],
+            "seed": 7,
+            "use_dilation": True,
+            "mixed": [1, 2.0, True, None, "s", [], [3.0, 7]],
+        },
+        "report": {
+            "overlaps": {"00": 0.5 + 0.25j, "01": complex(-0.0, 1e-17), "10": 1j, "11": 0j},
+            "norm_constant": 1.0,
+            "per_cell_max_error": math.nan,
+            "bounds": [math.inf, -math.inf, math.nan, 0.1 + 0.2, 1e16, 123456789.0, -1e-5],
+            "branch_identified": ("01", None),
+            "ancilla_branch_norms": (0.25, 0.75),
+            "iterations_used": 3,
+            "flag": False,
+        },
+        "empty": {"list": [], "tuple": ()},
+    }
+    assert dumps_record(record) == _reference_dumps(record)
+    assert dumps_record(table) == _reference_dumps(table)
 
 
 def test_dumps_record_17_digit_floats():

@@ -308,6 +308,19 @@ def test_per_mode_sums_match_dense_loop(n, gt, gk, kind, use_dilation):
         cfg = SearchConfig(n, gt, gk, envs, TARGETS[kind](n), zetas=zetas, iterations=r,
                            use_dilation=use_dilation)
         _assert_matches_dense_loop(cfg)
+    if use_dilation:
+        # |w| = 1 on part of the support (every mode's first theta row is +-1)
+        # and on all of it: the ancilla-0 sums sum |P|^2 - sum |P|^2 w^2 of an
+        # odd run cancel in part, or exactly, leaving that branch empty.
+        signs = rng.choice([-1.0, 1.0], (n, gt, gk))
+        partial = rng.uniform(-1.0, 1.0, (n, gt, gk))
+        partial[:, 0, :] = signs[:, 0, :]
+        for zetas in (partial, signs):
+            for r in (1, 3):
+                cfg = SearchConfig(n, gt, gk, envs, TARGETS[kind](n), zetas=tuple(zetas),
+                                   iterations=r, use_dilation=True)
+                _assert_matches_dense_loop(cfg)
+        assert run_search(cfg).ancilla_branch_norms[0] == 0.0
 
 
 @pytest.mark.parametrize("kind", sorted(TARGETS))
@@ -333,6 +346,43 @@ def test_plain_run_peak_memory_without_cell_tables():
     finally:
         tracemalloc.stop()
     assert peak <= 2**20
+
+
+@pytest.mark.parametrize("g, use_dilation, units", [(32, False, 14.5), (24, True, 69.5)])
+def test_run_peak_memory_in_mode_tables(g, use_dilation, units):
+    # Two gaussian modes with cosine weights, r = 1: a plain run holds a few
+    # per-mode stacks, the odd dilated run also its streamed chunk of at most
+    # one theta_1 slice (g^3 cells at n = 2).  Bounds in units of one mode
+    # table of g_theta * g_k floats: the peaks of the previous design.
+    grid = make_grid(2, g, g)
+    cfg = SearchConfig(2, g, g, gaussian_envs(2), TargetSpec.bits("10"), zetas=cos_zetas(grid),
+                       use_dilation=use_dilation)
+    run_search(cfg)  # builds the process's search step for (n, M) = (2, 1)
+    tracemalloc.start()
+    try:
+        report = run_search(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.iterations_used == 1
+    assert peak <= units * 8 * g * g
+
+
+@pytest.mark.parametrize("build", [run_search, final_state])
+def test_interval_run_computes_mode_bits_once(monkeypatch, build):
+    # The class index and the per-mode pattern bits come from one mode_bits call.
+    calls = []
+    mode_bits = TargetSpec.mode_bits
+
+    def counted(self, grid):
+        calls.append(grid)
+        return mode_bits(self, grid)
+
+    monkeypatch.setattr(TargetSpec, "mode_bits", counted)
+    grid = make_grid(3, 4, 3)
+    build(SearchConfig(3, 4, 3, gaussian_envs(3), TARGETS["intervals"](3), zetas=cos_zetas(grid),
+                       iterations=2))
+    assert len(calls) == 1
 
 
 def test_weights_out_of_range_only_in_pairs_read_like_unit_weights():

@@ -23,13 +23,14 @@ def test_record_has_the_layout_of_committed_bench_files():
         return {"environment": {"git_sha": "abc"}, "samples": 3, "result": {"correct": True}}
 
     doc = recorder.record(ROOT, run=fake_run)
-    assert calls == [("dense_plain", 0), ("dense_dilation", 0), ("cli_small", 0), ("dense_plain", 1)]
+    workloads = ["dense_plain", "dense_dilation", "cli_small"]
+    assert calls == [(w, 0) for w in workloads] + [(w, 1) for w in workloads]
     assert doc["measured_on"] == "abc"
-    committed = json.loads((ROOT / "BENCH_pr7.json").read_text(encoding="utf-8"))
+    committed = json.loads((ROOT / "BENCH_pr8.json").read_text(encoding="utf-8"))
     assert doc.keys() == committed.keys()
     assert doc["command"] == committed["command"]
-    assert doc["workloads"].keys() == committed["workloads"].keys()
-    assert doc["traced"].keys() == committed["traced"].keys()
-    assert doc["traced"]["command"] == committed["traced"]["command"]
-    for entry in [*doc["workloads"].values(), doc["traced"]["dense_plain"]]:
+    assert list(doc["workloads"]) == workloads == list(committed["workloads"])
+    assert list(doc["traced"]) == ["command", *workloads]
+    assert doc["traced"]["command"] == doc["command"].replace("--trace 0", "--trace 1")
+    for entry in [*doc["workloads"].values(), *(doc["traced"][w] for w in workloads)]:
         assert entry.keys() == committed["traced"]["dense_plain"].keys()

@@ -6,11 +6,11 @@ Run from anywhere:
     python3 tools/record_bench.py --label parent --root ../parent-checkout
 
 Runs `perfbench/run.py` of the checkout at --root (default: this one) on the
-three workloads with `--trace 0`, then once more on `dense_plain` with
-`--trace 1`, each for seed SEED and a SECONDS window, one after another.  Each
-run's environment, sample count and result object go to
-`BENCH_<label>.json` at the root of this repository: the untraced runs under
-`workloads`, the traced one under `traced`.
+three workloads with `--trace 0`, then on each once more with `--trace 1`,
+each for seed SEED and a SECONDS window, one after another.  Each run's
+environment, sample count and result object go to `BENCH_<label>.json` at the
+root of this repository: the untraced runs under `workloads`, the traced ones
+under `traced`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 WORKLOADS = ("dense_plain", "dense_dilation", "cli_small")
-TRACED = "dense_plain"
 SEED = 7
 SECONDS = 30
 
@@ -52,14 +51,14 @@ def run_bench(root: Path, workload: str, trace: int) -> dict:
 
 
 def record(root: Path, run=run_bench) -> dict:
-    """The BENCH document: every workload untraced, then TRACED traced."""
+    """The BENCH document: every workload untraced, then every workload traced."""
     workloads = {w: run(root, w, 0) for w in WORKLOADS}
-    traced = run(root, TRACED, 1)
+    traced = {w: run(root, w, 1) for w in WORKLOADS}
     return {
         "command": " ".join(bench_command("W", 0)),
-        "measured_on": traced["environment"]["git_sha"],
+        "measured_on": traced[WORKLOADS[0]]["environment"]["git_sha"],
         "workloads": workloads,
-        "traced": {"command": " ".join(bench_command(TRACED, 1)), TRACED: traced},
+        "traced": {"command": " ".join(bench_command("W", 1)), **traced},
     }
 
 

@@ -362,7 +362,7 @@ def _streamed_branch(psq, scaled, scale: float, index: np.ndarray, n_classes: in
     wsq_rest = _joint_table(np.square(scaled[1:])).reshape(-1)
     wsq_first = np.square(scaled[0]) * (scale * scale)
     g_theta, g_k = wsq_first.shape
-    chunk = max(1, _STREAM_CELLS // (g_k * psq_rest.size))
+    chunk = min(g_theta, max(1, _STREAM_CELLS // (g_k * psq_rest.size)))
     buf = np.empty((chunk, g_k, psq_rest.size))  # (theta_1, k_1, cells of modes 1..n-1)
     per_theta = np.empty((g_theta, psq_rest.shape[0]))
     for lo in range(0, g_theta, chunk):

@@ -136,12 +136,13 @@ class TargetSpec:
             raise ValueError("constant targets have no per-mode bits")
         if grid.n_modes != self.n_modes:
             raise GridMismatch(f"target has {self.n_modes} modes, grid has {grid.n_modes}")
+        # (n, L, 2) interval ends, each mode's set padded with empty [0, 0).
+        width = max(1, max(len(mode_set) for mode_set in self.intervals))
+        ends = np.array([list(mode_set) + [(0.0, 0.0)] * (width - len(mode_set))
+                         for mode_set in self.intervals])
         theta = grid.theta_values()
-        bits = np.zeros((len(self.intervals), grid.g_theta), dtype=np.intp)
-        for bit, mode_set in zip(bits, self.intervals):
-            for lo, hi in mode_set:
-                bit |= (theta >= lo) & (theta < hi)
-        return bits
+        inside = (theta >= ends[:, :, :1]) & (theta < ends[:, :, 1:])
+        return inside.any(axis=1).astype(np.intp)
 
 
 def band_of_bits(bits: np.ndarray) -> np.ndarray:
@@ -404,5 +405,6 @@ def apply(op: GlobalOperator, state: JointState) -> JointState:
         )
     vec = state.amp.reshape(state.grid.cell_shape + (op.dim,))
     out = np.einsum("...ij,...j->...i", op.mats, vec)
-    out *= np.asarray(op.weight)[..., None]
+    if op.weight.ndim or op.weight != 1.0:  # x * 1.0 is x
+        out *= op.weight[..., None]
     return JointState(state.grid, out.reshape(state.amp.shape), state.n_ancilla)

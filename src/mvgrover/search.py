@@ -82,12 +82,18 @@ def _check_capacity(grid: ModularGrid) -> None:
     state, the dense oracle loop about two.
     """
     state_bytes = 16 * math.prod(grid.cell_shape + grid.band_shape)
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    physical = _physical_bytes()
     if 4 * state_bytes > physical:
         raise CapacityExceeded(
             f"a dense state takes {state_bytes / 2**20:.4g} MiB; four of them exceed "
             f"the {physical / 2**20:.4g} MiB of physical memory"
         )
+
+
+@functools.cache
+def _physical_bytes() -> int:
+    """Physical memory in bytes, read once per process."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass(frozen=True)
@@ -257,15 +263,32 @@ def _resolved_iterations(cfg: SearchConfig, n_classes: int) -> int:
 def _target_classes(target: TargetSpec, grid: ModularGrid) -> tuple:
     """(index, rows, bits): each theta cell's class index (flattened), each
     class's target band indices, and for interval targets the (n, g_theta)
-    per-mode bits that both come from (None for a constant target).
-    Interval classes are the band strings that some theta cell searches."""
+    per-mode bits that both come from (None for a constant target)."""
+    rows, bits = _target_rows(target, grid)
+    return _class_index(rows, bits, grid), rows, bits
+
+
+def _target_rows(target: TargetSpec, grid: ModularGrid) -> tuple:
+    """(rows, bits) of _target_classes, with no per-cell array.
+
+    Interval classes are the band strings that some theta cell searches:
+    the product set of the bits each mode's theta values search, in
+    ascending order.
+    """
     if target.is_constant:
-        band = target.band_indices(grid)
-        return np.zeros(grid.g_theta**grid.n_modes, dtype=np.intp), band.reshape(1, -1), None
+        return target.band_indices(grid).reshape(1, -1), None
     bits = target.mode_bits(grid)
-    band = ops.band_of_bits(bits).reshape(-1)
-    present = np.bincount(band, minlength=2**grid.n_modes) > 0
-    return (np.cumsum(present) - 1)[band], np.flatnonzero(present)[:, None], bits
+    codes = [0]
+    for mode_bits in bits.tolist():
+        codes = [2 * c + b for c in codes for b in sorted(set(mode_bits))]
+    return np.array(codes, dtype=np.intp)[:, None], bits
+
+
+def _class_index(rows: np.ndarray, bits: Optional[np.ndarray], grid: ModularGrid) -> np.ndarray:
+    """Each theta cell's class (theta cells flattened) from _target_rows."""
+    if bits is None:
+        return np.zeros(grid.g_theta**grid.n_modes, dtype=np.intp)
+    return np.searchsorted(rows[:, 0], ops.band_of_bits(bits).reshape(-1))
 
 
 @functools.cache
@@ -290,60 +313,77 @@ def _class_vectors(n: int, rows: np.ndarray, r: int) -> np.ndarray:
     n_classes, m = rows.shape
     step = _search_step(n, m)
     qubits = step.grid
-    state = JointState(qubits, np.full(qubits.cell_shape + qubits.band_shape, 2.0 ** (-n / 2)))
+    uniform = np.full(qubits.cell_shape + qubits.band_shape, 2.0 ** (-n / 2), dtype=np.complex128)
+    state = JointState(qubits, uniform)
     for _ in range(r):
         state = ops.apply(step, state)
     on_class = np.arange(n_classes)[:, None]
-    others = np.ones((n_classes, 2**n), dtype=bool)
-    others[on_class, rows] = False
-    perm = np.cumsum(others, axis=1) + (m - 1)
+    perm = np.ones((n_classes, 2**n), dtype=np.intp)  # 1 on the class's other indices
+    perm[on_class, rows] = 0
+    np.cumsum(perm, axis=1, out=perm)
+    perm += m - 1
     perm[on_class, rows] = np.arange(m)
     return state.amp.reshape(-1)[perm]
 
 
 _FactoredRun = namedtuple(
-    "_FactoredRun", "grid r index rows vectors vsq scaled w_log2 sums norms"
+    "_FactoredRun", "grid r rows bits vectors vsq scaled w_log2 sums dots norms"
 )
 
 _LOG2_MAX = math.log2(np.finfo(np.float64).max)
 
 
-def _product(values: np.ndarray) -> float:
-    """prod(values) of nonnegative values with no partial product leaving the
-    float range: inf or 0 only where the product itself does."""
-    mant, exp = np.frexp(values)
+def _scaled_product(values: Sequence[float]) -> tuple[float, int]:
+    """prod(values) as (m, e) with prod = m 2^e: the product of the
+    mantissas and the sum of the binary exponents, so no partial product
+    leaves the float range."""
+    parts = [math.frexp(v) for v in values]
+    return math.prod(m for m, _ in parts), sum(e for _, e in parts)
+
+
+def _product(values: Sequence[float]) -> float:
+    """prod(values) of nonnegative floats: inf or 0 only where the product
+    itself leaves the float range."""
+    mant, exp = _scaled_product(values)
     try:
-        return math.ldexp(math.prod(mant.tolist()), sum(exp.tolist()))
+        return math.ldexp(mant, exp)
     except OverflowError:
         return math.inf
 
 
 def _unscaled(x, log2_scale: float):
-    """x * 2^log2_scale; inf or 0 where that leaves the float range."""
+    """x * 2^log2_scale; inf or 0 where that leaves the float range.
+
+    A float goes through math.ldexp, an array through np.ldexp: the same
+    C ldexp, so both give the same bits.
+    """
     e = min(max(log2_scale, -4096.0), 4096.0)
     whole = math.floor(e)
+    if isinstance(x, float):
+        try:
+            return math.ldexp(x * 2.0 ** (e - whole), whole)
+        except OverflowError:
+            return math.copysign(math.inf, x)
     with np.errstate(over="ignore"):
         return np.ldexp(x * 2.0 ** (e - whole), whole)
 
 
-def _pattern_sums(per_theta: np.ndarray, onehot: np.ndarray, pattern_bits: np.ndarray) -> tuple:
+def _pattern_sums(per_bit: np.ndarray, pattern_bits: np.ndarray) -> tuple:
     """Sum of prod_i x_i over the cells of each pattern, in scaled form, for
     each of a stack of real per-mode tables x.
 
-    per_theta[p, i, t] is table p of mode i summed over k at theta value t,
-    onehot[i, t] the one-hot of mode i's searched bit there and
-    pattern_bits[c] the n bits of pattern c (mode 0 first).  A pattern holds
+    per_bit[p, i, b] is table p of mode i summed over the cells where mode
+    i's searched bit is b and pattern_bits[c] the n bits of pattern c (mode 0 first).  A pattern holds
     the cells whose bits spell it, a product set, so its sum is the product of
     per-mode per-bit sums.  Returns (sums / 2^e, e), one row of sums and one
-    exponent per table: each mode's two sums are divided by the power of two
-    that brings the larger below 1, exactly, so the product neither
+    integer exponent per table: each mode's sums are divided by the power of
+    two that brings the largest below 1, exactly, so the product neither
     overflows nor underflows.
     """
-    per_bit = np.matmul(per_theta[:, :, None, :], onehot)[:, :, 0, :]
     exps = np.frexp(np.abs(per_bit).max(axis=2))[1]
     per_bit = np.ldexp(per_bit, -exps[..., None])
     n = per_bit.shape[1]
-    return per_bit[:, np.arange(n), pattern_bits].prod(axis=2), exps.sum(axis=1)
+    return per_bit[:, np.arange(n), pattern_bits].prod(axis=2), exps.sum(axis=1).tolist()
 
 
 def _streamed_branch(psq, scaled, scale: float, index: np.ndarray, n_classes: int) -> np.ndarray:
@@ -384,9 +424,10 @@ def _streamed_branch(psq, scaled, scale: float, index: np.ndarray, n_classes: in
 def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     """Check cfg and build its run from per-mode sums and class vectors.
 
-    psi(cell, b) = P(cell) f(cell) v[class(cell)][b]: index maps each theta
-    cell to its class, rows[c] holds class c's target band indices,
-    vectors[c] its search vector and vsq[c] that vector's squared norm,
+    psi(cell, b) = P(cell) f(cell) v[class(cell)][b]: rows[c] holds class
+    c's target band indices, bits the per-mode interval bits that give each
+    theta cell its class (_class_index), vectors[c] the class's search
+    vector and vsq[c] that vector's squared norm, dots[b] = sum_c vsq_c s2_c,
     scaled[i] mode i's weights on the envelope support divided by their
     largest |w_i| (w = 2^w_log2 prod_i scaled[i] there), norms[b] the squared
     norm of readout branch b and sums[b] = (s1, s2, e) its per-class sums in
@@ -416,25 +457,22 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     n = grid.n_modes
     if cfg.target.n_modes != n:
         raise ShapeMismatch(f"target spans {cfg.target.n_modes} modes, grid has {n}")
-    index, rows, bits = _target_classes(cfg.target, grid)
+    rows, bits = _target_rows(cfg.target, grid)
     r = _resolved_iterations(cfg, len(rows))
     psq = envelope_densities(cfg.envelopes, _mode_grid(cfg.envelopes, grid))
     scaled = np.array(ops.mode_weight_tables(cfg.zetas, grid))  # the weights w, scaled below
-    if bits is None:
-        bits, pattern_bits = np.zeros((n, grid.g_theta), dtype=np.intp), np.zeros((1, n), np.intp)
-    else:
-        pattern_bits = rows >> np.arange(n - 1, -1, -1) & 1
-    onehot = np.eye(2)[bits]
     # Each mode's weights on its envelope support (0 elsewhere) divided by
     # their largest magnitude, which becomes exactly 1, so w^p = peak^p
     # prod_i scaled_i^p there with peak = 2^w_log2 the largest |w| on the
     # support.  A mode with no weight on its support keeps zeros and
     # w_log2 = -inf: its mass is 0, as it is when the peak underflows (the
     # envelopes are normalized, so the mass is at most peak^2).
-    w_max = np.abs(scaled).max(axis=(1, 2))
-    np.copyto(scaled, 0.0, where=psq == 0)  # in place: a run holds two (n, g_theta, g_k) stacks
-    peaks = np.abs(scaled).max(axis=(1, 2))
-    np.divide(scaled, np.where(peaks > 0, peaks, 1.0)[:, None, None], out=scaled)
+    off = psq == 0
+    w_max = peaks = np.abs(scaled).max(axis=(1, 2)).tolist()
+    if off.any():
+        np.copyto(scaled, 0.0, where=off)  # in place: a run holds two (n, g_theta, g_k) stacks
+        peaks = np.abs(scaled).max(axis=(1, 2)).tolist()
+    np.divide(scaled, np.array([p if p > 0 else 1.0 for p in peaks])[:, None, None], out=scaled)
     peak = _product(peaks)
     w_log2 = math.log2(peak) if peak > 0 else -math.inf
 
@@ -443,12 +481,23 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     # same contraction, so on a class whose scaled weights are all +-1 the
     # q = 0 and q = 2 sums agree bit for bit: with a weight scale of 1 (|w| = 1
     # there) the ancilla-0 branch of an odd dilated run is exactly empty.
+    # A constant target sums each mode over all its cells, an interval
+    # target over each theta value and then over each searched bit.
     if cfg.use_dilation:
         powers = (0, 1, 2) if r % 2 else (0, 2)
     else:
         powers = tuple(sorted({2, r, 2 * r}))
-    per_theta = np.array([np.einsum("itk,itk->it", psq, scaled**q) for q in powers])
-    power_sums = dict(zip(powers, zip(*_pattern_sums(per_theta, onehot, pattern_bits))))
+    per_mode = np.empty((len(powers), n) + (() if bits is None else (grid.g_theta,)))
+    spec = "itk,itk->i" if bits is None else "itk,itk->it"
+    for out, q in zip(per_mode, powers):
+        np.einsum(spec, psq, scaled if q == 1 else scaled**q, out=out)
+    if bits is None:  # one class: the product of the per-mode sums, in the same scaled form
+        products = [_scaled_product(row) for row in per_mode.tolist()]
+        pattern_sums = np.array([[mant] for mant, _ in products]), [e for _, e in products]
+    else:
+        per_bit = np.matmul(per_mode[:, :, None, :], np.eye(2)[bits])[:, :, 0, :]
+        pattern_sums = _pattern_sums(per_bit, rows >> np.arange(n - 1, -1, -1) & 1)
+    power_sums = dict(zip(powers, zip(*pattern_sums)))
 
     def branch(p: int) -> tuple:
         """(s1, s2, e) of f = w^p, from the sums of the powers p and 2 p."""
@@ -456,7 +505,7 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
         return s1 * 2.0 ** (e1 - e2 / 2), s2, e2 + (2 * p * w_log2 if p else 0.0)
 
     mass_sums, mass_exp = power_sums[2]
-    mass = float(_unscaled(np.sum(mass_sums) * grid.cell_weight, mass_exp + 2 * w_log2))
+    mass = _unscaled(float(mass_sums.sum()) * grid.cell_weight, mass_exp + 2 * w_log2)
     if mass <= 1e-20:
         raise DegenerateWeights(
             f"weight product vanishes on the envelope support (mass {mass:.3e})"
@@ -467,7 +516,7 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
             # sum |P|^2 w'^2 = sum |P|^2 - sum |P|^2 w^2, clipped at 0 per class.
             (s0, e0), (s2, e2) = power_sums[0], power_sums[2]
             f2 = np.maximum(_unscaled(s0, e0) - _unscaled(s2, e2 + 2 * w_log2), 0.0)
-            f1 = _streamed_branch(psq, scaled, peak, index, len(rows))
+            f1 = _streamed_branch(psq, scaled, peak, _class_index(rows, bits, grid), len(rows))
             sums = [(f1, f2, 0.0), branch(1)]
         else:
             sums = [branch(0), (np.zeros(len(rows)), np.zeros(len(rows)), 0.0)]
@@ -475,10 +524,9 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
         sums = [branch(r)]
     vectors = _class_vectors(n, rows, r)
     vsq = _cell_sq(vectors)
-    norms = tuple(
-        float(_unscaled(float(np.einsum("c,c->", vsq, s2)) * grid.cell_weight, e))
-        for _, s2, e in sums
-    )
+    # dots[b] = sum_c |v_c|^2 s2_c, so that branch b's squared norm is dots[b] dA 2^e.
+    dots = [float(vsq @ s2) for _, s2, _ in sums]
+    norms = tuple(_unscaled(d * grid.cell_weight, e) for d, (_, _, e) in zip(dots, sums))
     # log2 of the largest |w| and |w|^r over the cells, from the per-mode maxima.
     top_log2 = math.fsum(math.log2(m) for m in w_max)
     if max(r, 1) * top_log2 > _LOG2_MAX or not all(math.isfinite(x) for x in norms):
@@ -488,7 +536,7 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
         )
     if not cfg.use_dilation and norms[0] < 1e-30:
         raise ZeroNorm(f"cannot normalize state with squared norm {norms[0]:.3e}")
-    return _FactoredRun(grid, r, index, rows, vectors, vsq, scaled, w_log2, sums, norms)
+    return _FactoredRun(grid, r, rows, bits, vectors, vsq, scaled, w_log2, sums, dots, norms)
 
 
 def final_state(cfg: SearchConfig) -> JointState:
@@ -506,7 +554,7 @@ def final_state(cfg: SearchConfig) -> JointState:
     tables = _mode_tables(cfg.envelopes, grid)
     coef = _joint_table([t * wt**run.r for t, wt in zip(tables, run.scaled)])
     coef /= math.sqrt(float(_unscaled(run.norms[0], -2 * run.r * run.w_log2)))
-    amp = coef[:, :, None] * run.vectors[run.index][:, None, :]
+    amp = coef[:, :, None] * run.vectors[_class_index(run.rows, run.bits, grid)][:, None, :]
     return JointState(grid, amp.reshape(grid.cell_shape + grid.band_shape))
 
 
@@ -516,19 +564,20 @@ def _cell_sq(bands: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", real, real)
 
 
-def _max_deviation(v: np.ndarray, ref: np.ndarray) -> float:
+def _max_deviation(v: np.ndarray, ref: np.ndarray, sq: Optional[np.ndarray] = None) -> float:
     """Largest |v phase / |v| - ref| over the cells (all axes but the last)
-    whose |v| is above _CELL_FLOOR, with phase that of <ref|v>; -inf if none."""
-    norms = np.sqrt(_cell_sq(v))
+    whose |v| is above _CELL_FLOOR, with phase that of <ref|v>; -inf if none.
+    sq, if given, is _cell_sq(v)."""
+    norms = np.sqrt(_cell_sq(v) if sq is None else sq)
     mask = norms > _CELL_FLOOR
     # Adding 0.0 makes a -0.0 real part +0.0, so an orthogonal cell keeps phase 1.
-    overlap = np.einsum("...i,...i->...", np.conjugate(ref), v) + 0.0
-    scale = np.exp(-1j * np.angle(overlap))
+    overlap = np.vecdot(ref, v) + 0.0
+    scale = np.exp(-1j * np.arctan2(overlap.imag, overlap.real))
     np.divide(scale, norms, out=scale, where=mask)
     diff = v * scale[..., None]
     diff -= ref
     np.abs(diff, out=diff)  # in place: the deviations land in the real parts
-    return float(np.max(diff.real.max(axis=-1), where=mask, initial=-math.inf))
+    return float(np.maximum.reduce(diff.real, axis=None, where=mask[..., None], initial=-math.inf))
 
 
 def per_cell_max_error(state: JointState, target: TargetSpec, r: int) -> float:
@@ -580,15 +629,14 @@ def run_search(cfg: SearchConfig, threshold: float = DECISION_THRESHOLD) -> Sear
     n = cfg.n_modes
     dilated = len(run.norms) == 2
 
-    def overlaps(s1: np.ndarray, s2: np.ndarray) -> dict[str, complex]:
-        # sum_c v_c S1_c dA / sqrt(N) with S1 = s1 2^(e/2) and N = dA sum_c |v_c|^2 s2 2^e.
-        coef = s1 * math.sqrt(run.grid.cell_weight / float(np.einsum("c,c->", run.vsq, s2)))
-        return _by_string(np.einsum("c,cs->s", coef, run.vectors), n)
+    def overlaps(s1: np.ndarray, dot: float) -> dict[str, complex]:
+        # sum_c v_c S1_c dA / sqrt(N) with S1 = s1 2^(e/2) and N = dA dot 2^e.
+        return _by_string((s1 * math.sqrt(run.grid.cell_weight / dot)) @ run.vectors, n)
 
     # Per branch: its readout, None for an empty dilated branch.
     readouts = [
-        None if dilated and nrm <= 1e-20 else _readout(cfg, overlaps(s1, s2), threshold)
-        for (s1, s2, _), nrm in zip(run.sums, run.norms)
+        None if dilated and nrm <= 1e-20 else _readout(cfg, overlaps(s1, dot), threshold)
+        for (s1, _, _), dot, nrm in zip(run.sums, run.dots, run.norms)
     ]
     live = [ro for ro in readouts if ro is not None]
     failure = next((ro[2] for ro in live if ro[2]), None)
@@ -606,8 +654,11 @@ def run_search(cfg: SearchConfig, threshold: float = DECISION_THRESHOLD) -> Sear
     # A class is checked when one of its cells has |P f| above the floor; a
     # cell whose |P f|^2 underflows counts as empty.  All checked classes go
     # through one comparison with their references.
-    checked = np.sqrt(sum(_unscaled(s2, e) for _, s2, e in run.sums)) > _CELL_FLOOR
-    error = _max_deviation(run.vectors[checked], _reference_rows(n, run.rows[checked], run.r))
+    per_class = zip(*([_unscaled(x, e) for x in s2.tolist()] for _, s2, e in run.sums))
+    checked = [math.sqrt(sum(sq)) > _CELL_FLOOR for sq in per_class]
+    if not all(checked):
+        run = run._replace(vectors=run.vectors[checked], rows=run.rows[checked], vsq=run.vsq[checked])
+    error = _max_deviation(run.vectors, _reference_rows(n, run.rows, run.r), run.vsq)
     return SearchReport(
         norm_constant=sum(run.norms),
         overlaps=dominant[0],

@@ -197,8 +197,7 @@ class EnvelopeSpec:
         """
         g = grid.single_mode()
         if self.kind == "constant":
-            area = g.g_theta * g.g_k * g.d_theta * g.d_k
-            return np.full((g.g_theta, g.g_k), 1.0 / math.sqrt(area), dtype=np.complex128)
+            return np.full((g.g_theta, g.g_k), _constant_value(g), dtype=np.complex128)
         if self.kind == "tabulated":
             if self.table.shape != (g.g_theta, g.g_k):
                 raise ShapeMismatch(
@@ -210,41 +209,72 @@ class EnvelopeSpec:
         return np.multiply.outer(rows[0], cols[0], dtype=np.complex128)
 
 
+def _constant_value(g: ModularGrid) -> float:
+    """The value of the constant envelope on a one-mode grid, 1 / sqrt(area)."""
+    return 1.0 / math.sqrt(g.g_theta * g.g_k * g.d_theta * g.d_k)
+
+
 def envelope_densities(envelopes, grid: ModularGrid) -> np.ndarray:
     """|g|^2 of each envelope as one real (len(envelopes), g_theta, g_k) array.
 
-    The gaussians come from one gaussian_axes pass, with no complex table;
-    the others are the squared magnitudes of their table_for tables.
+    The gaussians are outer products of their per-axis densities from one
+    gaussian_axes pass, with no complex table; a constant envelope is its
+    value squared, a tabulated one the squared magnitude of its table.
     """
     g = grid.single_mode()
-    gauss = [env for env in envelopes if env.kind == "gaussian"]
-    if gauss:
-        rows, cols = (np.square(p) for p in gaussian_axes(gauss, g))
     out = np.empty((len(envelopes), g.g_theta, g.g_k))
-    j = 0
+    gauss = [i for i, env in enumerate(envelopes) if env.kind == "gaussian"]
+    if len(gauss) == len(envelopes):  # one broadcast product for all modes
+        rows, cols = gaussian_axes(envelopes, g, power=2)
+        np.multiply(rows[:, :, None], cols[:, None, :], out=out)
+    elif gauss:
+        rows, cols = gaussian_axes([envelopes[i] for i in gauss], g, power=2)
+        for i, row, col in zip(gauss, rows, cols):
+            np.multiply.outer(row, col, out=out[i])
     for i, env in enumerate(envelopes):
-        if env.kind == "gaussian":
-            np.multiply.outer(rows[j], cols[j], out=out[i])
-            j += 1
-        else:
-            out[i] = np.abs(env.table_for(g)) ** 2
+        if env.kind == "constant":
+            value = _constant_value(g)
+            out[i] = value * value
+        elif env.kind == "tabulated":
+            np.abs(env.table_for(g), out=out[i])
+            np.square(out[i], out=out[i])
     return out
 
 
-def gaussian_axes(specs, grid: ModularGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The theta and k profiles of gaussian envelopes, one row per spec.
+def gaussian_axes(specs, grid: ModularGrid, power: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The theta and k profiles |g|^power of gaussian envelopes, one row per spec.
 
     Returns (m, g_theta) and (m, g_k) real arrays, each row normalized on its
-    own axis, so the outer product of row i of the two is spec i's table.
+    own axis, so the outer product of row i of the two is spec i's table
+    (power 1) or its density |g|^2 (power 2).  A row is exp(min d^2 - d^2)
+    with d = (x - centre) / (2 width / sqrt(power)): its peak is exactly 1,
+    so the norm neither overflows nor underflows, and a peak exp(-min d^2)
+    near 1e-200 in the table still gives a normalized row.  ZeroNorm where
+    that peak is 0 (also where every d^2 overflows).  Both axes of every
+    spec go through one (2, m, max(g_theta, g_k)) pass, the shorter axis
+    padded with x = inf, which adds 0 to each sum.
     """
     g = grid.single_mode()
-    c_theta, s_theta, c_k, s_k = np.array(
-        [(s.center_theta, s.sigma_theta, s.center_k, s.sigma_k) for s in specs]
-    ).T[:, :, None]
-    with np.errstate(over="ignore"):  # a tiny width overflows dev**2; exp(-inf) = 0
-        rows = np.exp(-(((g.theta_values() - c_theta) / (2.0 * s_theta)) ** 2))
-        cols = np.exp(-(((g.k_values() - c_k) / (2.0 * s_k)) ** 2))
-    return _normalized(rows, g.d_theta), _normalized(cols, g.d_k)
+    root = math.sqrt(power)
+    centre, width = np.array([
+        [[s.center_theta for s in specs], [s.center_k for s in specs]],
+        [[2.0 * s.sigma_theta / root for s in specs], [2.0 * s.sigma_k / root for s in specs]],
+    ])[..., None]
+    steps = np.array([[g.d_theta], [g.d_k]])
+    x = np.arange(0.5, max(g.g_theta, g.g_k)) * steps
+    if g.g_theta != g.g_k:
+        x[0, g.g_theta:] = np.inf
+        x[1, g.g_k:] = np.inf
+    with np.errstate(over="ignore"):  # a tiny width overflows d**2 to inf; exp(-inf) = 0
+        d2 = np.square((x[:, None, :] - centre) / width)
+    low = d2.min(axis=2, keepdims=True)
+    if math.exp(-float(low.max()) / power) == 0.0:
+        raise ZeroNorm("envelope table has zero quadrature norm")
+    row = np.exp(np.subtract(low, d2, out=d2), out=d2)
+    norm = np.einsum("imx,imx->im", row, row) if power == 1 else row.sum(axis=2)
+    norm *= steps
+    row /= (np.sqrt(norm) if power == 1 else norm)[:, :, None]
+    return row[0, :, : g.g_theta], row[1, :, : g.g_k]
 
 
 def _normalized(raw: np.ndarray, d_area: float) -> np.ndarray:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mvgrover import EnvelopeSpec, SearchConfig, TargetSpec, make_grid, run_search
 from mvgrover.cli import main
 from mvgrover.config import parse_config
-from mvgrover.errors import CapacityExceeded, WeightOutOfRange
+from mvgrover.errors import CapacityExceeded, ConfigInvalid, WeightOutOfRange
 
 BASE = {
     "n_modes": 2,
@@ -150,6 +150,64 @@ def test_domain_validation_names_field(tmp_path, capsys, overrides, path):
     code, record = run(tmp_path, dict(BASE, **overrides))
     assert code == 1 and record is None
     assert f"{path}:" in capsys.readouterr().err
+
+
+# --- tables: built in one pass, walked entry by entry only to name a bad one -----
+
+
+def _table(entry=0.5, at=(1, 2), rows=3, cols=3):
+    values = [[0.25 * (i + j) - 0.5 for j in range(cols)] for i in range(rows)]
+    values[at[0]][at[1]] = entry
+    return values
+
+
+def _with_tables(envelope_values, zeta_values):
+    return dict(
+        BASE,
+        envelopes=[{"kind": "tabulated", "values": envelope_values}, {"kind": "gaussian"}],
+        zetas=[{"kind": "table", "values": zeta_values}, {"kind": "constant"}],
+    )
+
+
+@pytest.mark.parametrize(
+    "values, where, message",
+    [
+        (_table(True), "/1/2", "expected a number, got True"),
+        (_table("0.5"), "/1/2", "expected a number, got '0.5'"),
+        (_table(float("nan")), "/1/2", "expected a finite number, got nan"),
+        (_table(float("-inf")), "/1/2", "expected a finite number, got -inf"),
+        (_table(10**400), "/1/2", f"expected a finite number, got {10**400!r}"),
+        (_table([1.0, 2.0]), "/1/2", "expected a number, got [1.0, 2.0]"),
+        (_table()[:2] + [[0.5, 0.5]], "/2", "expected 3 entries, got 2"),
+        (_table()[:2] + [0.5], "/2", "expected an array, got float"),
+    ],
+)
+def test_table_entries_name_the_bad_entry(values, where, message):
+    with pytest.raises(ConfigInvalid) as weight_error:
+        parse_config(_with_tables(_table(), values))
+    assert str(weight_error.value) == f"/zetas/0/values{where}: {message}"
+    if isinstance(values[1][2], list):  # an [re, im] pair is a valid envelope entry
+        return
+    with pytest.raises(ConfigInvalid) as envelope_error:
+        parse_config(_with_tables(values, _table()))
+    message = message.replace("expected a number,", "expected a number or [re, im] pair,")
+    assert str(envelope_error.value) == f"/envelopes/0/values{where}: {message}"
+
+
+def test_plain_tables_parse_bitwise_like_the_entry_walk():
+    # Floats, -0.0, a subnormal and integers beyond 2^53 and 2^63 become the
+    # same float64 (weights) and complex128 (envelopes, imaginary +0.0) as
+    # float(x) and complex(float(x)) entry by entry; [re, im] pairs still parse.
+    entries = [[0.1, -0.0, 5e-324], [2**53 + 1, -(2**63) - 5, 10**30], [3, -7, 1e308]]
+    cfg = parse_config(_with_tables(entries, entries))
+    want = np.array([[float(x) for x in row] for row in entries])
+    assert cfg.zetas[0].dtype == np.float64 and cfg.zetas[0].tobytes() == want.tobytes()
+    table = cfg.envelopes[0].table
+    assert table.dtype == np.complex128
+    assert table.tobytes() == np.array([[complex(x) for x in row] for row in want]).tobytes()
+    pairs = _table([0.5, -1.5])
+    cfg = parse_config(_with_tables(pairs, _table()))
+    assert cfg.envelopes[0].table[1, 2] == 0.5 - 1.5j
 
 
 # --- property: no input ends in a traceback ---------------------------------------

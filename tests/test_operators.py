@@ -179,6 +179,38 @@ def test_oracle_extended_mode_cell_by_cell():
             assert_allclose(op.mat_at(j1, j2, 1, 1), expected, atol=0)
 
 
+def _loop_mode_bits(spec, grid):
+    """The per-interval loop: bit |= lo <= theta < hi, interval by interval."""
+    theta = grid.theta_values()
+    bits = np.zeros((len(spec.intervals), grid.g_theta), dtype=np.intp)
+    for bit, mode_set in zip(bits, spec.intervals):
+        for lo, hi in mode_set:
+            bit |= (theta >= lo) & (theta < hi)
+    return bits
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mode_bits_match_interval_loop(seed):
+    # Random sets of 0-4 intervals per mode, with empty intervals (lo == hi),
+    # touching ones (one's hi is the next's lo) and ends on a theta midpoint,
+    # where [lo, hi) is half open.
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 3, 4):
+        for g in (1, 2, 5, 8):
+            grid = make_grid(n, g, 1)
+            theta = grid.theta_values()
+            sets = []
+            for _ in range(n):
+                ends = np.sort(np.concatenate([rng.uniform(0.0, math.pi, 4), rng.choice(theta, 2)]))
+                picks = [(ends[i], ends[i + 1]) for i in range(0, 6, 2)]
+                picks += [(ends[1], ends[1]), (ends[2], ends[3]), (0.0, 0.0), (theta[0], math.pi)]
+                sets.append([picks[i] for i in rng.permutation(len(picks))[: rng.integers(0, 5)]])
+            spec = TargetSpec.from_intervals(sets)
+            got = spec.mode_bits(grid)
+            assert got.dtype == np.intp
+            np.testing.assert_array_equal(got, _loop_mode_bits(spec, grid))
+
+
 def test_oracle_multi_target_and_duplicates():
     grid = make_grid(2, 2, 2)
     op = oracle(TargetSpec.multi(["00", "11"]), grid)

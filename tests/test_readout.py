@@ -437,3 +437,23 @@ def test_compensating_weights_on_a_dilated_run(r):
     assert got.norm_constant == pytest.approx(1.0, abs=1e-14)
     assert got.ancilla_branch_norms == pytest.approx(want.ancilla_branch_norms, abs=1e-14)
     assert (got.identified, got.branch_identified) == (want.identified, want.branch_identified)
+
+
+@pytest.mark.parametrize(
+    "x, log2_scale",
+    [
+        (0.0, 10.0), (-0.0, -3.5), (0.75, 0.0),
+        (0.75, -1074.0), (0.6, -1060.3), (-0.6, -1070.9),  # subnormal results
+        (0.75, -1076.0),  # below the smallest subnormal: 0
+        (0.9, 1024.0), (-0.9, 1100.5),  # overflow to +-inf
+        (0.5, 1023.7),  # just below overflow
+        (0.5, 5000.0), (0.5, -5000.0), (0.5, 4096.0), (0.5, -4096.0),  # the clamps
+        (math.inf, -20.0), (3e300, 100.0), (5e-324, 1.0),
+    ],
+)
+def test_scalar_unscaled_matches_array_path(x, log2_scale):
+    # A float goes through math.ldexp, an array through np.ldexp: the same bits.
+    scalar = search._unscaled(x, log2_scale)
+    array = search._unscaled(np.array([x]), log2_scale)
+    assert isinstance(scalar, float)
+    assert np.array([scalar]).tobytes() == array.tobytes()

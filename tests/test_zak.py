@@ -17,6 +17,7 @@ from mvgrover import (
     zak_forward,
     zak_inverse,
 )
+from mvgrover.zak import envelope_densities
 from mvgrover.errors import (
     LatticeMisaligned,
     ShapeMismatch,
@@ -292,3 +293,48 @@ def test_gaussian_with_underflowing_product_is_normalized():
     norm = float(np.sum(np.abs(table) ** 2)) * grid.d_theta * grid.d_k
     assert norm == pytest.approx(1.0, rel=1e-14)
     assert np.count_nonzero(table) == 4
+
+
+def _density_envs(grid):
+    """Gaussians at a width of 1e-3, with a centre far off the axis (each axis
+    peaks near 1e-200), and with a width so small that d^2 overflows on all
+    cells but the centre's; plus a tabulated and a constant envelope."""
+    t_mid, k_mid = grid.theta_values()[grid.g_theta // 2], grid.k_values()[grid.g_k // 2]
+    far_theta = grid.theta_values()[-1] + 21.4 * 2 * 0.1
+    return [
+        EnvelopeSpec.gaussian(),
+        EnvelopeSpec.gaussian(t_mid, 0.55, 1e-3, 0.05),
+        EnvelopeSpec.gaussian(far_theta, -21.4 * 2 * 0.05 + grid.k_values()[0], 0.1, 0.05),
+        EnvelopeSpec.gaussian(t_mid, k_mid, 1e-160, 1e-160),
+        EnvelopeSpec.tabulated(np.arange(grid.g_theta * grid.g_k).reshape(grid.g_theta, grid.g_k) - 2.5j),
+        EnvelopeSpec.constant(),
+    ]
+
+
+@pytest.mark.parametrize("g_theta, g_k", [(8, 8), (5, 12), (32, 32), (1, 1)])
+def test_densities_match_squared_tables(g_theta, g_k):
+    # Each envelope's density is |table_for|^2 within 1e-15 of its peak, whether
+    # it comes with the other envelopes (one pass over the gaussians) or alone.
+    grid = make_grid(1, g_theta, g_k)
+    envs = _density_envs(grid)
+    together = envelope_densities(envs, grid)
+    for env, got in zip(envs, together):
+        want = np.abs(env.table_for(grid)) ** 2
+        assert float(np.sum(want)) * grid.d_theta * grid.d_k == pytest.approx(1.0, rel=1e-14)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want)
+        assert np.array_equal(envelope_densities([env], grid)[0], got)
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        EnvelopeSpec.gaussian(40.0, 0.5, 0.5, 0.25),  # peak exp(-min d^2) underflows to 0
+        EnvelopeSpec.gaussian(1.0, 0.5, 1e-160, 0.25),  # every d^2 overflows
+    ],
+)
+def test_gaussian_without_peak_is_zero_norm_in_tables_and_densities(env):
+    grid = make_grid(1, 8, 8)
+    with pytest.raises(ZeroNorm):
+        env.table_for(grid)
+    with pytest.raises(ZeroNorm):
+        envelope_densities([EnvelopeSpec.gaussian(), env], grid)

@@ -89,9 +89,8 @@ def _parse_table(value: Any, g_theta: int, g_k: int, path: str, complex_ok: bool
     rows = _as_list(value, path)
     if len(rows) != g_theta:
         raise ConfigInvalid(path, f"expected {g_theta} rows, got {len(rows)}")
-    if all(type(row) is list and len(row) == g_k for row in rows) and set(
-        map(type, itertools.chain.from_iterable(rows))
-    ) <= {int, float}:
+    well_formed = all(type(row) is list and len(row) == g_k for row in rows)
+    if well_formed and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
         try:
             table = np.array(rows, dtype=np.float64)
         except OverflowError:  # an integer beyond the float range, named below

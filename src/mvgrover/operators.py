@@ -137,7 +137,7 @@ class TargetSpec:
         if grid.n_modes != self.n_modes:
             raise GridMismatch(f"target has {self.n_modes} modes, grid has {grid.n_modes}")
         # (n, L, 2) interval ends, each mode's set padded with empty [0, 0).
-        width = max(1, max(len(mode_set) for mode_set in self.intervals))
+        width = max(1, max(map(len, self.intervals)))
         ends = np.array([list(mode_set) + [(0.0, 0.0)] * (width - len(mode_set))
                          for mode_set in self.intervals])
         theta = grid.theta_values()

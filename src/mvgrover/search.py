@@ -279,8 +279,9 @@ def _target_rows(target: TargetSpec, grid: ModularGrid) -> tuple:
         return target.band_indices(grid).reshape(1, -1), None
     bits = target.mode_bits(grid)
     codes = [0]
-    for mode_bits in bits.tolist():
-        codes = [2 * c + b for c in codes for b in sorted(set(mode_bits))]
+    for searched in bits.tolist():
+        present = sorted(set(searched))
+        codes = [2 * c + b for c in codes for b in present]
     return np.array(codes, dtype=np.intp)[:, None], bits
 
 
@@ -373,9 +374,9 @@ def _pattern_sums(per_bit: np.ndarray, pattern_bits: np.ndarray) -> tuple:
     each of a stack of real per-mode tables x.
 
     per_bit[p, i, b] is table p of mode i summed over the cells where mode
-    i's searched bit is b and pattern_bits[c] the n bits of pattern c (mode 0 first).  A pattern holds
-    the cells whose bits spell it, a product set, so its sum is the product of
-    per-mode per-bit sums.  Returns (sums / 2^e, e), one row of sums and one
+    i's searched bit is b and pattern_bits[c] the n bits of pattern c (mode 0
+    first).  A pattern holds the cells whose bits spell it, a product set, so
+    its sum is the product of per-mode per-bit sums.  Returns (sums / 2^e, e), one row of sums and one
     integer exponent per table: each mode's sums are divided by the power of
     two that brings the largest below 1, exactly, so the product neither
     overflows nor underflows.
@@ -443,9 +444,10 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     set of cells (all theta cells for a constant target, else those whose
     per-mode interval bits spell its string), so its sums are products of
     per-mode sums: O(n g_theta g_k) work, no cell-sized array.  The per-mode
-    inputs are real (n, g_theta, g_k) stacks: |g_i|^2, the scaled weights
-    and the one-hot interval bits; each power p of the scaled weights costs
-    one contraction.  Each mode's largest scaled weight is +-1, so no power
+    inputs are real (n, g_theta, g_k) stacks, |g_i|^2 and the scaled
+    weights; each power p of the scaled weights costs one contraction, and
+    the per-mode sums of a one-class run are multiplied in Python floats.
+    Each mode's largest scaled weight is +-1, so no power
     of the scaled weights vanishes and none overflows.  The weight scale
     2^(p w_log2) cancels in the overlaps and enters only the norms and the
     range checks, which use per-mode maxima (max |w| = prod max |w_i| on a
@@ -488,9 +490,9 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     else:
         powers = tuple(sorted({2, r, 2 * r}))
     per_mode = np.empty((len(powers), n) + (() if bits is None else (grid.g_theta,)))
-    spec = "itk,itk->i" if bits is None else "itk,itk->it"
+    subscripts = "itk,itk->i" if bits is None else "itk,itk->it"
     for out, q in zip(per_mode, powers):
-        np.einsum(spec, psq, scaled if q == 1 else scaled**q, out=out)
+        np.einsum(subscripts, psq, scaled if q == 1 else scaled**q, out=out)
     if bits is None:  # one class: the product of the per-mode sums, in the same scaled form
         products = [_scaled_product(row) for row in per_mode.tolist()]
         pattern_sums = np.array([[mant] for mant, _ in products]), [e for _, e in products]
@@ -524,7 +526,6 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
         sums = [branch(r)]
     vectors = _class_vectors(n, rows, r)
     vsq = _cell_sq(vectors)
-    # dots[b] = sum_c |v_c|^2 s2_c, so that branch b's squared norm is dots[b] dA 2^e.
     dots = [float(vsq @ s2) for _, s2, _ in sums]
     norms = tuple(_unscaled(d * grid.cell_weight, e) for d, (_, _, e) in zip(dots, sums))
     # log2 of the largest |w| and |w|^r over the cells, from the per-mode maxima.

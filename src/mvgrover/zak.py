@@ -203,8 +203,7 @@ class EnvelopeSpec:
                 raise ShapeMismatch(
                     f"envelope table has shape {self.table.shape}, grid needs {(g.g_theta, g.g_k)}"
                 )
-            table = _normalized(self.table.reshape(1, -1), g.d_theta * g.d_k)
-            return table.reshape(g.g_theta, g.g_k)
+            return _normalized(self.table, g.d_theta * g.d_k)
         rows, cols = gaussian_axes([self], g)
         return np.multiply.outer(rows[0], cols[0], dtype=np.complex128)
 
@@ -224,10 +223,7 @@ def envelope_densities(envelopes, grid: ModularGrid) -> np.ndarray:
     g = grid.single_mode()
     out = np.empty((len(envelopes), g.g_theta, g.g_k))
     gauss = [i for i, env in enumerate(envelopes) if env.kind == "gaussian"]
-    if len(gauss) == len(envelopes):  # one broadcast product for all modes
-        rows, cols = gaussian_axes(envelopes, g, power=2)
-        np.multiply(rows[:, :, None], cols[:, None, :], out=out)
-    elif gauss:
+    if gauss:
         rows, cols = gaussian_axes([envelopes[i] for i in gauss], g, power=2)
         for i, row, col in zip(gauss, rows, cols):
             np.multiply.outer(row, col, out=out[i])
@@ -278,19 +274,17 @@ def gaussian_axes(specs, grid: ModularGrid, power: int = 1) -> tuple[np.ndarray,
 
 
 def _normalized(raw: np.ndarray, d_area: float) -> np.ndarray:
-    """Each row of raw scaled to unit quadrature norm, sum |row|^2 d_area = 1.
+    """raw scaled to unit quadrature norm, sum |raw|^2 d_area = 1.
 
     Scaled to a largest magnitude of 1 first, so the norm neither overflows
-    nor underflows; only an all-zero row has none.  The division is real:
+    nor underflows; only an all-zero table has none.  The division is real:
     complex division by a subnormal overflows 1/scale.
     """
-    scale = np.abs(raw).max(axis=1, keepdims=True)
-    if np.count_nonzero(scale) < len(scale):
+    scale = float(np.abs(raw).max())
+    if scale == 0.0:
         raise ZeroNorm("envelope table has zero quadrature norm")
     real = raw.view(np.float64) / scale
-    nrm = np.matmul(real[:, None, :], real[:, :, None])[:, 0]
-    nrm *= d_area
-    real /= np.sqrt(nrm, out=nrm)
+    real /= math.sqrt(float(np.einsum("ij,ij->", real, real)) * d_area)
     return real.view(raw.dtype)
 
 

@@ -83,21 +83,18 @@ def _complex_entry(value: Any, path: str) -> complex:
 
 
 def _parse_table(value: Any, g_theta: int, g_k: int, path: str, complex_ok: bool) -> np.ndarray:
-    """A (g_theta, g_k) table of finite numbers (or [re, im] pairs where
-    complex_ok).  A table of plain finite reals is built in one pass; any
-    other is walked entry by entry, which names the first bad entry."""
+    """A (g_theta, g_k) table; plain finite reals in one pass, any other
+    table entry by entry, which names the first bad entry."""
     rows = _as_list(value, path)
     if len(rows) != g_theta:
         raise ConfigInvalid(path, f"expected {g_theta} rows, got {len(rows)}")
-    well_formed = all(type(row) is list and len(row) == g_k for row in rows)
-    if well_formed and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
-        try:
+    try:
+        if set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
             table = np.array(rows, dtype=np.float64)
-        except OverflowError:  # an integer beyond the float range, named below
-            pass
-        else:
-            if np.isfinite(table).all():
+            if table.shape == (g_theta, g_k) and np.isfinite(table).all():
                 return table.astype(np.complex128) if complex_ok else table
+    except (TypeError, ValueError, OverflowError):  # a row that is no list, ragged rows, 10**400
+        pass
     table = np.zeros((g_theta, g_k), dtype=np.complex128 if complex_ok else np.float64)
     for i, row in enumerate(rows):
         cells = _as_list(row, f"{path}/{i}")

@@ -36,10 +36,6 @@ HADAMARD_1 = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 IDENTITY_1 = np.eye(2, dtype=np.complex128)
 
 
-def _bits_to_string(bits: Sequence[int]) -> str:
-    return "".join(str(int(b)) for b in bits)
-
-
 @dataclass(frozen=True)
 class TargetSpec:
     """Searched logical strings: constant per mode, or theta-dependent.
@@ -110,11 +106,6 @@ class TargetSpec:
     @property
     def is_constant(self) -> bool:
         return self.strings is not None
-
-    def target_strings(self) -> tuple[str, ...]:
-        if self.strings is None:
-            raise ValueError("extended-mode targets have no constant strings")
-        return tuple(_bits_to_string(s) for s in self.strings)
 
     def band_indices(self, grid: ModularGrid) -> np.ndarray:
         """Flattened band index of each target, per theta cell.
@@ -206,18 +197,11 @@ class GlobalOperator:
     def dim(self) -> int:
         return 2 ** (self.grid.n_modes + self.n_ancilla)
 
-    def cell_matrices(self) -> np.ndarray:
-        """Read-only view of the matrices expanded over every cell."""
-        return np.broadcast_to(self.mats, self.grid.cell_shape + (self.dim, self.dim))
-
-    def cell_weights(self) -> np.ndarray:
-        return np.broadcast_to(self.weight, self.grid.cell_shape)
-
     def mat_at(self, *cell: int) -> np.ndarray:
-        return np.array(self.cell_matrices()[tuple(cell)])
+        return np.array(np.broadcast_to(self.mats, self.grid.cell_shape + (self.dim,) * 2)[cell])
 
     def weight_at(self, *cell: int) -> float:
-        return float(self.cell_weights()[tuple(cell)])
+        return float(np.broadcast_to(self.weight, self.grid.cell_shape)[cell])
 
     def with_weight(self, weight) -> "GlobalOperator":
         """Same matrices, different per-cell weight."""

@@ -51,6 +51,7 @@ MAX_CLASS_STEPS = 30_000
 # theta_1 slices of at most this many cells (one slice at (n, g) = (2, 24)),
 # or one slice where a slice is larger.
 _STREAM_CELLS = 13_824
+_PHYSICAL_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,18 +83,12 @@ def _check_capacity(grid: ModularGrid) -> None:
     state, the dense oracle loop about two.
     """
     state_bytes = 16 * math.prod(grid.cell_shape + grid.band_shape)
-    physical = _physical_bytes()
+    physical = _PHYSICAL_BYTES
     if 4 * state_bytes > physical:
         raise CapacityExceeded(
             f"a dense state takes {state_bytes / 2**20:.4g} MiB; four of them exceed "
             f"the {physical / 2**20:.4g} MiB of physical memory"
         )
-
-
-@functools.cache
-def _physical_bytes() -> int:
-    """Physical memory in bytes, read once per process."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass(frozen=True)
@@ -261,32 +256,22 @@ def _resolved_iterations(cfg: SearchConfig, n_classes: int) -> int:
 
 
 def _target_classes(target: TargetSpec, grid: ModularGrid) -> tuple:
-    """(index, rows, bits): each theta cell's class index (flattened), each
-    class's target band indices, and for interval targets the (n, g_theta)
-    per-mode bits that both come from (None for a constant target)."""
-    rows, bits = _target_rows(target, grid)
-    return _class_index(rows, bits, grid), rows, bits
-
-
-def _target_rows(target: TargetSpec, grid: ModularGrid) -> tuple:
-    """(rows, bits) of _target_classes, with no per-cell array.
-
+    """(bits, rows): for interval targets the (n, g_theta) per-mode bits
+    (None for a constant target), and each class's target band indices.
     Interval classes are the band strings that some theta cell searches:
-    the product set of the bits each mode's theta values search, in
-    ascending order.
-    """
+    the product set of the bits each mode's theta values search, ascending."""
     if target.is_constant:
-        return target.band_indices(grid).reshape(1, -1), None
+        return None, target.band_indices(grid).reshape(1, -1)
     bits = target.mode_bits(grid)
     codes = [0]
     for searched in bits.tolist():
         present = sorted(set(searched))
         codes = [2 * c + b for c in codes for b in present]
-    return np.array(codes, dtype=np.intp)[:, None], bits
+    return bits, np.array(codes, dtype=np.intp)[:, None]
 
 
-def _class_index(rows: np.ndarray, bits: Optional[np.ndarray], grid: ModularGrid) -> np.ndarray:
-    """Each theta cell's class (theta cells flattened) from _target_rows."""
+def _class_index(bits: Optional[np.ndarray], rows: np.ndarray, grid: ModularGrid) -> np.ndarray:
+    """Each theta cell's class (theta cells flattened) from _target_classes."""
     if bits is None:
         return np.zeros(grid.g_theta**grid.n_modes, dtype=np.intp)
     return np.searchsorted(rows[:, 0], ops.band_of_bits(bits).reshape(-1))
@@ -314,15 +299,13 @@ def _class_vectors(n: int, rows: np.ndarray, r: int) -> np.ndarray:
     n_classes, m = rows.shape
     step = _search_step(n, m)
     qubits = step.grid
-    uniform = np.full(qubits.cell_shape + qubits.band_shape, 2.0 ** (-n / 2), dtype=np.complex128)
-    state = JointState(qubits, uniform)
+    state = JointState(qubits, np.full(qubits.cell_shape + qubits.band_shape, 2.0 ** (-n / 2)))
     for _ in range(r):
         state = ops.apply(step, state)
     on_class = np.arange(n_classes)[:, None]
-    perm = np.ones((n_classes, 2**n), dtype=np.intp)  # 1 on the class's other indices
-    perm[on_class, rows] = 0
-    np.cumsum(perm, axis=1, out=perm)
-    perm += m - 1
+    others = np.ones((n_classes, 2**n), dtype=bool)
+    others[on_class, rows] = False
+    perm = np.cumsum(others, axis=1) + (m - 1)
     perm[on_class, rows] = np.arange(m)
     return state.amp.reshape(-1)[perm]
 
@@ -335,29 +318,23 @@ _LOG2_MAX = math.log2(np.finfo(np.float64).max)
 
 
 def _scaled_product(values: Sequence[float]) -> tuple[float, int]:
-    """prod(values) as (m, e) with prod = m 2^e: the product of the
-    mantissas and the sum of the binary exponents, so no partial product
-    leaves the float range."""
+    """prod(values) = m 2^e as (m, e), mantissas and exponents multiplied
+    apart, so no partial product leaves the float range."""
     parts = [math.frexp(v) for v in values]
     return math.prod(m for m, _ in parts), sum(e for _, e in parts)
 
 
 def _product(values: Sequence[float]) -> float:
-    """prod(values) of nonnegative floats: inf or 0 only where the product
-    itself leaves the float range."""
-    mant, exp = _scaled_product(values)
+    """prod(values) of nonnegative floats: inf or 0 only where it leaves the float range."""
     try:
-        return math.ldexp(mant, exp)
+        return math.ldexp(*_scaled_product(values))
     except OverflowError:
         return math.inf
 
 
 def _unscaled(x, log2_scale: float):
-    """x * 2^log2_scale; inf or 0 where that leaves the float range.
-
-    A float goes through math.ldexp, an array through np.ldexp: the same
-    C ldexp, so both give the same bits.
-    """
+    """x * 2^log2_scale; inf or 0 where that leaves the float range.  A
+    float takes math.ldexp, an array np.ldexp: the same bits."""
     e = min(max(log2_scale, -4096.0), 4096.0)
     whole = math.floor(e)
     if isinstance(x, float):
@@ -376,10 +353,10 @@ def _pattern_sums(per_bit: np.ndarray, pattern_bits: np.ndarray) -> tuple:
     per_bit[p, i, b] is table p of mode i summed over the cells where mode
     i's searched bit is b and pattern_bits[c] the n bits of pattern c (mode 0
     first).  A pattern holds the cells whose bits spell it, a product set, so
-    its sum is the product of per-mode per-bit sums.  Returns (sums / 2^e, e), one row of sums and one
-    integer exponent per table: each mode's sums are divided by the power of
-    two that brings the largest below 1, exactly, so the product neither
-    overflows nor underflows.
+    its sum is the product of per-mode per-bit sums.  Returns (sums / 2^e,
+    e), one row of sums and one integer exponent per table: each mode's sums
+    are divided by the power of two that brings the largest below 1,
+    exactly, so the product neither overflows nor underflows.
     """
     exps = np.frexp(np.abs(per_bit).max(axis=2))[1]
     per_bit = np.ldexp(per_bit, -exps[..., None])
@@ -459,7 +436,7 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     n = grid.n_modes
     if cfg.target.n_modes != n:
         raise ShapeMismatch(f"target spans {cfg.target.n_modes} modes, grid has {n}")
-    rows, bits = _target_rows(cfg.target, grid)
+    bits, rows = _target_classes(cfg.target, grid)
     r = _resolved_iterations(cfg, len(rows))
     psq = envelope_densities(cfg.envelopes, _mode_grid(cfg.envelopes, grid))
     scaled = np.array(ops.mode_weight_tables(cfg.zetas, grid))  # the weights w, scaled below
@@ -518,7 +495,7 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
             # sum |P|^2 w'^2 = sum |P|^2 - sum |P|^2 w^2, clipped at 0 per class.
             (s0, e0), (s2, e2) = power_sums[0], power_sums[2]
             f2 = np.maximum(_unscaled(s0, e0) - _unscaled(s2, e2 + 2 * w_log2), 0.0)
-            f1 = _streamed_branch(psq, scaled, peak, _class_index(rows, bits, grid), len(rows))
+            f1 = _streamed_branch(psq, scaled, peak, _class_index(bits, rows, grid), len(rows))
             sums = [(f1, f2, 0.0), branch(1)]
         else:
             sums = [branch(0), (np.zeros(len(rows)), np.zeros(len(rows)), 0.0)]
@@ -555,7 +532,7 @@ def final_state(cfg: SearchConfig) -> JointState:
     tables = _mode_tables(cfg.envelopes, grid)
     coef = _joint_table([t * wt**run.r for t, wt in zip(tables, run.scaled)])
     coef /= math.sqrt(float(_unscaled(run.norms[0], -2 * run.r * run.w_log2)))
-    amp = coef[:, :, None] * run.vectors[_class_index(run.rows, run.bits, grid)][:, None, :]
+    amp = coef[:, :, None] * run.vectors[_class_index(run.bits, run.rows, grid)][:, None, :]
     return JointState(grid, amp.reshape(grid.cell_shape + grid.band_shape))
 
 
@@ -593,8 +570,9 @@ def per_cell_max_error(state: JointState, target: TargetSpec, r: int) -> float:
     d = 2**n
     v = state.amp.reshape(grid.cell_shape + (d,))
     # One reference per target class.
-    index, rows, _ = _target_classes(target, grid)
-    ref = _reference_rows(n, rows, r)[index].reshape((grid.g_theta,) * n + (1,) * n + (d,))
+    bits, rows = _target_classes(target, grid)
+    ref = _reference_rows(n, rows, r)[_class_index(bits, rows, grid)]
+    ref = ref.reshape((grid.g_theta,) * n + (1,) * n + (d,))
     worst = max(_max_deviation(vi, ref_i) for vi, ref_i in zip(v, ref))
     return worst if worst >= 0.0 else math.nan
 
@@ -658,7 +636,8 @@ def run_search(cfg: SearchConfig, threshold: float = DECISION_THRESHOLD) -> Sear
     per_class = zip(*([_unscaled(x, e) for x in s2.tolist()] for _, s2, e in run.sums))
     checked = [math.sqrt(sum(sq)) > _CELL_FLOOR for sq in per_class]
     if not all(checked):
-        run = run._replace(vectors=run.vectors[checked], rows=run.rows[checked], vsq=run.vsq[checked])
+        run = run._replace(vectors=run.vectors[checked], rows=run.rows[checked],
+                           vsq=run.vsq[checked])
     error = _max_deviation(run.vectors, _reference_rows(n, run.rows, run.r), run.vsq)
     return SearchReport(
         norm_constant=sum(run.norms),

@@ -197,7 +197,8 @@ class EnvelopeSpec:
         """
         g = grid.single_mode()
         if self.kind == "constant":
-            return np.full((g.g_theta, g.g_k), _constant_value(g), dtype=np.complex128)
+            area = g.g_theta * g.g_k * g.d_theta * g.d_k
+            return np.full((g.g_theta, g.g_k), 1.0 / math.sqrt(area), dtype=np.complex128)
         if self.kind == "tabulated":
             if self.table.shape != (g.g_theta, g.g_k):
                 raise ShapeMismatch(
@@ -208,17 +209,12 @@ class EnvelopeSpec:
         return np.multiply.outer(rows[0], cols[0], dtype=np.complex128)
 
 
-def _constant_value(g: ModularGrid) -> float:
-    """The value of the constant envelope on a one-mode grid, 1 / sqrt(area)."""
-    return 1.0 / math.sqrt(g.g_theta * g.g_k * g.d_theta * g.d_k)
-
-
 def envelope_densities(envelopes, grid: ModularGrid) -> np.ndarray:
     """|g|^2 of each envelope as one real (len(envelopes), g_theta, g_k) array.
 
     The gaussians are outer products of their per-axis densities from one
-    gaussian_axes pass, with no complex table; a constant envelope is its
-    value squared, a tabulated one the squared magnitude of its table.
+    gaussian_axes pass, with no complex table; the others are the squared
+    magnitudes of their table_for tables.
     """
     g = grid.single_mode()
     out = np.empty((len(envelopes), g.g_theta, g.g_k))
@@ -228,12 +224,8 @@ def envelope_densities(envelopes, grid: ModularGrid) -> np.ndarray:
         for i, row, col in zip(gauss, rows, cols):
             np.multiply.outer(row, col, out=out[i])
     for i, env in enumerate(envelopes):
-        if env.kind == "constant":
-            value = _constant_value(g)
-            out[i] = value * value
-        elif env.kind == "tabulated":
-            np.abs(env.table_for(g), out=out[i])
-            np.square(out[i], out=out[i])
+        if env.kind != "gaussian":
+            out[i] = np.abs(env.table_for(g)) ** 2
     return out
 
 
@@ -242,13 +234,11 @@ def gaussian_axes(specs, grid: ModularGrid, power: int = 1) -> tuple[np.ndarray,
 
     Returns (m, g_theta) and (m, g_k) real arrays, each row normalized on its
     own axis, so the outer product of row i of the two is spec i's table
-    (power 1) or its density |g|^2 (power 2).  A row is exp(min d^2 - d^2)
-    with d = (x - centre) / (2 width / sqrt(power)): its peak is exactly 1,
-    so the norm neither overflows nor underflows, and a peak exp(-min d^2)
-    near 1e-200 in the table still gives a normalized row.  ZeroNorm where
-    that peak is 0 (also where every d^2 overflows).  Both axes of every
-    spec go through one (2, m, max(g_theta, g_k)) pass, the shorter axis
-    padded with x = inf, which adds 0 to each sum.
+    (power 1) or its density |g|^2 (power 2).  A row is exp(min d^2 - d^2),
+    d = (x - centre) / (2 width / sqrt(power)), so its peak is exactly 1 (a
+    table peak exp(-min d^2) near 1e-200 still normalizes); ZeroNorm where
+    that peak is 0.  Both axes of all specs take one (2, m, max(g_theta,
+    g_k)) pass, the shorter axis padded with x = inf, which adds 0.
     """
     g = grid.single_mode()
     root = math.sqrt(power)
@@ -258,9 +248,8 @@ def gaussian_axes(specs, grid: ModularGrid, power: int = 1) -> tuple[np.ndarray,
     ])[..., None]
     steps = np.array([[g.d_theta], [g.d_k]])
     x = np.arange(0.5, max(g.g_theta, g.g_k)) * steps
-    if g.g_theta != g.g_k:
-        x[0, g.g_theta:] = np.inf
-        x[1, g.g_k:] = np.inf
+    x[0, g.g_theta:] = np.inf
+    x[1, g.g_k:] = np.inf
     with np.errstate(over="ignore"):  # a tiny width overflows d**2 to inf; exp(-inf) = 0
         d2 = np.square((x[:, None, :] - centre) / width)
     low = d2.min(axis=2, keepdims=True)

@@ -93,8 +93,8 @@ def _parse_table(value: Any, g_theta: int, g_k: int, path: str, complex_ok: bool
             table = np.array(rows, dtype=np.float64)
             if table.shape == (g_theta, g_k) and np.isfinite(table).all():
                 return table.astype(np.complex128) if complex_ok else table
-    except (TypeError, ValueError, OverflowError):  # a row that is no list, ragged rows, 10**400
-        pass
+    except (TypeError, ValueError, OverflowError):
+        pass  # a row that is no list, rows of unequal length, an integer beyond the float range
     table = np.zeros((g_theta, g_k), dtype=np.complex128 if complex_ok else np.float64)
     for i, row in enumerate(rows):
         cells = _as_list(row, f"{path}/{i}")

@@ -51,6 +51,7 @@ MAX_CLASS_STEPS = 30_000
 # theta_1 slices of at most this many cells (one slice at (n, g) = (2, 24)),
 # or one slice where a slice is larger.
 _STREAM_CELLS = 13_824
+# Physical memory for _check_capacity, read once per process.
 _PHYSICAL_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 

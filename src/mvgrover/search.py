@@ -461,8 +461,6 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     # same contraction, so on a class whose scaled weights are all +-1 the
     # q = 0 and q = 2 sums agree bit for bit: with a weight scale of 1 (|w| = 1
     # there) the ancilla-0 branch of an odd dilated run is exactly empty.
-    # A constant target sums each mode over all its cells, an interval
-    # target over each theta value and then over each searched bit.
     if cfg.use_dilation:
         powers = (0, 1, 2) if r % 2 else (0, 2)
     else:

@@ -204,7 +204,15 @@ class EnvelopeSpec:
                 raise ShapeMismatch(
                     f"envelope table has shape {self.table.shape}, grid needs {(g.g_theta, g.g_k)}"
                 )
-            return _normalized(self.table, g.d_theta * g.d_k)
+            # Scaled to a largest magnitude of 1 first, so the norm neither
+            # overflows nor underflows.  The division is real: complex
+            # division by a subnormal overflows 1/scale.
+            scale = float(np.abs(self.table).max())
+            if scale == 0.0:
+                raise ZeroNorm("envelope table has zero quadrature norm")
+            real = self.table.view(np.float64) / scale
+            real /= math.sqrt(float(np.einsum("ij,ij->", real, real)) * g.d_theta * g.d_k)
+            return real.view(np.complex128)
         rows, cols = gaussian_axes([self], g)
         return np.multiply.outer(rows[0], cols[0], dtype=np.complex128)
 
@@ -230,15 +238,12 @@ def envelope_densities(envelopes, grid: ModularGrid) -> np.ndarray:
 
 
 def gaussian_axes(specs, grid: ModularGrid, power: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """The theta and k profiles |g|^power of gaussian envelopes, one row per spec.
-
-    Returns (m, g_theta) and (m, g_k) real arrays, each row normalized on its
-    own axis, so the outer product of row i of the two is spec i's table
-    (power 1) or its density |g|^2 (power 2).  A row is exp(min d^2 - d^2),
-    d = (x - centre) / (2 width / sqrt(power)), so its peak is exactly 1 (a
-    table peak exp(-min d^2) near 1e-200 still normalizes); ZeroNorm where
-    that peak is 0.  Both axes of all specs take one (2, m, max(g_theta,
-    g_k)) pass, the shorter axis padded with x = inf, which adds 0.
+    """(m, g_theta) and (m, g_k) real profiles |g|^power of m gaussians, each
+    row normalized on its axis: row i of the two gives spec i's table (power
+    1) or density (power 2) as an outer product.  A row is exp(min d^2 -
+    d^2), d = (x - centre) / (2 width / sqrt(power)), peak exactly 1; ZeroNorm
+    where the table's peak exp(-min d^2) is 0.  Both axes of all specs take
+    one pass, the shorter axis padded with x = inf, which adds 0.
     """
     g = grid.single_mode()
     root = math.sqrt(power)
@@ -260,21 +265,6 @@ def gaussian_axes(specs, grid: ModularGrid, power: int = 1) -> tuple[np.ndarray,
     norm *= steps
     row /= (np.sqrt(norm) if power == 1 else norm)[:, :, None]
     return row[0, :, : g.g_theta], row[1, :, : g.g_k]
-
-
-def _normalized(raw: np.ndarray, d_area: float) -> np.ndarray:
-    """raw scaled to unit quadrature norm, sum |raw|^2 d_area = 1.
-
-    Scaled to a largest magnitude of 1 first, so the norm neither overflows
-    nor underflows; only an all-zero table has none.  The division is real:
-    complex division by a subnormal overflows 1/scale.
-    """
-    scale = float(np.abs(raw).max())
-    if scale == 0.0:
-        raise ZeroNorm("envelope table has zero quadrature norm")
-    real = raw.view(np.float64) / scale
-    real /= math.sqrt(float(np.einsum("ij,ij->", real, real)) * d_area)
-    return real.view(raw.dtype)
 
 
 def logical_mode(table: np.ndarray, bit: int, grid: ModularGrid) -> ModeState:

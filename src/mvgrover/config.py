@@ -83,8 +83,6 @@ def _complex_entry(value: Any, path: str) -> complex:
 
 
 def _parse_table(value: Any, g_theta: int, g_k: int, path: str, complex_ok: bool) -> np.ndarray:
-    """A (g_theta, g_k) table; plain finite reals in one pass, any other
-    table entry by entry, which names the first bad entry."""
     rows = _as_list(value, path)
     if len(rows) != g_theta:
         raise ConfigInvalid(path, f"expected {g_theta} rows, got {len(rows)}")

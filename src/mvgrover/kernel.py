@@ -77,16 +77,16 @@ class ModularGrid:
         return (2,) * self.n_modes
 
     def theta_values(self) -> np.ndarray:
-        return np.arange(0.5, self.g_theta) * self.d_theta
+        return (np.arange(self.g_theta) + 0.5) * self.d_theta
 
     def k_values(self) -> np.ndarray:
-        return np.arange(0.5, self.g_k) * self.d_k
+        return (np.arange(self.g_k) + 0.5) * self.d_k
 
     def single_mode(self) -> "ModularGrid":
         """The one-mode grid with the same per-mode resolution."""
         if self.n_modes == 1:
             return self
-        return ModularGrid(1, self.g_theta, self.g_k)
+        return replace(self, n_modes=1)
 
 
 def make_grid(n_modes: int, g_theta: int, g_k: int) -> ModularGrid:

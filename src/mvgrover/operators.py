@@ -389,6 +389,5 @@ def apply(op: GlobalOperator, state: JointState) -> JointState:
         )
     vec = state.amp.reshape(state.grid.cell_shape + (op.dim,))
     out = np.einsum("...ij,...j->...i", op.mats, vec)
-    if op.weight.ndim or op.weight != 1.0:  # x * 1.0 is x
-        out *= op.weight[..., None]
+    out *= np.asarray(op.weight)[..., None]
     return JointState(state.grid, out.reshape(state.amp.shape), state.n_ancilla)

@@ -84,11 +84,10 @@ def _check_capacity(grid: ModularGrid) -> None:
     state, the dense oracle loop about two.
     """
     state_bytes = 16 * math.prod(grid.cell_shape + grid.band_shape)
-    physical = _PHYSICAL_BYTES
-    if 4 * state_bytes > physical:
+    if 4 * state_bytes > _PHYSICAL_BYTES:
         raise CapacityExceeded(
             f"a dense state takes {state_bytes / 2**20:.4g} MiB; four of them exceed "
-            f"the {physical / 2**20:.4g} MiB of physical memory"
+            f"the {_PHYSICAL_BYTES / 2**20:.4g} MiB of physical memory"
         )
 
 
@@ -257,17 +256,15 @@ def _resolved_iterations(cfg: SearchConfig, n_classes: int) -> int:
 
 
 def _target_classes(target: TargetSpec, grid: ModularGrid) -> tuple:
-    """(bits, rows): for interval targets the (n, g_theta) per-mode bits
-    (None for a constant target), and each class's target band indices.
-    Interval classes are the band strings that some theta cell searches:
-    the product set of the bits each mode's theta values search, ascending."""
+    """(bits, rows): the (n, g_theta) per-mode bits of an interval target (None
+    for a constant one) and each class's target band indices.  Interval classes
+    are the product set of the bits each mode's theta values search, ascending."""
     if target.is_constant:
         return None, target.band_indices(grid).reshape(1, -1)
     bits = target.mode_bits(grid)
     codes = [0]
     for searched in bits.tolist():
-        present = sorted(set(searched))
-        codes = [2 * c + b for c in codes for b in present]
+        codes = [2 * c + b for c in codes for b in sorted(set(searched))]
     return bits, np.array(codes, dtype=np.intp)[:, None]
 
 
@@ -311,26 +308,17 @@ def _class_vectors(n: int, rows: np.ndarray, r: int) -> np.ndarray:
     return state.amp.reshape(-1)[perm]
 
 
-_FactoredRun = namedtuple(
-    "_FactoredRun", "grid r rows bits vectors vsq scaled w_log2 sums dots norms"
-)
+_FactoredRun = namedtuple("_FactoredRun",
+                          "grid r rows bits vectors scaled w_log2 sums dots norms")
 
 _LOG2_MAX = math.log2(np.finfo(np.float64).max)
 
 
 def _scaled_product(values: Sequence[float]) -> tuple[float, int]:
-    """prod(values) = m 2^e as (m, e), mantissas and exponents multiplied
+    """prod(values) = m 2^e as (m, e): mantissas and exponents multiplied
     apart, so no partial product leaves the float range."""
     parts = [math.frexp(v) for v in values]
     return math.prod(m for m, _ in parts), sum(e for _, e in parts)
-
-
-def _product(values: Sequence[float]) -> float:
-    """prod(values) of nonnegative floats: inf or 0 only where it leaves the float range."""
-    try:
-        return math.ldexp(*_scaled_product(values))
-    except OverflowError:
-        return math.inf
 
 
 def _unscaled(x, log2_scale: float):
@@ -347,18 +335,20 @@ def _unscaled(x, log2_scale: float):
         return np.ldexp(x * 2.0 ** (e - whole), whole)
 
 
-def _pattern_sums(per_bit: np.ndarray, pattern_bits: np.ndarray) -> tuple:
+def _pattern_sums(per_theta: np.ndarray, onehot: np.ndarray, pattern_bits: np.ndarray) -> tuple:
     """Sum of prod_i x_i over the cells of each pattern, in scaled form, for
     each of a stack of real per-mode tables x.
 
-    per_bit[p, i, b] is table p of mode i summed over the cells where mode
-    i's searched bit is b and pattern_bits[c] the n bits of pattern c (mode 0
-    first).  A pattern holds the cells whose bits spell it, a product set, so
-    its sum is the product of per-mode per-bit sums.  Returns (sums / 2^e,
-    e), one row of sums and one integer exponent per table: each mode's sums
-    are divided by the power of two that brings the largest below 1,
-    exactly, so the product neither overflows nor underflows.
+    per_theta[p, i, t] is table p of mode i summed over k at theta value t,
+    onehot[i, t] the one-hot of mode i's searched bit there and
+    pattern_bits[c] the n bits of pattern c (mode 0 first).  A pattern holds
+    the cells whose bits spell it, a product set, so its sum is the product of
+    per-mode per-bit sums.  Returns (sums / 2^e, e), one row of sums and one
+    integer exponent per table: each mode's two sums are divided by the power
+    of two that brings the larger below 1, exactly, so the product neither
+    overflows nor underflows.
     """
+    per_bit = np.matmul(per_theta[:, :, None, :], onehot)[:, :, 0, :]
     exps = np.frexp(np.abs(per_bit).max(axis=2))[1]
     per_bit = np.ldexp(per_bit, -exps[..., None])
     n = per_bit.shape[1]
@@ -403,35 +393,33 @@ def _streamed_branch(psq, scaled, scale: float, index: np.ndarray, n_classes: in
 def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     """Check cfg and build its run from per-mode sums and class vectors.
 
-    psi(cell, b) = P(cell) f(cell) v[class(cell)][b]: rows[c] holds class
-    c's target band indices, bits the per-mode interval bits that give each
-    theta cell its class (_class_index), vectors[c] the class's search
-    vector and vsq[c] that vector's squared norm, dots[b] = sum_c vsq_c s2_c,
-    scaled[i] mode i's weights on the envelope support divided by their
-    largest |w_i| (w = 2^w_log2 prod_i scaled[i] there), norms[b] the squared
-    norm of readout branch b and sums[b] = (s1, s2, e) its per-class sums in
-    scaled form: sum |P|^2 f = s1 2^(e/2) and sum |P|^2 f^2 = s2 2^e over the
-    class's cells, e a float.
+    psi(cell, b) = P(cell) f(cell) v[class(cell)][b]: rows[c] holds class c's
+    target band indices, bits the per-mode interval bits that give each theta
+    cell its class (_class_index), vectors[c] the class's search vector,
+    dots[b] = sum_c |v_c|^2 s2_c, scaled[i] mode i's weights on the envelope
+    support divided by their largest |w_i| (w = 2^w_log2 prod_i scaled[i]
+    there), norms[b] the squared norm of readout branch b and sums[b] = (s1,
+    s2, e) its per-class sums in scaled form: sum |P|^2 f = s1 2^(e/2) and sum
+    |P|^2 f^2 = s2 2^e over the class's cells, e a float.
 
     A plain run has one branch, f = w^r.  The dilated step is G (x) A with
     A = w sigma_x + w' sigma_z, and (G (x) A)^r = G^r (x) A^r with A^2 = 1,
     so a dilated run iterates the bare G and its ancilla branches carry
     f = (1, 0) after an even r and (w', w) after an odd r.
 
-    P, w and so f = w^p are products over modes, and a class is a product
-    set of cells (all theta cells for a constant target, else those whose
-    per-mode interval bits spell its string), so its sums are products of
-    per-mode sums: O(n g_theta g_k) work, no cell-sized array.  The per-mode
-    inputs are real (n, g_theta, g_k) stacks, |g_i|^2 and the scaled
-    weights; each power p of the scaled weights costs one contraction, and
-    the per-mode sums of a one-class run are multiplied in Python floats.
-    Each mode's largest scaled weight is +-1, so no power
-    of the scaled weights vanishes and none overflows.  The weight scale
-    2^(p w_log2) cancels in the overlaps and enters only the norms and the
-    range checks, which use per-mode maxima (max |w| = prod max |w_i| on a
-    product set).  The ancilla-0 branch of an odd dilated run has
-    f^2 = 1 - w^2, so its f^2 sums are sum |P|^2 - sum |P|^2 w^2; only its
-    f = w' is summed over the cells.
+    P, w and so f = w^p are products over modes, and a class is a product set
+    of cells (all theta cells for a constant target, else those whose per-mode
+    interval bits spell its string), so its sums are products of per-mode
+    sums: O(n g_theta g_k) work, no cell-sized array.  The per-mode inputs are
+    real (n, g_theta, g_k) stacks: |g_i|^2, the scaled weights and the one-hot
+    interval bits; each power p of the scaled weights costs one contraction
+    (to per-mode totals for a constant target).  Each mode's largest scaled
+    weight is +-1, so no power of the scaled weights vanishes and none
+    overflows.  The weight scale 2^(p w_log2) cancels in the overlaps and
+    enters only the norms and the range checks, which use per-mode maxima
+    (max |w| = prod max |w_i| on a product set).  The ancilla-0 branch of an
+    odd dilated run has f^2 = 1 - w^2, so its f^2 sums are
+    sum |P|^2 - sum |P|^2 w^2; only its f = w' is summed over the cells.
     """
     grid = cfg.grid
     n = grid.n_modes
@@ -453,7 +441,7 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
         np.copyto(scaled, 0.0, where=off)  # in place: a run holds two (n, g_theta, g_k) stacks
         peaks = np.abs(scaled).max(axis=(1, 2)).tolist()
     np.divide(scaled, np.array([p if p > 0 else 1.0 for p in peaks])[:, None, None], out=scaled)
-    peak = _product(peaks)
+    peak = _unscaled(*_scaled_product(peaks))
     w_log2 = math.log2(peak) if peak > 0 else -math.inf
 
     # Per-class sums of |P|^2 scaled^q, and their exponent, for the powers
@@ -465,17 +453,14 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
         powers = (0, 1, 2) if r % 2 else (0, 2)
     else:
         powers = tuple(sorted({2, r, 2 * r}))
-    per_mode = np.empty((len(powers), n) + (() if bits is None else (grid.g_theta,)))
-    subscripts = "itk,itk->i" if bits is None else "itk,itk->it"
-    for out, q in zip(per_mode, powers):
-        np.einsum(subscripts, psq, scaled if q == 1 else scaled**q, out=out)
-    if bits is None:  # one class: the product of the per-mode sums, in the same scaled form
-        products = [_scaled_product(row) for row in per_mode.tolist()]
-        pattern_sums = np.array([[mant] for mant, _ in products]), [e for _, e in products]
+    if bits is None:  # one class of all theta cells: a product of per-mode totals
+        totals = (np.einsum("itk,itk->i", psq, scaled**q).tolist() for q in powers)
+        products = map(_scaled_product, totals)
+        power_sums = {q: (np.array([m]), e) for q, (m, e) in zip(powers, products)}
     else:
-        per_bit = np.matmul(per_mode[:, :, None, :], np.eye(2)[bits])[:, :, 0, :]
-        pattern_sums = _pattern_sums(per_bit, rows >> np.arange(n - 1, -1, -1) & 1)
-    power_sums = dict(zip(powers, zip(*pattern_sums)))
+        per_theta = np.array([np.einsum("itk,itk->it", psq, scaled**q) for q in powers])
+        onehot, pattern_bits = np.eye(2)[bits], rows >> np.arange(n - 1, -1, -1) & 1
+        power_sums = dict(zip(powers, zip(*_pattern_sums(per_theta, onehot, pattern_bits))))
 
     def branch(p: int) -> tuple:
         """(s1, s2, e) of f = w^p, from the sums of the powers p and 2 p."""
@@ -489,7 +474,7 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
             f"weight product vanishes on the envelope support (mass {mass:.3e})"
         )
     if cfg.use_dilation:  # each w_max > 0 above the mass floor
-        ops.ancilla_weight(np.array(_product(w_max)))  # checked on every dilated run, whatever r
+        ops.ancilla_weight(np.array(_unscaled(*_scaled_product(w_max))))  # checked whatever r
         if r % 2:
             # sum |P|^2 w'^2 = sum |P|^2 - sum |P|^2 w^2, clipped at 0 per class.
             (s0, e0), (s2, e2) = power_sums[0], power_sums[2]
@@ -513,7 +498,7 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
         )
     if not cfg.use_dilation and norms[0] < 1e-30:
         raise ZeroNorm(f"cannot normalize state with squared norm {norms[0]:.3e}")
-    return _FactoredRun(grid, r, rows, bits, vectors, vsq, scaled, w_log2, sums, dots, norms)
+    return _FactoredRun(grid, r, rows, bits, vectors, scaled, w_log2, sums, dots, norms)
 
 
 def final_state(cfg: SearchConfig) -> JointState:
@@ -541,14 +526,13 @@ def _cell_sq(bands: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", real, real)
 
 
-def _max_deviation(v: np.ndarray, ref: np.ndarray, sq: Optional[np.ndarray] = None) -> float:
+def _max_deviation(v: np.ndarray, ref: np.ndarray) -> float:
     """Largest |v phase / |v| - ref| over the cells (all axes but the last)
-    whose |v| is above _CELL_FLOOR, with phase that of <ref|v>; -inf if none.
-    sq, if given, is _cell_sq(v)."""
-    norms = np.sqrt(_cell_sq(v) if sq is None else sq)
+    whose |v| is above _CELL_FLOOR, with phase that of <ref|v>; -inf if none."""
+    norms = np.sqrt(_cell_sq(v))
     mask = norms > _CELL_FLOOR
     # Adding 0.0 makes a -0.0 real part +0.0, so an orthogonal cell keeps phase 1.
-    overlap = np.vecdot(ref, v) + 0.0
+    overlap = np.einsum("...i,...i->...", np.conjugate(ref), v) + 0.0
     scale = np.exp(-1j * np.arctan2(overlap.imag, overlap.real))
     np.divide(scale, norms, out=scale, where=mask)
     diff = v * scale[..., None]
@@ -568,8 +552,7 @@ def per_cell_max_error(state: JointState, target: TargetSpec, r: int) -> float:
     n = grid.n_modes
     d = 2**n
     v = state.amp.reshape(grid.cell_shape + (d,))
-    # One reference per target class.
-    bits, rows = _target_classes(target, grid)
+    bits, rows = _target_classes(target, grid)  # one reference per target class
     ref = _reference_rows(n, rows, r)[_class_index(bits, rows, grid)]
     ref = ref.reshape((grid.g_theta,) * n + (1,) * n + (d,))
     worst = max(_max_deviation(vi, ref_i) for vi, ref_i in zip(v, ref))
@@ -634,10 +617,8 @@ def run_search(cfg: SearchConfig, threshold: float = DECISION_THRESHOLD) -> Sear
     # through one comparison with their references.
     per_class = zip(*([_unscaled(x, e) for x in s2.tolist()] for _, s2, e in run.sums))
     checked = [math.sqrt(sum(sq)) > _CELL_FLOOR for sq in per_class]
-    if not all(checked):
-        run = run._replace(vectors=run.vectors[checked], rows=run.rows[checked],
-                           vsq=run.vsq[checked])
-    error = _max_deviation(run.vectors, _reference_rows(n, run.rows, run.r), run.vsq)
+    keep = slice(None) if all(checked) else np.array(checked)
+    error = _max_deviation(run.vectors[keep], _reference_rows(n, run.rows[keep], run.r))
     return SearchReport(
         norm_constant=sum(run.norms),
         overlaps=dominant[0],

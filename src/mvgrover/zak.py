@@ -204,9 +204,8 @@ class EnvelopeSpec:
                 raise ShapeMismatch(
                     f"envelope table has shape {self.table.shape}, grid needs {(g.g_theta, g.g_k)}"
                 )
-            # Scaled to a largest magnitude of 1 first, so the norm neither
-            # overflows nor underflows.  The division is real: complex
-            # division by a subnormal overflows 1/scale.
+            # Scaled to a largest magnitude of 1 first, so the norm neither over- nor
+            # underflows; real division, as complex division by a subnormal overflows.
             scale = float(np.abs(self.table).max())
             if scale == 0.0:
                 raise ZeroNorm("envelope table has zero quadrature norm")
@@ -218,12 +217,9 @@ class EnvelopeSpec:
 
 
 def envelope_densities(envelopes, grid: ModularGrid) -> np.ndarray:
-    """|g|^2 of each envelope as one real (len(envelopes), g_theta, g_k) array.
-
-    The gaussians are outer products of their per-axis densities from one
-    gaussian_axes pass, with no complex table; the others are the squared
-    magnitudes of their table_for tables.
-    """
+    """|g|^2 of each envelope as one real (len(envelopes), g_theta, g_k) array:
+    the gaussians as outer products of the densities of one gaussian_axes pass,
+    with no complex table, the others as |table_for|^2."""
     g = grid.single_mode()
     out = np.empty((len(envelopes), g.g_theta, g.g_k))
     gauss = [i for i, env in enumerate(envelopes) if env.kind == "gaussian"]
@@ -238,25 +234,22 @@ def envelope_densities(envelopes, grid: ModularGrid) -> np.ndarray:
 
 
 def gaussian_axes(specs, grid: ModularGrid, power: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """(m, g_theta) and (m, g_k) real profiles |g|^power of m gaussians, each
-    row normalized on its axis: row i of the two gives spec i's table (power
-    1) or density (power 2) as an outer product.  A row is exp(min d^2 -
-    d^2), d = (x - centre) / (2 width / sqrt(power)), peak exactly 1; ZeroNorm
-    where the table's peak exp(-min d^2) is 0.  Both axes of all specs take
-    one pass, the shorter axis padded with x = inf, which adds 0.
-    """
+    """(m, g_theta) and (m, g_k) real profiles |g|^power of m gaussians, each row
+    normalized on its axis: row i of the two gives spec i's table (power 1) or
+    density (power 2) as an outer product.  A row is exp(min d^2 - d^2), d = (x -
+    centre) / (2 width / sqrt(power)), peak exactly 1; ZeroNorm where the table's
+    peak exp(-min d^2) is 0.  Both axes of all specs take one pass, the shorter
+    axis padded with x = inf, which adds 0."""
     g = grid.single_mode()
-    root = math.sqrt(power)
-    centre, width = np.array([
-        [[s.center_theta for s in specs], [s.center_k for s in specs]],
-        [[2.0 * s.sigma_theta / root for s in specs], [2.0 * s.sigma_k / root for s in specs]],
-    ])[..., None]
+    centre, width = np.array(  # (2 parameters, 2 axes, m, 1)
+        [[(s.center_theta, s.center_k), (2.0 * s.sigma_theta, 2.0 * s.sigma_k)] for s in specs]
+    ).transpose(1, 2, 0)[..., None]
     steps = np.array([[g.d_theta], [g.d_k]])
     x = np.arange(0.5, max(g.g_theta, g.g_k)) * steps
     x[0, g.g_theta:] = np.inf
     x[1, g.g_k:] = np.inf
     with np.errstate(over="ignore"):  # a tiny width overflows d**2 to inf; exp(-inf) = 0
-        d2 = np.square((x[:, None, :] - centre) / width)
+        d2 = np.square((x[:, None, :] - centre) / (width / math.sqrt(power)))
     low = d2.min(axis=2, keepdims=True)
     if math.exp(-float(low.max()) / power) == 0.0:
         raise ZeroNorm("envelope table has zero quadrature norm")

@@ -396,11 +396,11 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     psi(cell, b) = P(cell) f(cell) v[class(cell)][b]: rows[c] holds class c's
     target band indices, bits the per-mode interval bits that give each theta
     cell its class (_class_index), vectors[c] the class's search vector,
-    dots[b] = sum_c |v_c|^2 s2_c, scaled[i] mode i's weights on the envelope
-    support divided by their largest |w_i| (w = 2^w_log2 prod_i scaled[i]
-    there), norms[b] the squared norm of readout branch b and sums[b] = (s1,
-    s2, e) its per-class sums in scaled form: sum |P|^2 f = s1 2^(e/2) and sum
-    |P|^2 f^2 = s2 2^e over the class's cells, e a float.
+    scaled[i] mode i's weights on the envelope support divided by their
+    largest |w_i| (w = 2^w_log2 prod_i scaled[i] there), norms[b] the squared
+    norm of readout branch b, sums[b] = (s1, s2, e) its per-class sums in
+    scaled form (sum |P|^2 f = s1 2^(e/2), sum |P|^2 f^2 = s2 2^e over the
+    class's cells, e a float) and dots[b] = sum_c |v_c|^2 s2_c.
 
     A plain run has one branch, f = w^r.  The dilated step is G (x) A with
     A = w sigma_x + w' sigma_z, and (G (x) A)^r = G^r (x) A^r with A^2 = 1,

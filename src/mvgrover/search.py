@@ -263,8 +263,8 @@ def _target_classes(target: TargetSpec, grid: ModularGrid) -> tuple:
         return None, target.band_indices(grid).reshape(1, -1)
     bits = target.mode_bits(grid)
     codes = [0]
-    for searched in bits.tolist():
-        codes = [2 * c + b for c in codes for b in sorted(set(searched))]
+    for present in map(set, bits.tolist()):
+        codes = [2 * c + b for c in codes for b in (0, 1) if b in present]
     return bits, np.array(codes, dtype=np.intp)[:, None]
 
 

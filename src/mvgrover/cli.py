@@ -19,13 +19,7 @@ from typing import Optional
 
 from . import __version__
 from .config import load_config
-from .errors import (
-    BadMagic,
-    ConfigInvalid,
-    DegenerateWeights,
-    MvGroverError,
-    TruncatedFile,
-)
+from .errors import ConfigInvalid, DegenerateWeights, MvGroverError
 from .kernel import load_state, quad_norm, save_state
 from .search import SearchReport, build_list, final_state, run_search
 
@@ -160,15 +154,30 @@ def _execute_run(config_path: str) -> tuple[Optional[str], int]:
     return line, 0
 
 
+def _file_error(verb: str, path: str, exc: OSError) -> int:
+    """Exit code 1, with "cannot <verb> <path>: <reason>" on stderr."""
+    print(f"cannot {verb} {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 1
+
+
+def _write_lines(path: str, lines: list[str], code: int) -> int:
+    """Write each line and a newline to path; code, or 1 if path cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            for line in lines:
+                fh.write(line)
+                fh.write("\n")
+    except OSError as exc:
+        return _file_error("write", path, exc)
+    return code
+
+
 def cmd_run(config_path: str, out_path: str) -> int:
     """Run one search; exit 0 on univocal identification, 1 or 2 otherwise."""
     line, code = _execute_run(config_path)
     if line is None:
         return code
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(line)
-        fh.write("\n")
-    return code
+    return _write_lines(out_path, [line], code)
 
 
 def cmd_run_batch(config_paths: list[str], out_path: str) -> int:
@@ -179,11 +188,7 @@ def cmd_run_batch(config_paths: list[str], out_path: str) -> int:
         line, code = _execute_run(path)
         worst = max(worst, code)
         lines.append(line if line is not None else dumps_record({"config_path": path, "error": "config invalid"}))
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
-    return worst
+    return _write_lines(out_path, lines, worst)
 
 
 def cmd_verify(level: str, corrupt: Optional[str] = None) -> int:
@@ -206,7 +211,10 @@ def cmd_state_save(config_path: str, path: str, stage: str) -> int:
     except (MvGroverError, ValueError) as exc:
         print(f"cannot build {stage} state: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _exit_code(exc)
-    size = save_state(state, path)
+    try:
+        size = save_state(state, path)
+    except OSError as exc:
+        return _file_error("write", path, exc)
     print(f"saved {stage} state ({size} bytes) to {path}")
     return 0
 
@@ -217,7 +225,9 @@ def cmd_state_load(path: str, resave: Optional[str] = None) -> int:
     except FileNotFoundError:
         print(f"no such file: {path}", file=sys.stderr)
         return 1
-    except (BadMagic, TruncatedFile) as exc:
+    except OSError as exc:
+        return _file_error("read", path, exc)
+    except MvGroverError as exc:  # a bad magic, a size mismatch or an impossible grid
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     g = state.grid
@@ -226,7 +236,10 @@ def cmd_state_load(path: str, resave: Optional[str] = None) -> int:
         f"quad_norm={quad_norm(state):.12g}"
     )
     if resave:
-        save_state(state, resave)
+        try:
+            save_state(state, resave)
+        except OSError as exc:
+            return _file_error("write", resave, exc)
         print(f"resaved to {resave}")
     return 0
 

@@ -244,4 +244,6 @@ def load_config(path) -> tuple[SearchConfig, dict]:
         raise ConfigInvalid("", f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigInvalid("", f"config is not valid JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:  # a directory, not UTF-8, too deep
+        raise ConfigInvalid("", f"cannot read config {path}: {exc}") from None
     return parse_config(doc), doc

@@ -1,10 +1,13 @@
 """Search pipeline: list preparation, iteration schedule, weighted run, readout.
 
 Every cell runs the same qubit search, so a run is read from per-mode sums
-and class vectors: amplitude P(cell) f(cell) v[class(cell)], with P the
-envelope product, f a weight factor and v the n-qubit search vector of the
-cell's target class.  The dense loop (build_list, then apply) is the oracle,
-and a dense-vector qubit search the reference for the per-cell check.
+and one search vector: amplitude P(cell) f(cell) v_c(cell), with P the
+envelope product, f a weight factor and v_c the n-qubit search vector of the
+cell's target class c.  After r steps the search vector is a_r on the targets
+and c_r on every other string, so every class reads the values a_r and c_r of
+the one vector v of the targets 0..M-1.  The dense loop (build_list, then
+apply) is the oracle, and a dense-vector qubit search the reference for the
+per-cell check.
 """
 
 from __future__ import annotations
@@ -42,11 +45,10 @@ DECISION_THRESHOLD = 1e-8
 # far above underflow, far below any cell an envelope actually populates.
 _CELL_FLOOR = 1e-200
 # A run takes r steps of the search on the n-qubit register and r steps of
-# the dense reference on all its target classes at once, about 30 us together
-# on a 2-core x86 machine.  r times the number of classes is bounded by this:
-# a one-class run at the bound takes about 1 s, a 16-class one about 0.06 s.
-# An automatic r takes at most 48 (n = 4: r = 3 on 16 classes).
-MAX_CLASS_STEPS = 30_000
+# the dense reference on one row, about 30 us together on a 2-core x86
+# machine, whatever the number of target classes.  r is bounded by this: a
+# run at the bound takes about 1 s.  An automatic r takes at most 3 (n = 4, M = 1).
+MAX_STEPS = 30_000
 # The ancilla-0 branch of an odd dilated run is streamed in chunks of whole
 # theta_1 slices of at most this many cells (one slice at (n, g) = (2, 24)),
 # or one slice where a slice is larger.
@@ -239,19 +241,16 @@ def _reference_rows(n: int, rows: np.ndarray, r: int) -> np.ndarray:
     return v
 
 
-def _resolved_iterations(cfg: SearchConfig, n_classes: int) -> int:
-    """The run's r; CapacityExceeded when r steps on each target class exceed MAX_CLASS_STEPS."""
+def _resolved_iterations(cfg: SearchConfig) -> int:
+    """The run's r; CapacityExceeded when it exceeds MAX_STEPS."""
     if cfg.iterations == AUTO:
         r = iteration_count(cfg.n_modes, cfg.target.n_targets)
     else:
         r = int(cfg.iterations)
         if r < 0:
             raise ValueError(f"iterations must be >= 0 or '{AUTO}', got {cfg.iterations}")
-    if r * n_classes > MAX_CLASS_STEPS:
-        raise CapacityExceeded(
-            f"{r} iterations on {n_classes} target class(es) exceed the "
-            f"{MAX_CLASS_STEPS} search steps a run may take"
-        )
+    if r > MAX_STEPS:
+        raise CapacityExceeded(f"{r} iterations exceed the {MAX_STEPS} search steps a run may take")
     return r
 
 
@@ -284,32 +283,21 @@ def _search_step(n: int, m: int) -> ops.GlobalOperator:
     )
 
 
-def _class_vectors(n: int, rows: np.ndarray, r: int) -> np.ndarray:
-    """v_r = G^r u of every class, as one (classes, 2^n) array.
-
-    r steps of _search_step(n, m) from the uniform vector give the search
-    vector of the targets 0..m-1.  A permutation of the band indices fixes u
-    and the diffusion, so a class is that vector read through the one that
-    sends its m targets to 0..m-1 and its other indices, in order, to
-    m..2^n-1: it turns the canonical oracle into the class's.  The cost does
-    not depend on the number of classes.
-    """
-    n_classes, m = rows.shape
+def _search_vector(n: int, m: int, r: int) -> np.ndarray:
+    """v = G^r u for the targets 0..m-1: r steps of _search_step(n, m) from the
+    uniform 2^n vector.  v[0] is the value on the targets (a_r), v[-1] the
+    value on every other string (c_r); a class with other targets is this
+    vector with the band strings relabelled."""
     step = _search_step(n, m)
     qubits = step.grid
     state = JointState(qubits, np.full(qubits.cell_shape + qubits.band_shape, 2.0 ** (-n / 2)))
     for _ in range(r):
         state = ops.apply(step, state)
-    on_class = np.arange(n_classes)[:, None]
-    others = np.ones((n_classes, 2**n), dtype=bool)
-    others[on_class, rows] = False
-    perm = np.cumsum(others, axis=1) + (m - 1)
-    perm[on_class, rows] = np.arange(m)
-    return state.amp.reshape(-1)[perm]
+    return state.amp.reshape(-1)
 
 
 _FactoredRun = namedtuple("_FactoredRun",
-                          "grid r rows bits vectors scaled w_log2 sums dots norms")
+                          "grid r rows bits v scaled w_log2 sums dots norms")
 
 _LOG2_MAX = math.log2(np.finfo(np.float64).max)
 
@@ -391,16 +379,18 @@ def _streamed_branch(psq, scaled, scale: float, index: np.ndarray, n_classes: in
 
 
 def _factored_run(cfg: SearchConfig) -> _FactoredRun:
-    """Check cfg and build its run from per-mode sums and class vectors.
+    """Check cfg and build its run from per-mode sums and one search vector.
 
-    psi(cell, b) = P(cell) f(cell) v[class(cell)][b]: rows[c] holds class c's
+    psi(cell, b) = P(cell) f(cell) v_c(cell)[b]: rows[c] holds class c's
     target band indices, bits the per-mode interval bits that give each theta
-    cell its class (_class_index), vectors[c] the class's search vector,
-    scaled[i] mode i's weights on the envelope support divided by their
-    largest |w_i| (w = 2^w_log2 prod_i scaled[i] there), norms[b] the squared
-    norm of readout branch b, sums[b] = (s1, s2, e) its per-class sums in
-    scaled form (sum |P|^2 f = s1 2^(e/2), sum |P|^2 f^2 = s2 2^e over the
-    class's cells, e a float) and dots[b] = sum_c |v_c|^2 s2_c.
+    cell its class (_class_index), v the search vector of the targets 0..M-1
+    (_search_vector), whose v[0] every class reads on its targets and v[-1]
+    on its other strings, scaled[i] mode i's weights on the envelope support
+    divided by their largest |w_i| (w = 2^w_log2 prod_i scaled[i] there),
+    norms[b] the squared norm of readout branch b, sums[b] = (s1, s2, e) its
+    per-class sums in scaled form (sum |P|^2 f = s1 2^(e/2),
+    sum |P|^2 f^2 = s2 2^e over the class's cells, e a float) and
+    dots[b] = |v|^2 sum_c s2_c, as every class vector has the norm of v.
 
     A plain run has one branch, f = w^r.  The dilated step is G (x) A with
     A = w sigma_x + w' sigma_z, and (G (x) A)^r = G^r (x) A^r with A^2 = 1,
@@ -426,7 +416,7 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     if cfg.target.n_modes != n:
         raise ShapeMismatch(f"target spans {cfg.target.n_modes} modes, grid has {n}")
     bits, rows = _target_classes(cfg.target, grid)
-    r = _resolved_iterations(cfg, len(rows))
+    r = _resolved_iterations(cfg)
     psq = envelope_densities(cfg.envelopes, _mode_grid(cfg.envelopes, grid))
     scaled = np.array(ops.mode_weight_tables(cfg.zetas, grid))  # the weights w, scaled below
     # Each mode's weights on its envelope support (0 elsewhere) divided by
@@ -485,9 +475,9 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
             sums = [branch(0), (np.zeros(len(rows)), np.zeros(len(rows)), 0.0)]
     else:
         sums = [branch(r)]
-    vectors = _class_vectors(n, rows, r)
-    vsq = _cell_sq(vectors)
-    dots = [float(vsq @ s2) for _, s2, _ in sums]
+    v = _search_vector(n, rows.shape[1], r)
+    vsq = float(_cell_sq(v))
+    dots = [vsq * float(s2.sum()) for _, s2, _ in sums]
     norms = tuple(_unscaled(d * grid.cell_weight, e) for d, (_, _, e) in zip(dots, sums))
     # log2 of the largest |w| and |w|^r over the cells, from the per-mode maxima.
     top_log2 = math.fsum(math.log2(m) for m in w_max)
@@ -498,12 +488,13 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
         )
     if not cfg.use_dilation and norms[0] < 1e-30:
         raise ZeroNorm(f"cannot normalize state with squared norm {norms[0]:.3e}")
-    return _FactoredRun(grid, r, rows, bits, vectors, scaled, w_log2, sums, dots, norms)
+    return _FactoredRun(grid, r, rows, bits, v, scaled, w_log2, sums, dots, norms)
 
 
 def final_state(cfg: SearchConfig) -> JointState:
     """The normalized post-iteration state of a plain (non-dilation) run,
-    built once as P(cell) w(cell)^r v[class(cell)] / sqrt(norm).
+    built once as P(cell) w(cell)^r v_c(cell) / sqrt(norm), each class vector
+    v_c the run's v[-1] with v[0] on the class's targets.
 
     P w^r / sqrt(N) = prod_i g_i w~_i^r / sqrt(N 2^(-2 r w_log2)) with the
     run's scaled weights w~_i, so no factor leaves the float range when w or
@@ -516,7 +507,9 @@ def final_state(cfg: SearchConfig) -> JointState:
     tables = _mode_tables(cfg.envelopes, grid)
     coef = _joint_table([t * wt**run.r for t, wt in zip(tables, run.scaled)])
     coef /= math.sqrt(float(_unscaled(run.norms[0], -2 * run.r * run.w_log2)))
-    amp = coef[:, :, None] * run.vectors[_class_index(run.bits, run.rows, grid)][:, None, :]
+    vectors = np.full((len(run.rows), 2**grid.n_modes), run.v[-1])
+    np.put_along_axis(vectors, run.rows, run.v[0], axis=1)
+    amp = coef[:, :, None] * vectors[_class_index(run.bits, run.rows, grid)][:, None, :]
     return JointState(grid, amp.reshape(grid.cell_shape + grid.band_shape))
 
 
@@ -575,24 +568,29 @@ def _readout(cfg: SearchConfig, overlaps: dict[str, complex], threshold: float) 
 def run_search(cfg: SearchConfig, threshold: float = DECISION_THRESHOLD) -> SearchReport:
     """Full pipeline: list, iterations, univocal readout of each branch.
 
-    Read from per-mode sums and class vectors (see _factored_run), with no
-    dense state and, but for odd dilated runs, no pass over the cells: a
-    branch with factor f has squared norm
-    N = sum_c |v_c|^2 sum_{cells in c} |P|^2 f^2 dA and overlaps
-    sum_c v_c sum_{cells in c} |P|^2 f dA / sqrt(N), in which the scale of
-    the per-mode sums cancels.  The per-cell check compares the search
-    vector of every class that carries amplitude with its reference, all
-    classes in one pass.  norm_constant is the squared norm after the last
-    iteration (1 for unit weights); a dilated run's is the sum of its two
-    branch norms (1 up to rounding).
+    Read from per-mode sums and one search vector (see _factored_run), with
+    no dense state and, but for odd dilated runs, no pass over the cells: a
+    branch with factor f has squared norm N = |v|^2 (sum of S2 over the
+    classes) dA and overlaps (c S1 + (a - c) T(s)) dA / sqrt(N), with S1 and
+    S2 a class's sums of |P|^2 f and |P|^2 f^2 over its cells, S1 summed
+    over all classes, T(s) over the classes that target s, a = v[0] and
+    c = v[-1]; the scale of the per-mode sums cancels.  Every class vector is
+    v relabelled, so the per-cell check compares v with the reference search
+    of the targets 0..M-1, once.  norm_constant is the
+    squared norm after the last iteration (1 for unit weights); a dilated
+    run's is the sum of its two branch norms (1 up to rounding).
     """
     run = _factored_run(cfg)
     n = cfg.n_modes
     dilated = len(run.norms) == 2
+    a, c = run.v[0], run.v[-1]
+    m = run.rows.shape[1]
 
     def overlaps(s1: np.ndarray, dot: float) -> dict[str, complex]:
-        # sum_c v_c S1_c dA / sqrt(N) with S1 = s1 2^(e/2) and N = dA dot 2^e.
-        return _by_string((s1 * math.sqrt(run.grid.cell_weight / dot)) @ run.vectors, n)
+        # Each class's S1 dA / sqrt(N) = s1 sqrt(dA / dot): S1 = s1 2^(e/2), N = dA dot 2^e.
+        s1 = s1 * math.sqrt(run.grid.cell_weight / dot)
+        on_targets = np.bincount(run.rows.reshape(-1), np.repeat(s1, m), minlength=2**n)
+        return _by_string(c * s1.sum() + (a - c) * on_targets, n)
 
     # Per branch: its readout, None for an empty dilated branch.
     readouts = [
@@ -612,18 +610,12 @@ def run_search(cfg: SearchConfig, threshold: float = DECISION_THRESHOLD) -> Sear
     # picks ancilla 1.
     dominant = readouts[int(dilated and run.norms[1] >= run.norms[0])]
     branches = [ro[1] if ro is not None and isinstance(ro[1], str) else None for ro in readouts]
-    # A class is checked when one of its cells has |P f| above the floor; a
-    # cell whose |P f|^2 underflows counts as empty.  All checked classes go
-    # through one comparison with their references.
-    per_class = zip(*([_unscaled(x, e) for x in s2.tolist()] for _, s2, e in run.sums))
-    checked = [math.sqrt(sum(sq)) > _CELL_FLOOR for sq in per_class]
-    keep = slice(None) if all(checked) else np.array(checked)
-    error = _max_deviation(run.vectors[keep], _reference_rows(n, run.rows[keep], run.r))
+    reference = _reference_rows(n, np.arange(m)[None], run.r)
     return SearchReport(
         norm_constant=sum(run.norms),
         overlaps=dominant[0],
         identified=identified,
-        per_cell_max_error=error if error >= 0.0 else math.nan,
+        per_cell_max_error=_max_deviation(run.v[None], reference),
         iterations_used=run.r,
         ancilla_branch_norms=run.norms if dilated else None,
         branch_identified=tuple(branches) if dilated else None,

@@ -1,6 +1,7 @@
 """Every CLI input ends in a record or a named error with the documented exit code."""
 
 import json
+import struct
 import tempfile
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from mvgrover import EnvelopeSpec, SearchConfig, TargetSpec, make_grid, run_search
 from mvgrover.cli import main
-from mvgrover.config import parse_config
+from mvgrover.config import load_config, parse_config
 from mvgrover.errors import CapacityExceeded, ConfigInvalid, WeightOutOfRange
 
 BASE = {
@@ -208,6 +209,63 @@ def test_plain_tables_parse_bitwise_like_the_entry_walk():
     pairs = _table([0.5, -1.5])
     cfg = parse_config(_with_tables(pairs, _table()))
     assert cfg.envelopes[0].table[1, 2] == 0.5 - 1.5j
+
+
+# --- files that cannot be read or written ------------------------------------------
+
+UNREADABLE = {
+    "directory": lambda path: path.mkdir(),
+    "not-utf8": lambda path: path.write_bytes(b'{"n_modes": "\xff"}'),
+    "too-deep": lambda path: path.write_text("[" * 100_000 + "]" * 100_000),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE))
+def test_unreadable_config_is_invalid(tmp_path, capsys, kind):
+    bad = tmp_path / "bad.json"
+    UNREADABLE[kind](bad)
+    with pytest.raises(ConfigInvalid, match="cannot read config"):
+        load_config(bad)
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "config invalid" in capsys.readouterr().err
+    good = write(tmp_path / "cfg.json", BASE)
+    assert main(["run", "--config", good, str(bad), "--out", str(out)]) == 1
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert records[1] == {"config_path": str(bad), "error": "config invalid"}
+    assert main(["state", "save", "--config", str(bad), "--path", str(tmp_path / "s.mvgr")]) == 1
+    assert "config invalid" in capsys.readouterr().err
+
+
+def test_state_load_of_a_directory_is_named(tmp_path, capsys):
+    assert main(["state", "load", "--path", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"cannot read {tmp_path}: ")
+
+
+@pytest.mark.parametrize("header, error", [
+    ((0, 2, 2), "ZeroSize"), ((5, 2, 2), "CapacityExceeded"), ((2, 0, 2), "ZeroSize"),
+])
+def test_state_load_of_an_impossible_grid_is_named(tmp_path, capsys, header, error):
+    path = tmp_path / "s.mvgr"
+    path.write_bytes(b"MVGR1" + struct.pack("<3I", *header) + bytes(64))
+    assert main(["state", "load", "--path", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"{error}: ")
+
+
+def test_unwritable_outputs_are_named(tmp_path, capsys):
+    cfg = write(tmp_path / "cfg.json", BASE)
+    saved = str(tmp_path / "s.mvgr")
+    assert save(tmp_path, BASE) == 0
+    for argv in (
+        ["run", "--config", cfg, "--out"],
+        ["run", "--config", cfg, cfg, "--out"],
+        ["state", "save", "--config", cfg, "--path"],
+        ["state", "load", "--path", saved, "--resave"],
+    ):
+        capsys.readouterr()
+        assert main(argv + [str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"cannot write {tmp_path}: ")
 
 
 # --- property: no input ends in a traceback ---------------------------------------

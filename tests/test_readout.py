@@ -10,7 +10,6 @@ import mvgrover.search as search
 from mvgrover import (
     EnvelopeSpec,
     GlobalOperator,
-    JointState,
     SearchConfig,
     TargetSpec,
     ancilla_branch,
@@ -18,7 +17,6 @@ from mvgrover import (
     build_list,
     dilation,
     final_state,
-    grover_cell,
     grover_weighted,
     logical_overlaps,
     make_grid,
@@ -28,7 +26,7 @@ from mvgrover import (
     run_search,
     with_ancilla,
 )
-from mvgrover.errors import WeightOutOfRange, ZeroNorm
+from mvgrover.errors import CapacityExceeded, WeightOutOfRange, ZeroNorm
 from mvgrover.verify import _branch_hit, _dense_run
 
 TARGETS = {
@@ -170,10 +168,11 @@ def test_interval_run_peak_memory(build):
     assert peak <= 2.5 * state_bytes
 
 
-@pytest.mark.parametrize("low, checked", [(1.0, [("0",), ("1",)]), (1e-250, [("1",)])])
-def test_per_cell_check_skips_classes_below_floor(monkeypatch, low, checked):
+@pytest.mark.parametrize("low", [1.0, 1e-250])
+def test_per_cell_check_reads_one_reference_row(monkeypatch, low):
     # theta = pi/4 searches "1", theta = 3pi/4 searches "0"; the envelope
-    # puts `low` on the second cell.
+    # puts `low` on the second cell.  Both classes are relabellings of the
+    # search of "0", so the check reads that one row whatever the amplitudes.
     calls = []
     reference_rows = search._reference_rows
 
@@ -185,19 +184,18 @@ def test_per_cell_check_skips_classes_below_floor(monkeypatch, low, checked):
     envs = (EnvelopeSpec.tabulated(np.array([[1.0], [low]])),)
     cfg = SearchConfig(1, 2, 1, envs, TargetSpec.from_intervals([[(0.0, 1.0)]]))
     report = run_search(cfg)
-    assert sorted(calls) == checked
+    assert calls == [("0",)]
     assert report.per_cell_max_error <= 1e-12
 
 
-@pytest.mark.parametrize("n, r", [(1, 1), (2, 3), (3, 2), (4, 5)])
-def test_interval_class_vectors_match_reference(n, r):
-    # Interval classes search one string each; all but the first are
-    # relabelings of the first class's search.
-    rows = np.arange(2**n)[::-1, None]
-    vectors = search._class_vectors(n, rows, r)
-    for row, v in zip(rows, vectors):
-        ref = reference_qubit_grover(n, [format(int(row[0]), f"0{n}b")], r)
-        assert np.max(np.abs(v - ref)) <= 1e-14
+def test_step_budget_does_not_scale_with_classes():
+    # 16 interval classes share one search vector, so r alone is bounded.
+    target = TargetSpec.from_intervals([[(0.0, 1.5)]] * 4)
+    cfg = SearchConfig(4, 2, 1, gaussian_envs(4), target, iterations=2000)
+    assert len(search._target_classes(target, cfg.grid)[1]) == 16
+    assert run_search(cfg).per_cell_max_error <= 1e-12
+    with pytest.raises(CapacityExceeded):
+        run_search(SearchConfig(4, 2, 1, gaussian_envs(4), target, iterations=30_001))
 
 
 def test_interval_run_builds_one_class_operator(monkeypatch):
@@ -227,31 +225,25 @@ def test_interval_run_builds_one_class_operator(monkeypatch):
     assert calls == ["apply", "apply"]
 
 
-def _own_step_vector(n, targets, r):
-    """r steps of grover_cell on the class's own targets, from the uniform vector."""
-    qubits = make_grid(n, 1, 1)
-    op = grover_cell(TargetSpec.multi([format(int(t), f"0{n}b") for t in targets]), qubits)
-    state = JointState(qubits, np.full(qubits.cell_shape + qubits.band_shape, 2.0 ** (-n / 2)))
-    for _ in range(r):
-        state = apply(op, state)
-    return state.amp.reshape(-1)
-
-
 @pytest.mark.parametrize("r", [0, 1, 2, 5])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_cached_step_class_vectors_match_reference(n, r):
-    # Constant targets: one class of M random strings, each M; interval
-    # targets: every string, one class each.  Both read the one cached step
-    # through a permutation.
+    # A run keeps the search vector v of the first M strings and reads every
+    # class as v relabelled: v[0] on the class's targets, v[-1] elsewhere.
+    # Checked for every M on the first M strings and on M random ones, and
+    # for M = 1 (the interval classes) on every string.
     rng = np.random.default_rng(10 * n + r)
-    row_sets = [rng.permutation(2**n)[:m][None, :] for m in range(1, 2**n)]
-    row_sets.append(rng.permutation(2**n)[:, None])
-    for rows in row_sets:
-        vectors = search._class_vectors(n, rows, r)
-        for row, v in zip(rows, vectors):
-            ref = reference_qubit_grover(n, [format(int(t), f"0{n}b") for t in row], r)
-            assert np.max(np.abs(v - ref)) <= 1e-14
-            assert np.max(np.abs(v - _own_step_vector(n, row, r))) <= 1e-15
+    strings = [format(t, f"0{n}b") for t in range(2**n)]
+    for m in range(1, 2**n):
+        cfg = SearchConfig(n, 1, 1, gaussian_envs(n), TargetSpec.multi(strings[:m]), iterations=r)
+        v = search._factored_run(cfg).v
+        assert np.max(np.abs(v - reference_qubit_grover(n, strings[:m], r))) <= 1e-14
+        rows = [[t] for t in range(2**n)] if m == 1 else [rng.permutation(2**n)[:m]]
+        for row in rows:
+            relabelled = np.full(2**n, v[-1])
+            relabelled[row] = v[0]
+            ref = reference_qubit_grover(n, [strings[t] for t in row], r)
+            assert np.max(np.abs(relabelled - ref)) <= 1e-14
 
 
 def test_wrong_search_step_fails_the_per_cell_check(monkeypatch):

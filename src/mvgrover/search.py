@@ -51,7 +51,8 @@ _CELL_FLOOR = 1e-200
 MAX_STEPS = 30_000
 # The ancilla-0 branch of an odd dilated run is streamed in chunks of whole
 # theta_1 slices of at most this many cells (one slice at (n, g) = (2, 24)),
-# or one slice where a slice is larger.
+# or one slice where a slice is larger; its series takes the weight powers in
+# blocks of at most this many floats, or one power where a power is larger.
 _STREAM_CELLS = 13_824
 # Physical memory for _check_capacity, read once per process.
 _PHYSICAL_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -343,6 +344,76 @@ def _pattern_sums(per_theta: np.ndarray, onehot: np.ndarray, pattern_bits: np.nd
     return per_bit[:, np.arange(n), pattern_bits].prod(axis=2), exps.sum(axis=1).tolist()
 
 
+def _weight_powers(scaled: np.ndarray, powers: Sequence[int]):
+    """Yield scaled^q for each q of the ascending powers, by multiplication
+    only: np.power takes its general pow loop for q >= 3, several times the
+    cost of a product.  q = 0 gives ones and q = 1 scaled itself; every other
+    power is built in one buffer by left-to-right binary powering (a square,
+    then one more factor where the next binary digit of q is 1), continued
+    from the power before it when that one's digits begin q's.  Each power is
+    read before the next is asked for."""
+    buf, done = None, ""  # the binary digits of the power buf holds
+    for q in powers:
+        if q < 2:
+            yield scaled if q else np.ones_like(scaled)
+            continue
+        digits = format(q, "b")
+        if not (done and digits.startswith(done)):
+            done = "1"
+        for d in digits[len(done):]:
+            src = scaled if done == "1" else buf
+            buf = np.multiply(src, src, out=buf)
+            if d == "1":
+                np.multiply(buf, scaled, out=buf)
+            done += d
+        yield buf
+
+
+def _series_coefficients(s: float, budget: int) -> Optional[list]:
+    """[b_k s^k for k < K] of sqrt(1 - x) = sum_k b_k x^k (b_0 = 1,
+    b_k = b_{k-1} (k - 3/2) / k), or None when s >= 1 or K > budget.
+
+    For 0 <= x <= s < 1 every b_k with k >= 1 is negative and |b_k| falls
+    with k, so the terms from K on sum to at most |b_K| s^K / (1 - s), and
+    sqrt(1 - x) >= sqrt(1 - s): K is the smallest count whose relative tail
+    |b_K| s^K / (1 - s)^1.5 is below 2^-53, on every cell and so on every
+    class's sum.
+    """
+    if s >= 1.0:
+        return None
+    limit = 2.0**-53 * (1.0 - s) ** 1.5
+    coefs, c = [1.0], 1.0
+    for k in range(1, budget + 1):
+        c *= s * (k - 1.5) / k
+        if -c < limit:
+            return coefs
+        coefs.append(c)
+    return None
+
+
+def _series_powers(psq: np.ndarray, sq: np.ndarray, n_terms: int, axes: tuple) -> np.ndarray:
+    """Sums of psq sq^j over the trailing axes of the (n, g_theta, g_k)
+    stacks, (1, 2) for per-mode totals or (2,) for per-theta sums, for
+    j < n_terms, stacked along a new first axis.
+
+    The powers go in blocks of at most _STREAM_CELLS floats through one
+    buffer: a block starts from psq sq^lo, the last power of the block before
+    it times sq, and is one running product along the stacked copies of sq.
+    """
+    block = max(1, _STREAM_CELLS // psq.size)
+    buf = np.empty((min(block, n_terms),) + psq.shape)
+    out = np.empty((n_terms,) + psq.shape[: axes[0]])
+    buf[0] = psq
+    for lo in range(0, n_terms, block):
+        b = buf[: min(block, n_terms - lo)]
+        if lo:  # every block but the last is full
+            np.multiply(buf[-1], sq, out=b[0])
+        b[1:] = sq
+        np.multiply.accumulate(b, axis=0, out=b)
+        b.sum(axis=tuple(a + 1 for a in axes), out=out[lo : lo + len(b)])
+    return out
+
+
 def _streamed_branch(psq, scaled, scale: float, index: np.ndarray, n_classes: int) -> np.ndarray:
     """Per class, the sum of |P|^2 w' over its cells, w' = sqrt(1 - w^2) the
     ancilla-0 factor of an odd dilated run, which is no product over modes.
@@ -409,7 +480,9 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     enters only the norms and the range checks, which use per-mode maxima
     (max |w| = prod max |w_i| on a product set).  The ancilla-0 branch of an
     odd dilated run has f^2 = 1 - w^2, so its f^2 sums are
-    sum |P|^2 - sum |P|^2 w^2; only its f = w' is summed over the cells.
+    sum |P|^2 - sum |P|^2 w^2; its f = w' sums are a series of weight powers
+    (_series_coefficients) where that costs less than a pass over the cells,
+    and that pass (_streamed_branch) otherwise.
     """
     grid = cfg.grid
     n = grid.n_modes
@@ -443,12 +516,13 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
         powers = (0, 1, 2) if r % 2 else (0, 2)
     else:
         powers = tuple(sorted({2, r, 2 * r}))
+    stacks = _weight_powers(scaled, powers)
     if bits is None:  # one class of all theta cells: a product of per-mode totals
-        totals = (np.einsum("itk,itk->i", psq, scaled**q).tolist() for q in powers)
+        totals = [np.einsum("itk,itk->i", psq, p).tolist() for p in stacks]
         products = map(_scaled_product, totals)
         power_sums = {q: (np.array([m]), e) for q, (m, e) in zip(powers, products)}
     else:
-        per_theta = np.array([np.einsum("itk,itk->it", psq, scaled**q) for q in powers])
+        per_theta = np.array([np.einsum("itk,itk->it", psq, p) for p in stacks])
         onehot, pattern_bits = np.eye(2)[bits], rows >> np.arange(n - 1, -1, -1) & 1
         power_sums = dict(zip(powers, zip(*_pattern_sums(per_theta, onehot, pattern_bits))))
 
@@ -469,7 +543,20 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
             # sum |P|^2 w'^2 = sum |P|^2 - sum |P|^2 w^2, clipped at 0 per class.
             (s0, e0), (s2, e2) = power_sums[0], power_sums[2]
             f2 = np.maximum(_unscaled(s0, e0) - _unscaled(s2, e2 + 2 * w_log2), 0.0)
-            f1 = _streamed_branch(psq, scaled, peak, _class_index(bits, rows, grid), len(rows))
+            # The series when its K terms, n g_theta g_k floats each, cost less
+            # than the stream's g_theta^n g_k^n cells; the stream otherwise.
+            coefs = _series_coefficients(peak * peak, (psq[0].size**n - 1) // psq.size)
+            if coefs is None:
+                f1 = _streamed_branch(psq, scaled, peak, _class_index(bits, rows, grid), len(rows))
+            else:
+                sq = np.square(scaled)
+                if bits is None:
+                    terms = _series_powers(psq, sq, len(coefs), (1, 2)).prod(axis=1)[:, None]
+                else:
+                    per_theta = _series_powers(psq, sq, len(coefs), (2,))
+                    terms, exps = _pattern_sums(per_theta, onehot, pattern_bits)
+                    terms = np.ldexp(terms, np.array(exps)[:, None])
+                f1 = np.array(coefs) @ terms
             sums = [(f1, f2, 0.0), branch(1)]
         else:
             sums = [branch(0), (np.zeros(len(rows)), np.zeros(len(rows)), 0.0)]
@@ -569,9 +656,9 @@ def run_search(cfg: SearchConfig, threshold: float = DECISION_THRESHOLD) -> Sear
     """Full pipeline: list, iterations, univocal readout of each branch.
 
     Read from per-mode sums and one search vector (see _factored_run), with
-    no dense state and, but for odd dilated runs, no pass over the cells: a
-    branch with factor f has squared norm N = |v|^2 (sum of S2 over the
-    classes) dA and overlaps (c S1 + (a - c) T(s)) dA / sqrt(N), with S1 and
+    no dense state and, but for odd dilated runs that stream their ancilla-0
+    branch, no pass over the cells: a branch with factor f has squared norm
+    N = |v|^2 (sum of S2 over the classes) dA and overlaps (c S1 + (a - c) T(s)) dA / sqrt(N), with S1 and
     S2 a class's sums of |P|^2 f and |P|^2 f^2 over its cells, S1 summed
     over all classes, T(s) over the classes that target s, a = v[0] and
     c = v[-1]; the scale of the per-mode sums cancels.  Every class vector is

@@ -1,10 +1,15 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mvgrover
 from mvgrover import load_state, quad_norm, state_to_bytes
 from mvgrover.cli import _build_parser, dumps_record, main
 
@@ -258,6 +263,15 @@ def test_verify_fast_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") >= 10
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(mvgrover.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "mvgrover", "verify", "--level", "fast"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "PASS" in done.stdout and "FAIL" not in done.stdout
 
 
 def test_verify_corrupted_sign_names_invariant(capsys):

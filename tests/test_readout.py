@@ -340,14 +340,20 @@ def test_plain_run_peak_memory_without_cell_tables():
     assert peak <= 2**20
 
 
-@pytest.mark.parametrize("g, use_dilation, units", [(32, False, 14.5), (24, True, 69.5)])
-def test_run_peak_memory_in_mode_tables(g, use_dilation, units):
+@pytest.mark.parametrize("g, use_dilation, units, amplitude", [
+    pytest.param(32, False, 14.5, 1.0, id="32-False-14.5"),
+    pytest.param(24, True, 69.5, 1.0, id="24-True-69.5"),
+    pytest.param(24, True, 69.5, 0.9, id="24-True-69.5-series"),
+])
+def test_run_peak_memory_in_mode_tables(g, use_dilation, units, amplitude):
     # Two gaussian modes with cosine weights, r = 1: a plain run holds a few
     # per-mode stacks, the odd dilated run also its streamed chunk of at most
-    # one theta_1 slice (g^3 cells at n = 2).  Bounds in units of one mode
-    # table of g_theta * g_k floats: the peaks of the previous design.
+    # one theta_1 slice (g^3 cells at n = 2) or, at amplitude 0.9, its block
+    # of series powers.  Bounds in units of one mode table of g_theta * g_k
+    # floats: the peaks of the previous design.
     grid = make_grid(2, g, g)
-    cfg = SearchConfig(2, g, g, gaussian_envs(2), TargetSpec.bits("10"), zetas=cos_zetas(grid),
+    zetas = tuple(amplitude * z for z in cos_zetas(grid))
+    cfg = SearchConfig(2, g, g, gaussian_envs(2), TargetSpec.bits("10"), zetas=zetas,
                        use_dilation=use_dilation)
     run_search(cfg)  # builds the process's search step for (n, M) = (2, 1)
     tracemalloc.start()
@@ -358,6 +364,108 @@ def test_run_peak_memory_in_mode_tables(g, use_dilation, units):
         tracemalloc.stop()
     assert report.iterations_used == 1
     assert peak <= units * 8 * g * g
+
+
+class _Streamed(Exception):
+    """Raised by a stand-in for search._streamed_branch."""
+
+
+def _no_stream(*args):
+    raise _Streamed
+
+
+def _series_config(rng, n, gt, gk, kind, r, bound=0.8):
+    """An odd or even dilated run with complex tabulated envelopes and
+    weights of both signs, |w_i| <= bound on every mode."""
+    tables = rng.uniform(0.2, 1.0, (n, gt, gk)) * np.exp(1j * rng.uniform(0, 7, (n, gt, gk)))
+    envs = tuple(EnvelopeSpec.tabulated(t) for t in tables)
+    zetas = tuple(rng.uniform(-bound, bound, (gt, gk)) for _ in range(n))
+    return SearchConfig(n, gt, gk, envs, TARGETS[kind](n), zetas=zetas, iterations=r,
+                        use_dilation=True)
+
+
+@pytest.mark.parametrize("n, gt, gk", [(2, 8, 8), (3, 4, 4), (4, 2, 3)])
+@pytest.mark.parametrize("kind", sorted(TARGETS))
+def test_series_branch_matches_dense_loop(monkeypatch, n, gt, gk, kind):
+    # With |w_i| <= 0.7 the series' K terms of n gt gk floats each cost less
+    # than the gt^n gk^n cells, so no odd run here streams its ancilla-0 branch.
+    rng = np.random.default_rng([n, gt, len(kind)])
+    monkeypatch.setattr(search, "_streamed_branch", _no_stream)
+    for r in (1, 3):
+        _assert_matches_dense_loop(_series_config(rng, n, gt, gk, kind, r, bound=0.7))
+
+
+@pytest.mark.parametrize("n, g, kind", [(2, 24, "single"), (3, 6, "multi"), (4, 3, "intervals"),
+                                        (2, 16, "intervals")])
+def test_series_matches_streamed_branch(monkeypatch, n, g, kind):
+    # Per class, the series' f sum against the stream's over the same cells.
+    rng = np.random.default_rng([n, g])
+    for _ in range(4):
+        cfg = _series_config(rng, n, g, g, kind, 1, bound=0.9)
+        with monkeypatch.context() as patched:
+            patched.setattr(search, "_streamed_branch", _no_stream)
+            series = search._factored_run(cfg).sums[0][0]
+        with monkeypatch.context() as patched:
+            patched.setattr(search, "_series_coefficients", lambda s, budget: None)
+            streamed = search._factored_run(cfg).sums[0][0]
+        assert series.shape == streamed.shape
+        assert np.max(np.abs(series - streamed) / streamed) <= 1e-14
+
+
+def test_cost_rule_picks_series_or_stream(monkeypatch):
+    # The series needs s = max w^2 below 1 and fewer terms than the stream's
+    # cells allow; cosine weights of amplitude 1 at g = 24 give s = 0.998.
+    monkeypatch.setattr(search, "_streamed_branch", _no_stream)
+    grid = make_grid(2, 24, 24)
+
+    def dilated(n, zetas):
+        return SearchConfig(n, 24, 24, gaussian_envs(n), TargetSpec.bits("1" * n), zetas=zetas,
+                            use_dilation=True)
+
+    run_search(dilated(2, tuple(0.9 * z for z in cos_zetas(grid))))
+    one_mode = cos_zetas(make_grid(1, 24, 24))
+    for cfg in [
+        dilated(2, cos_zetas(grid)),  # s near 1
+        dilated(2, None),  # s = 1
+        dilated(2, (1.0 + 5e-13, 1.0)),  # s > 1 by rounding
+        dilated(1, tuple(0.5 * z for z in one_mode)),  # n = 1: K < 1 term is no term
+    ]:
+        with pytest.raises(_Streamed):
+            run_search(cfg)
+
+
+@pytest.mark.parametrize("s", [0.0, 1e-3, 0.3, 0.5, 0.81, 0.95, 0.996])
+def test_series_term_count_meets_its_tail_bound(s):
+    # K is the first count whose relative tail |b_K| s^K / (1 - s)^1.5 is
+    # below 2^-53, with b_0 = 1 and b_k = b_{k-1} (k - 3/2) / k.
+    coefs = search._series_coefficients(s, 10**6)
+    k = len(coefs)
+    b = [1.0]
+    for j in range(1, k + 1):
+        b.append(b[-1] * (j - 1.5) / j)
+
+    def tail(j):
+        return abs(b[j]) * s**j / (1.0 - s) ** 1.5
+
+    assert tail(k) < 2.0**-53 <= tail(k - 1)
+    assert coefs == pytest.approx([bj * s**j for j, bj in enumerate(b[:k])], rel=1e-12, abs=0)
+    assert search._series_coefficients(s, k) == coefs
+    assert search._series_coefficients(s, k - 1) is None
+
+
+@pytest.mark.parametrize("s", [1.0, 1.0 + 1e-12])
+def test_series_needs_weights_below_one(s):
+    assert search._series_coefficients(s, 10**6) is None
+
+
+@pytest.mark.parametrize("powers", [(0, 1, 2), (0, 2), (1, 2), (2, 4), (2, 3, 6), (2, 5, 10),
+                                    (2, 7, 14), (2, 600, 1200)])
+def test_weight_powers_match_numpy_power(powers):
+    scaled = np.random.default_rng(len(powers)).uniform(-1.0, 1.0, (3, 4, 5))
+    scaled[:, 0, 0] = 1.0
+    for q, got in zip(powers, search._weight_powers(scaled, powers)):
+        want = scaled**q
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
 @pytest.mark.parametrize("build", [run_search, final_state])

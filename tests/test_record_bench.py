@@ -34,3 +34,25 @@ def test_record_has_the_layout_of_committed_bench_files():
     assert doc["traced"]["command"] == committed["traced"]["command"]
     for entry in [*doc["workloads"].values(), *(doc["traced"][w] for w in workloads)]:
         assert entry.keys() == committed["traced"]["dense_plain"].keys()
+
+
+def test_parent_and_change_runs_alternate(tmp_path):
+    # One run at a time, each run of the parent next to the same run of the
+    # change, the parent first in every other pair.
+    recorder = _load_recorder()
+    calls = []
+
+    def fake_run(root, workload, trace):
+        calls.append((root, workload, trace))
+        return {"environment": {"git_sha": root.name}, "samples": 3, "result": {"correct": True}}
+
+    change, parent = ROOT, tmp_path / "parent"
+    change_doc, parent_doc = recorder.record_pair(change, parent, run=fake_run)
+    runs = [(w, t) for t in (0, 1) for w in ["dense_plain", "dense_dilation", "cli_small"]]
+    expected = []
+    for i, run in enumerate(runs):
+        pair = [(parent, *run), (change, *run)]
+        expected += pair if i % 2 == 0 else pair[::-1]
+    assert calls == expected
+    assert (change_doc["measured_on"], parent_doc["measured_on"]) == (ROOT.name, "parent")
+    assert change_doc.keys() == parent_doc.keys() == recorder.record(ROOT, run=fake_run).keys()

@@ -4,6 +4,7 @@ Run from anywhere:
 
     python3 tools/record_bench.py --label baseline
     python3 tools/record_bench.py --label parent --root ../parent-checkout
+    python3 tools/record_bench.py --label change --parent-root ../parent-checkout
 
 Runs `perfbench/run.py` of the checkout at --root (default: this one) on the
 three workloads with `--trace 0`, then on each once more with `--trace 1`,
@@ -11,6 +12,11 @@ each for seed SEED and a SECONDS window, one after another.  Each run's
 environment, sample count and result object go to `BENCH_<label>.json` at the
 root of this repository: the untraced runs under `workloads`, the traced ones
 under `traced`.
+
+With --parent-root the parent checkout takes the same twelve runs, one at a
+time next to the same run of --root, which side goes first alternating from
+one pair to the next, so drift of the machine lands on both sides alike.  The
+parent's runs go to `BENCH_<label>_parent.json`.
 """
 
 from __future__ import annotations
@@ -50,10 +56,13 @@ def run_bench(root: Path, workload: str, trace: int) -> dict:
     return record
 
 
-def record(root: Path, run=run_bench) -> dict:
-    """The BENCH document: every workload untraced, then every workload traced."""
-    workloads = {w: run(root, w, 0) for w in WORKLOADS}
-    traced = {w: run(root, w, 1) for w in WORKLOADS}
+RUNS = [(w, 0) for w in WORKLOADS] + [(w, 1) for w in WORKLOADS]
+
+
+def _document(results: dict) -> dict:
+    """The BENCH document of {(workload, trace): run record}."""
+    workloads = {w: results[w, 0] for w in WORKLOADS}
+    traced = {w: results[w, 1] for w in WORKLOADS}
     return {
         "command": " ".join(bench_command("W", 0)),
         "measured_on": traced[WORKLOADS[0]]["environment"]["git_sha"],
@@ -62,21 +71,45 @@ def record(root: Path, run=run_bench) -> dict:
     }
 
 
+def record(root: Path, run=run_bench) -> dict:
+    """The BENCH document: every workload untraced, then every workload traced."""
+    return _document({(w, t): run(root, w, t) for w, t in RUNS})
+
+
+def record_pair(root: Path, parent_root: Path, run=run_bench) -> tuple[dict, dict]:
+    """(change, parent) BENCH documents from the runs of record, each taken on
+    both checkouts back to back, the parent first in every other pair."""
+    change, parent = {}, {}
+    for i, (w, t) in enumerate(RUNS):
+        sides = [(parent_root, parent), (root, change)]
+        for side_root, results in sides if i % 2 == 0 else sides[::-1]:
+            results[w, t] = run(side_root, w, t)
+    return _document(change), _document(parent)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     parser.add_argument("--root", type=Path, default=REPO, help="checkout to measure")
+    parser.add_argument("--parent-root", type=Path,
+                        help="parent checkout, run alternately; writes BENCH_<label>_parent.json")
     args = parser.parse_args(argv)
-    if not (args.root / "perfbench" / "run.py").is_file():
-        parser.error(f"no perfbench/run.py under {args.root}")
+    roots = [args.root] + ([args.parent_root] if args.parent_root else [])
+    for root in roots:
+        if not (root / "perfbench" / "run.py").is_file():
+            parser.error(f"no perfbench/run.py under {root}")
     try:
-        doc = record(args.root.resolve())
+        if args.parent_root:
+            docs = record_pair(args.root.resolve(), args.parent_root.resolve())
+        else:
+            docs = (record(args.root.resolve()),)
     except RuntimeError as exc:
         print(f"record_bench: {exc}", file=sys.stderr)
         return 1
-    out = REPO / f"BENCH_{args.label}.json"
-    out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    print(out)
+    for suffix, doc in zip(("", "_parent"), docs):
+        out = REPO / f"BENCH_{args.label}{suffix}.json"
+        out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+        print(out)
     return 0
 
 

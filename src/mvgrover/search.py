@@ -382,6 +382,11 @@ def _series_coefficients(s: float, budget: int) -> Optional[list]:
     if s >= 1.0:
         return None
     limit = 2.0**-53 * (1.0 - s) ** 1.5
+    # |b_k| = Gamma(k - 1/2) / (2 sqrt(pi) k!): when the bound still fails at
+    # the budget, no count fits, and the runs that stream skip the loop.
+    top = math.exp(math.lgamma(budget - 0.5) - math.lgamma(budget + 1.0)) if budget else 0.0
+    if top / (2.0 * math.sqrt(math.pi)) * s**budget >= limit:
+        return None
     coefs, c = [1.0], 1.0
     for k in range(1, budget + 1):
         c *= s * (k - 1.5) / k

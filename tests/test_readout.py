@@ -374,9 +374,9 @@ def _no_stream(*args):
     raise _Streamed
 
 
-def _series_config(rng, n, gt, gk, kind, r, bound=0.8):
-    """An odd or even dilated run with complex tabulated envelopes and
-    weights of both signs, |w_i| <= bound on every mode."""
+def _series_config(rng, n, gt, gk, kind, r, bound):
+    """A dilated run with complex tabulated envelopes and weights of both
+    signs, |w_i| <= bound on every mode."""
     tables = rng.uniform(0.2, 1.0, (n, gt, gk)) * np.exp(1j * rng.uniform(0, 7, (n, gt, gk)))
     envs = tuple(EnvelopeSpec.tabulated(t) for t in tables)
     zetas = tuple(rng.uniform(-bound, bound, (gt, gk)) for _ in range(n))
@@ -392,7 +392,7 @@ def test_series_branch_matches_dense_loop(monkeypatch, n, gt, gk, kind):
     rng = np.random.default_rng([n, gt, len(kind)])
     monkeypatch.setattr(search, "_streamed_branch", _no_stream)
     for r in (1, 3):
-        _assert_matches_dense_loop(_series_config(rng, n, gt, gk, kind, r, bound=0.7))
+        _assert_matches_dense_loop(_series_config(rng, n, gt, gk, kind, r, 0.7))
 
 
 @pytest.mark.parametrize("n, g, kind", [(2, 24, "single"), (3, 6, "multi"), (4, 3, "intervals"),
@@ -401,7 +401,7 @@ def test_series_matches_streamed_branch(monkeypatch, n, g, kind):
     # Per class, the series' f sum against the stream's over the same cells.
     rng = np.random.default_rng([n, g])
     for _ in range(4):
-        cfg = _series_config(rng, n, g, g, kind, 1, bound=0.9)
+        cfg = _series_config(rng, n, g, g, kind, 1, 0.9)
         with monkeypatch.context() as patched:
             patched.setattr(search, "_streamed_branch", _no_stream)
             series = search._factored_run(cfg).sums[0][0]

@@ -258,7 +258,7 @@ def _grid_from_header(head: bytes, size: int) -> ModularGrid:
             f"header needs {offset + _HEADER.size} bytes, file has {size}"
         )
     grid = ModularGrid(*_HEADER.unpack_from(head, offset))
-    expected = int(np.prod(grid.cell_shape + grid.band_shape)) * 16
+    expected = math.prod(grid.cell_shape + grid.band_shape) * 16  # no int64 wrap
     if size - offset - _HEADER.size != expected:
         raise TruncatedFile(
             f"expected {expected} payload bytes, got {size - offset - _HEADER.size}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cache, reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -145,6 +145,13 @@ def band_of_bits(bits: np.ndarray) -> np.ndarray:
     return band
 
 
+def _broadcasts_to(shape: tuple, cell_shape: tuple) -> bool:
+    """Whether an array of this shape broadcasts to cell_shape and no further."""
+    return len(shape) <= len(cell_shape) and all(
+        a in (1, b) for a, b in zip(shape[::-1], cell_shape[::-1])
+    )
+
+
 def _check_weight(weight) -> np.ndarray:
     if np.iscomplexobj(weight):
         raise NonRealWeight("weight tables must be real-valued")
@@ -173,21 +180,13 @@ class GlobalOperator:
         if mats.ndim < 2 or mats.shape[-2:] != (d, d):
             raise ShapeMismatch(f"cell matrices must end in ({d}, {d}), got {mats.shape}")
         cell_shape = self.grid.cell_shape
-        try:
-            if np.broadcast_shapes(mats.shape[:-2], cell_shape) != cell_shape:
-                raise ValueError
-        except ValueError:
+        if not _broadcasts_to(mats.shape[:-2], cell_shape):
             raise ShapeMismatch(
                 f"matrix cell axes {mats.shape[:-2]} do not broadcast to {cell_shape}"
-            ) from None
+            )
         weight = _check_weight(self.weight)
-        try:
-            if np.broadcast_shapes(weight.shape, cell_shape) != cell_shape:
-                raise ValueError
-        except ValueError:
-            raise ShapeMismatch(
-                f"weight axes {weight.shape} do not broadcast to {cell_shape}"
-            ) from None
+        if not _broadcasts_to(weight.shape, cell_shape):
+            raise ShapeMismatch(f"weight axes {weight.shape} do not broadcast to {cell_shape}")
         mats.setflags(write=False)
         weight.setflags(write=False)
         object.__setattr__(self, "mats", mats)
@@ -300,9 +299,31 @@ def gamma(axis: str, mode: int, zeta, grid: ModularGrid) -> GlobalOperator:
     return pauli(axis, mode, grid).with_weight(mode_table_to_cells(table, mode, grid))
 
 
+@cache
+def _gates(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(H, I0, -H I0 H) on n band bits, read-only; built once per process
+    for each n, the diffusion -H I0 H as compose would multiply it."""
+    h = _mode_kron([HADAMARD_1] * n)
+    i0 = np.eye(2**n, dtype=np.complex128)
+    i0[0, 0] = -1.0
+    diffusion = -reduce(lambda a, b: np.einsum("ij,jk->ik", a, b), [h, i0, h])
+    for gate in (h, i0, diffusion):
+        gate.setflags(write=False)
+    return h, i0, diffusion
+
+
 def hadamard(grid: ModularGrid) -> GlobalOperator:
     """Band-space Hadamard on every mode at every cell."""
-    return GlobalOperator(grid, _mode_kron([HADAMARD_1] * grid.n_modes))
+    return GlobalOperator(grid, _gates(grid.n_modes)[0])
+
+
+def _oracle_signs(target: TargetSpec, grid: ModularGrid) -> np.ndarray:
+    """The oracle's diagonal at each cell: -1 on the cell's searched band
+    strings, 1 elsewhere; cell axes broadcastable against the cell shape."""
+    tb = target.band_indices(grid)
+    signs = np.ones(tb.shape[:-1] + (2**grid.n_modes,))
+    np.put_along_axis(signs, tb, -1.0, axis=-1)
+    return signs.reshape(tb.shape[:-1] + (1,) * grid.n_modes + signs.shape[-1:])
 
 
 def oracle(target: TargetSpec, grid: ModularGrid) -> GlobalOperator:
@@ -310,27 +331,15 @@ def oracle(target: TargetSpec, grid: ModularGrid) -> GlobalOperator:
 
     Every cell matrix is identity - 2 * sum over targets |b(cell)><b(cell)|.
     """
-    d = 2**grid.n_modes
-    tb = target.band_indices(grid)
-    cell_axes = tb.shape[:-1] + (1,) * grid.n_modes
-    mats = np.zeros(cell_axes + (d, d), dtype=np.complex128)
-    mats[...] = np.eye(d)
-    flat = mats.reshape(-1, d, d)
-    tflat = np.broadcast_to(tb, tb.shape[:-1] + (target.n_targets,)).reshape(
-        -1, target.n_targets
-    )
-    rows = np.arange(flat.shape[0])
-    for m in range(target.n_targets):
-        flat[rows, tflat[:, m], tflat[:, m]] -= 2.0
+    signs = _oracle_signs(target, grid)
+    mats = np.zeros(signs.shape + signs.shape[-1:], dtype=np.complex128)
+    np.einsum("...ii->...i", mats)[...] = signs
     return GlobalOperator(grid, mats)
 
 
 def inversion_about_zero(grid: ModularGrid) -> GlobalOperator:
     """Phase gate identity - 2|0...0><0...0| on the bands of each cell."""
-    d = 2**grid.n_modes
-    mat = np.eye(d, dtype=np.complex128)
-    mat[0, 0] = -1.0
-    return GlobalOperator(grid, mat)
+    return GlobalOperator(grid, _gates(grid.n_modes)[1])
 
 
 def grover_cell(target: TargetSpec, grid: ModularGrid, global_sign: int = 1) -> GlobalOperator:
@@ -343,9 +352,9 @@ def grover_cell(target: TargetSpec, grid: ModularGrid, global_sign: int = 1) -> 
     """
     if global_sign not in (1, -1):
         raise ValueError(f"global_sign must be +1 or -1, got {global_sign}")
-    h = hadamard(grid)
-    composed = compose(h, inversion_about_zero(grid), h, oracle(target, grid))
-    return GlobalOperator(grid, (-global_sign) * composed.mats)
+    # -H I0 H Is: the cached diffusion with its columns signed by the oracle.
+    signs = global_sign * _oracle_signs(target, grid)[..., None, :]
+    return GlobalOperator(grid, signs * _gates(grid.n_modes)[2])
 
 
 def grover_weighted(target: TargetSpec, zetas, grid: ModularGrid) -> GlobalOperator:
@@ -353,12 +362,15 @@ def grover_weighted(target: TargetSpec, zetas, grid: ModularGrid) -> GlobalOpera
     return grover_cell(target, grid).with_weight(joint_weight(zetas, grid))
 
 
+def check_dilation_weight(top: float) -> None:
+    """WeightOutOfRange unless the largest |w|, top, is at most 1 (to 1e-12)."""
+    if top > 1.0 + 1e-12:
+        raise WeightOutOfRange(f"dilation needs |weight| <= 1 everywhere, max is {top:.6g}")
+
+
 def ancilla_weight(w: np.ndarray) -> np.ndarray:
     """The dilation partner w' = sqrt(1 - w^2); WeightOutOfRange unless |w| <= 1."""
-    if np.max(np.abs(w)) > 1.0 + 1e-12:
-        raise WeightOutOfRange(
-            f"dilation needs |weight| <= 1 everywhere, max is {np.max(np.abs(w)):.6g}"
-        )
+    check_dilation_weight(float(np.max(np.abs(w))))
     return np.sqrt(np.maximum(1.0 - w**2, 0.0))
 
 
@@ -389,5 +401,6 @@ def apply(op: GlobalOperator, state: JointState) -> JointState:
         )
     vec = state.amp.reshape(state.grid.cell_shape + (op.dim,))
     out = np.einsum("...ij,...j->...i", op.mats, vec)
-    out *= np.asarray(op.weight)[..., None]
+    if op.weight.ndim or op.weight != 1.0:
+        out *= op.weight[..., None]
     return JointState(state.grid, out.reshape(state.amp.shape), state.n_ancilla)

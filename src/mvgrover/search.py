@@ -51,8 +51,8 @@ _CELL_FLOOR = 1e-200
 MAX_STEPS = 30_000
 # The ancilla-0 branch of an odd dilated run is streamed in chunks of whole
 # theta_1 slices of at most this many cells (one slice at (n, g) = (2, 24)),
-# or one slice where a slice is larger; its series takes the weight powers in
-# blocks of at most this many floats, or one power where a power is larger.
+# or one slice where a slice is larger; its series holds its baby and giant
+# steps in at most this many floats, or one giant step where a step is larger.
 _STREAM_CELLS = 13_824
 # Physical memory for _check_capacity, read once per process.
 _PHYSICAL_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -401,22 +401,50 @@ def _series_powers(psq: np.ndarray, sq: np.ndarray, n_terms: int, axes: tuple) -
     stacks, (1, 2) for per-mode totals or (2,) for per-theta sums, for
     j < n_terms, stacked along a new first axis.
 
-    The powers go in blocks of at most _STREAM_CELLS floats through one
-    buffer: a block starts from psq sq^lo, the last power of the block before
-    it times sq, and is one running product along the stacked copies of sq.
+    Baby step, giant step (Paterson and Stockmeyer 1973): the stacks are
+    (groups, cells) rows, the groups the leading axes that stay.  Term 0 is
+    the sum of psq; term 1 + j B + b, for b < B, is giant step
+    psq sq^(j B) contracted with baby step sq^(b + 1), one batched matmul
+    per block of giant steps.  Both tables are row products, about 2 sqrt(K)
+    of them: the last baby step is the giant ratio sq^B, and each block of
+    giant steps starts from the last one before it times sq^B.  The two
+    tables share one buffer of at most _STREAM_CELLS floats, B capped to
+    leave room for one giant step, or of one giant step where a step is
+    larger (B = 1 then reads sq itself).
     """
-    block = max(1, _STREAM_CELLS // psq.size)
-    buf = np.empty((min(block, n_terms),) + psq.shape)
-    out = np.empty((n_terms,) + psq.shape[: axes[0]])
-    buf[0] = psq
-    for lo in range(0, n_terms, block):
-        b = buf[: min(block, n_terms - lo)]
+    groups = psq.shape[: axes[0]]
+    n_groups = math.prod(groups)
+    rows = max(1, _STREAM_CELLS // psq.size)  # steps the buffer may hold
+    base = max(1, min(math.isqrt(max(n_terms - 2, 0)) + 1, rows - 1))  # ceil(sqrt(K - 1))
+    giants = -(-(n_terms - 1) // base)
+    own = base if base > 1 else 0  # baby steps held in the buffer
+    blocks = max(1, -(-giants // (rows - own)))  # rows - own >= 1
+    block = max(1, -(-giants // blocks))  # blocks of even size
+    # Few live views: each is an object of its own in the run's peak memory.
+    buf = np.empty((own + block,) + psq.shape)
+    if own:
+        buf[0] = sq
+        for b in range(1, own):
+            np.multiply(buf[b - 1], sq, out=buf[b])
+        step = buf[own - 1]
+        baby = buf[:own].reshape(own, n_groups, -1).transpose(1, 2, 0)
+    else:
+        step, baby = sq, sq.reshape(n_groups, -1, 1)
+    out = np.empty((1 + giants * base,) + groups)
+    psq.sum(axis=axes, out=out[0])
+    for lo in range(0, giants, block):
+        hi = min(lo + block, giants)
+        g = buf[own : own + hi - lo]
         if lo:  # every block but the last is full
-            np.multiply(buf[-1], sq, out=b[0])
-        b[1:] = sq
-        np.multiply.accumulate(b, axis=0, out=b)
-        b.sum(axis=tuple(a + 1 for a in axes), out=out[lo : lo + len(b)])
-    return out
+            np.multiply(buf[-1], step, out=g[0])
+        else:
+            g[0] = psq
+        for j in range(1, hi - lo):
+            np.multiply(g[j - 1], step, out=g[j])
+        np.matmul(g.reshape(hi - lo, n_groups, -1).transpose(1, 0, 2), baby,
+                  out=out[1 + lo * base : 1 + hi * base].reshape(hi - lo, base, -1)
+                  .transpose(2, 0, 1))
+    return out[:n_terms]
 
 
 def _streamed_branch(psq, scaled, scale: float, index: np.ndarray, n_classes: int) -> np.ndarray:
@@ -543,7 +571,7 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
             f"weight product vanishes on the envelope support (mass {mass:.3e})"
         )
     if cfg.use_dilation:  # each w_max > 0 above the mass floor
-        ops.ancilla_weight(np.array(_unscaled(*_scaled_product(w_max))))  # checked whatever r
+        ops.check_dilation_weight(_unscaled(*_scaled_product(w_max)))  # whatever r
         if r % 2:
             # sum |P|^2 w'^2 = sum |P|^2 - sum |P|^2 w^2, clipped at 0 per class.
             (s0, e0), (s2, e2) = power_sums[0], power_sums[2]

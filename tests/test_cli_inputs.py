@@ -253,6 +253,19 @@ def test_state_load_of_an_impossible_grid_is_named(tmp_path, capsys, header, err
     assert capsys.readouterr().err.startswith(f"{error}: ")
 
 
+@pytest.mark.parametrize("header, size", [
+    ((4, 65536, 65536), 2**136), ((2, 2**32 - 1, 1), 64 * (2**32 - 1) ** 2),
+])
+def test_state_load_of_an_overflowing_header_is_truncated(tmp_path, capsys, header, size):
+    # The payload size of these headers overflows int64.
+    path = tmp_path / "s.mvgr"
+    path.write_bytes(b"MVGR1" + struct.pack("<3I", *header))
+    assert main(["state", "load", "--path", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"TruncatedFile: expected {size} payload bytes, got 0")
+    assert "Traceback" not in err
+
+
 def test_unwritable_outputs_are_named(tmp_path, capsys):
     cfg = write(tmp_path / "cfg.json", BASE)
     saved = str(tmp_path / "s.mvgr")

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -333,3 +334,24 @@ def test_state_file_truncated(tmp_path, cut, message):
     path.write_bytes(blob + b"\x00" * 16)
     with pytest.raises(TruncatedFile, match="expected 128 payload bytes, got 144"):
         load_state(path)
+
+
+# Headers whose payload size overflows int64: (4, 65536, 65536) wraps to 0
+# bytes, so a bare 17-byte header used to pass the size check.
+HUGE_HEADERS = [
+    pytest.param((4, 65536, 65536), 2**136, id="wraps-to-0"),
+    pytest.param((2, 2**32 - 1, 1), 64 * (2**32 - 1) ** 2, id="wraps-negative"),
+]
+
+
+@pytest.mark.parametrize("header, size", HUGE_HEADERS)
+def test_huge_header_is_truncated_with_its_true_size(tmp_path, header, size):
+    blob = b"MVGR1" + struct.pack("<3I", *header)
+    for extra in (b"", bytes(16)):
+        message = f"expected {size} payload bytes, got {len(extra)}"
+        with pytest.raises(TruncatedFile, match=message):
+            state_from_bytes(blob + extra)
+        path = tmp_path / "s.mvgr"
+        path.write_bytes(blob + extra)
+        with pytest.raises(TruncatedFile, match=message):
+            load_state(path)

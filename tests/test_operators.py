@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from mvgrover import (
     EnvelopeSpec,
+    GlobalOperator,
     JointState,
     TargetSpec,
     ancilla_branch,
@@ -40,6 +41,7 @@ from mvgrover.errors import (
     DuplicateTarget,
     GridMismatch,
     NonRealWeight,
+    ShapeMismatch,
     WeightOutOfRange,
 )
 
@@ -242,6 +244,39 @@ def test_hadamard_conjugation_of_inversion_is_uniform_reflection():
         product = compose(h, inversion_about_zero(grid), h)
         uniform = np.full((d, d), 1.0 / d)
         assert np.max(np.abs(product.mats - (np.eye(d) - 2 * uniform))) < 1e-12
+
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gates_are_built_once_per_register(n):
+    # H, I0 and the diffusion depend on n alone: grids of n modes share one
+    # read-only copy of each.
+    grid, other = make_grid(n, 4, 3), make_grid(n, 2, 5)
+    for build in (hadamard, inversion_about_zero):
+        assert build(grid).mats is build(other).mats
+        assert not build(grid).mats.flags.writeable
+    h, i0 = hadamard(grid), inversion_about_zero(grid)
+    for spec in (TargetSpec.bits("1" * n), TargetSpec.from_intervals([[(0.5, 2.0)]] * n)):
+        composed = compose(h, i0, h, oracle(spec, grid)).mats
+        assert np.array_equal(grover_cell(spec, grid).mats, -composed)
+        assert np.array_equal(grover_cell(spec, grid, global_sign=-1).mats, composed)
+
+
+@pytest.mark.parametrize("axes", [(), (1,), (3,), (1, 1), (4, 1), (1, 3), (4, 3), (4,), (2, 3),
+                                  (4, 2), (1, 4, 3), (1, 1, 1), (4, 3, 1)])
+def test_global_operator_cell_axes_broadcast_to_the_cell_shape(axes):
+    grid = make_grid(1, 4, 3)
+    try:
+        ok = np.broadcast_shapes(axes, grid.cell_shape) == grid.cell_shape
+    except ValueError:
+        ok = False
+    mats = np.broadcast_to(np.eye(2), axes + (2, 2))
+    for build in (lambda: GlobalOperator(grid, mats), lambda: identity(grid).with_weight(np.ones(axes))):
+        if ok:
+            build()
+        else:
+            with pytest.raises(ShapeMismatch):
+                build()
 
 
 # --- grover_cell -----------------------------------------------------------

@@ -458,6 +458,48 @@ def test_series_needs_weights_below_one(s):
     assert search._series_coefficients(s, 10**6) is None
 
 
+def _series_inputs(seed):
+    """(psq, sq) stacks of shape (3, 4, 5) like a run's: |g_i|^2 > 0 and
+    squared scaled weights in [0, 1] with each mode's largest exactly 1."""
+    rng = np.random.default_rng(seed)
+    sq = rng.uniform(0.0, 1.0, (3, 4, 5))
+    sq[:, 1, 2] = 1.0
+    return rng.uniform(0.2, 1.0, (3, 4, 5)), sq
+
+
+def _assert_series_powers(psq, sq, n_terms, axes):
+    got = search._series_powers(psq, sq, n_terms, axes)
+    want = np.array([(psq * sq**j).sum(axis=axes) for j in range(n_terms)])
+    assert got.shape == want.shape == (n_terms,) + psq.shape[: axes[0]]
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+
+@pytest.mark.parametrize("axes", [(1, 2), (2,)])
+@pytest.mark.parametrize("n_terms", [1, 2, 3, 16, 17, 23, 43])
+def test_series_powers_match_naive_sums(axes, n_terms):
+    # Term 0 alone, one baby step (B = 1), K - 1 = 16 = 4 x 4 steps past
+    # term 0 (K = 17) and counts that leave the last giant step's baby steps
+    # partly unused (K = 16, 23, 43), all in one block of giant steps.
+    _assert_series_powers(*_series_inputs(n_terms), n_terms, axes)
+
+
+@pytest.mark.parametrize("axes", [(1, 2), (2,)])
+@pytest.mark.parametrize("rows", [1, 2, 3, 6, 8])
+def test_series_powers_in_several_giant_blocks(monkeypatch, axes, rows):
+    # A buffer of `rows` stacks: one giant step at a time for rows <= 3, B
+    # capped at rows - 1 otherwise, so 42 steps past term 0 take 6 to 42
+    # blocks; the buffer stays within the cap (one stack when rows = 1).
+    psq, sq = _series_inputs(rows)
+    monkeypatch.setattr(search, "_STREAM_CELLS", rows * psq.size)
+    _assert_series_powers(psq, sq, 43, axes)
+    tracemalloc.start()
+    search._series_powers(psq, sq, 43, axes)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    out_bytes = 8 * (43 + rows) * psq[..., 0].size  # at most B - 1 rows past term K - 1
+    assert peak <= 8 * rows * psq.size + out_bytes + 2048
+
+
 @pytest.mark.parametrize("powers", [(0, 1, 2), (0, 2), (1, 2), (2, 4), (2, 3, 6), (2, 5, 10),
                                     (2, 7, 14), (2, 600, 1200)])
 def test_weight_powers_match_numpy_power(powers):

@@ -56,3 +56,37 @@ def test_parent_and_change_runs_alternate(tmp_path):
     assert calls == expected
     assert (change_doc["measured_on"], parent_doc["measured_on"]) == (ROOT.name, "parent")
     assert change_doc.keys() == parent_doc.keys() == recorder.record(ROOT, run=fake_run).keys()
+
+
+def test_pairs_alternate_and_report_medians(tmp_path):
+    # --pairs: untraced runs only, each pair's sides in turn starting with
+    # the parent, the medians of each side and the pairs the change won.
+    recorder = _load_recorder()
+    calls = []
+    values = {"parent": iter([3.0, 5.0, 4.0]), "change": iter([2.0, 6.0, 1.0])}
+
+    def fake_run(root, workload, trace):
+        calls.append((root.name, workload, trace))
+        v = next(values[root.name])
+        metrics = {"op_s_p50": {"value": v, "unit": "s"}, "ops_per_s": {"value": v, "unit": "1/s"}}
+        return {"environment": {}, "samples": 3, "result": {"metrics": metrics}}
+
+    better = {"op_s_p50": "lower", "ops_per_s": "higher"}
+    doc = recorder.record_pairs(tmp_path / "change", tmp_path / "parent", ["dense_dilation"], 3,
+                                better, run=fake_run)
+    assert calls == [(side, "dense_dilation", 0)
+                     for side in ["parent", "change", "change", "parent", "parent", "change"]]
+    entry = doc["workloads"]["dense_dilation"]
+    assert [p["first"] for p in entry["pairs"]] == ["parent", "change", "parent"]
+    assert [p["change"]["op_s_p50"] for p in entry["pairs"]] == [2.0, 6.0, 1.0]
+    assert entry["median"] == {"parent": {"op_s_p50": 4.0, "ops_per_s": 4.0},
+                               "change": {"op_s_p50": 2.0, "ops_per_s": 2.0}}
+    assert entry["change_won"] == {"op_s_p50": 2, "ops_per_s": 1}
+    assert doc["command"] == " ".join(recorder.bench_command("W", 0))
+
+
+def test_pairs_read_metric_directions_from_the_benchmark():
+    recorder = _load_recorder()
+    better = recorder._better(ROOT / "BENCHMARK.json")
+    assert better["op_s_p50"] == "lower" and better["ops_per_s"] == "higher"
+    assert set(better) == {"op_s_p50", "op_s_p90", "ops_per_s", "peak_mb", "setup_s", "ok_frac"}

@@ -5,6 +5,8 @@ Run from anywhere:
     python3 tools/record_bench.py --label baseline
     python3 tools/record_bench.py --label parent --root ../parent-checkout
     python3 tools/record_bench.py --label change --parent-root ../parent-checkout
+    python3 tools/record_bench.py --label change --parent-root ../parent-checkout \
+        --pairs 10 --workload dense_dilation
 
 Runs `perfbench/run.py` of the checkout at --root (default: this one) on the
 three workloads with `--trace 0`, then on each once more with `--trace 1`,
@@ -17,12 +19,20 @@ With --parent-root the parent checkout takes the same twelve runs, one at a
 time next to the same run of --root, which side goes first alternating from
 one pair to the next, so drift of the machine lands on both sides alike.  The
 parent's runs go to `BENCH_<label>_parent.json`.
+
+--pairs N then takes N more untraced pairs of each workload (of --workload W
+only, if given), the parent first in every other pair.  One pair cannot
+resolve a change below about 20% on this benchmark; `BENCH_<label>_pairs.json`
+holds each pair's end-to-end metrics, each metric's median on either side and
+the number of pairs the change won (better in the direction BENCHMARK.json
+gives, ties not counted).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -87,26 +97,71 @@ def record_pair(root: Path, parent_root: Path, run=run_bench) -> tuple[dict, dic
     return _document(change), _document(parent)
 
 
+def _better(benchmark: Path) -> dict:
+    """{end-to-end metric: "lower" or "higher"} from BENCHMARK.json."""
+    doc = json.loads(benchmark.read_text(encoding="utf-8"))
+    return {m["name"]: m["better"] for m in doc["end_to_end"]}
+
+
+def record_pairs(root: Path, parent_root: Path, workloads, n_pairs: int, better: dict,
+                 run=run_bench) -> dict:
+    """N untraced pairs of each workload, the parent first in every other
+    pair: each pair's metrics, the medians and the pairs the change won."""
+    sign = {name: 1 if how == "lower" else -1 for name, how in better.items()}
+    out = {"command": " ".join(bench_command("W", 0)), "workloads": {}}
+    for w in workloads:
+        pairs = []
+        for i in range(n_pairs):
+            sides = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+            pair = {"first": sides[0]}
+            for side in sides:
+                metrics = run(parent_root if side == "parent" else root, w, 0)["result"]["metrics"]
+                pair[side] = {name: metrics[name]["value"] for name in better}
+            pairs.append(pair)
+        median = {side: {name: statistics.median(p[side][name] for p in pairs) for name in better}
+                  for side in ("parent", "change")}
+        won = {name: sum(s * p["change"][name] < s * p["parent"][name] for p in pairs)
+               for name, s in sign.items()}
+        out["workloads"][w] = {"pairs": pairs, "median": median, "change_won": won}
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     parser.add_argument("--root", type=Path, default=REPO, help="checkout to measure")
     parser.add_argument("--parent-root", type=Path,
                         help="parent checkout, run alternately; writes BENCH_<label>_parent.json")
+    parser.add_argument("--pairs", type=int, default=0,
+                        help="with --parent-root, N more untraced pairs per workload; "
+                             "writes BENCH_<label>_pairs.json")
+    parser.add_argument("--workload", choices=WORKLOADS,
+                        help="take the --pairs of this workload only")
     args = parser.parse_args(argv)
+    if args.pairs < 0:
+        parser.error("--pairs must be >= 0")
+    if args.pairs and not args.parent_root:
+        parser.error("--pairs needs --parent-root")
+    if args.workload and not args.pairs:
+        parser.error("--workload selects the workload of --pairs")
     roots = [args.root] + ([args.parent_root] if args.parent_root else [])
     for root in roots:
         if not (root / "perfbench" / "run.py").is_file():
             parser.error(f"no perfbench/run.py under {root}")
     try:
         if args.parent_root:
-            docs = record_pair(args.root.resolve(), args.parent_root.resolve())
+            root, parent_root = args.root.resolve(), args.parent_root.resolve()
+            docs = record_pair(root, parent_root)
+            if args.pairs:
+                workloads = [args.workload] if args.workload else WORKLOADS
+                better = _better(REPO / "BENCHMARK.json")
+                docs += (record_pairs(root, parent_root, workloads, args.pairs, better),)
         else:
             docs = (record(args.root.resolve()),)
     except RuntimeError as exc:
         print(f"record_bench: {exc}", file=sys.stderr)
         return 1
-    for suffix, doc in zip(("", "_parent"), docs):
+    for suffix, doc in zip(("", "_parent", "_pairs"), docs):
         out = REPO / f"BENCH_{args.label}{suffix}.json"
         out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
         print(out)

@@ -246,7 +246,6 @@ def test_hadamard_conjugation_of_inversion_is_uniform_reflection():
         assert np.max(np.abs(product.mats - (np.eye(d) - 2 * uniform))) < 1e-12
 
 
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_gates_are_built_once_per_register(n):
     # H, I0 and the diffusion depend on n alone: grids of n modes share one

@@ -477,18 +477,18 @@ def _assert_series_powers(psq, sq, n_terms, axes):
 @pytest.mark.parametrize("axes", [(1, 2), (2,)])
 @pytest.mark.parametrize("n_terms", [1, 2, 3, 16, 17, 23, 43])
 def test_series_powers_match_naive_sums(axes, n_terms):
-    # Term 0 alone, one baby step (B = 1), K - 1 = 16 = 4 x 4 steps past
-    # term 0 (K = 17) and counts that leave the last giant step's baby steps
-    # partly unused (K = 16, 23, 43), all in one block of giant steps.
+    # Term 0 alone, one baby step (B = 1), K - 1 = 2 x 1, 4 x 4 and 7 x 6
+    # steps past term 0 (K = 3, 17, 43) and counts that leave the last giant
+    # step's baby steps partly unused (K = 16, 23), in one block of giant steps.
     _assert_series_powers(*_series_inputs(n_terms), n_terms, axes)
 
 
 @pytest.mark.parametrize("axes", [(1, 2), (2,)])
 @pytest.mark.parametrize("rows", [1, 2, 3, 6, 8])
 def test_series_powers_in_several_giant_blocks(monkeypatch, axes, rows):
-    # A buffer of `rows` stacks: one giant step at a time for rows <= 3, B
-    # capped at rows - 1 otherwise, so 42 steps past term 0 take 6 to 42
-    # blocks; the buffer stays within the cap (one stack when rows = 1).
+    # A buffer of `rows` stacks: B = 1 (sq itself) for rows <= 2, else B
+    # capped at rows - 1, so 42 steps past term 0 take 6 to 42 blocks; the
+    # buffer stays within the cap (one stack when rows = 1).
     psq, sq = _series_inputs(rows)
     monkeypatch.setattr(search, "_STREAM_CELLS", rows * psq.size)
     _assert_series_powers(psq, sq, 43, axes)

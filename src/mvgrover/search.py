@@ -52,7 +52,8 @@ MAX_STEPS = 30_000
 # The ancilla-0 branch of an odd dilated run is streamed in chunks of whole
 # theta_1 slices of at most this many cells (one slice at (n, g) = (2, 24)),
 # or one slice where a slice is larger; its series holds its baby and giant
-# steps in at most this many floats, or one giant step where a step is larger.
+# steps in K - 1 stacks of at most this many floats in all, or in one giant
+# step where a step is larger.
 _STREAM_CELLS = 13_824
 # Physical memory for _check_capacity, read once per process.
 _PHYSICAL_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -408,20 +409,22 @@ def _series_powers(psq: np.ndarray, sq: np.ndarray, n_terms: int, axes: tuple) -
     per block of giant steps.  Both tables are row products, about 2 sqrt(K)
     of them: the last baby step is the giant ratio sq^B, and each block of
     giant steps starts from the last one before it times sq^B.  The two
-    tables share one buffer of at most _STREAM_CELLS floats, B capped to
-    leave room for one giant step, or of one giant step where a step is
-    larger (B = 1 then reads sq itself).
+    tables share one buffer of min(K - 1, _STREAM_CELLS // psq.size) steps,
+    or of one giant step where a step is larger (B = 1 then reads sq
+    itself); B is capped to leave room for one giant step and the giant
+    steps fill the rest in blocks.  The buffer's size does not depend on
+    how K splits into B and its giant steps, so past the cap a run's peak
+    memory is the same whatever K its weights draw.
     """
     groups = psq.shape[: axes[0]]
     n_groups = math.prod(groups)
-    rows = max(1, _STREAM_CELLS // psq.size)  # steps the buffer may hold
+    rows = max(1, min(n_terms - 1, _STREAM_CELLS // psq.size))  # steps the buffer holds
     base = max(1, min(math.isqrt(max(n_terms - 2, 0)) + 1, rows - 1))  # ceil(sqrt(K - 1))
     giants = -(-(n_terms - 1) // base)
     own = base if base > 1 else 0  # baby steps held in the buffer
-    blocks = max(1, -(-giants // (rows - own)))  # rows - own >= 1
-    block = max(1, -(-giants // blocks))  # blocks of even size
+    block = max(1, min(giants, rows - own))  # rows - own >= 1
     # Few live views: each is an object of its own in the run's peak memory.
-    buf = np.empty((own + block,) + psq.shape)
+    buf = np.empty((rows,) + psq.shape)
     if own:
         buf[0] = sq
         for b in range(1, own):
@@ -436,7 +439,7 @@ def _series_powers(psq: np.ndarray, sq: np.ndarray, n_terms: int, axes: tuple) -
         hi = min(lo + block, giants)
         g = buf[own : own + hi - lo]
         if lo:  # every block but the last is full
-            np.multiply(buf[-1], step, out=g[0])
+            np.multiply(buf[own + block - 1], step, out=g[0])
         else:
             g[0] = psq
         for j in range(1, hi - lo):

@@ -500,6 +500,25 @@ def test_series_powers_in_several_giant_blocks(monkeypatch, axes, rows):
     assert peak <= 8 * rows * psq.size + out_bytes + 2048
 
 
+@pytest.mark.parametrize("axes", [(1, 2), (2,)])
+def test_series_powers_peak_does_not_depend_on_the_term_count(axes):
+    # Stacks of the (n, g) = (2, 24) slot: the buffer holds 12 steps of 9216
+    # bytes whatever split of K = 13 to 62 into 4 to 8 baby steps and their
+    # giant steps, so past the output the peak is the same for every K.
+    rng = np.random.default_rng(5)
+    psq, sq = rng.uniform(0.2, 1.0, (2, 2, 24, 24))
+    search._series_powers(psq, sq, 13, axes)
+    rest = []
+    for n_terms in (13, 23, 29, 43, 49, 62):
+        tracemalloc.start()
+        got = search._series_powers(psq, sq, n_terms, axes)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        rest.append(peak - got.base.nbytes)
+    assert max(rest) - min(rest) < 1024
+    assert max(rest) <= 8 * 12 * psq.size + 2048
+
+
 @pytest.mark.parametrize("powers", [(0, 1, 2), (0, 2), (1, 2), (2, 4), (2, 3, 6), (2, 5, 10),
                                     (2, 7, 14), (2, 600, 1200)])
 def test_weight_powers_match_numpy_power(powers):

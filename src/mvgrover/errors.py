@@ -70,12 +70,14 @@ class NoAssociation(MvGroverError):
 
 
 class ConfigInvalid(MvGroverError):
-    """A run configuration failed validation."""
+    """A run configuration failed validation; path is the JSON path of the
+    offending value, "" for the file or its top level, which reads as the
+    message alone."""
 
     def __init__(self, path: str, message: str):
         self.path = path
         self.message = message
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{path}: {message}" if path else message)
 
 
 class BadMagic(MvGroverError):

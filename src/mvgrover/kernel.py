@@ -9,6 +9,7 @@ last index fastest, and all reductions run in that lexicographic order.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -83,10 +84,16 @@ class ModularGrid:
         return (np.arange(self.g_k) + 0.5) * self.d_k
 
     def single_mode(self) -> "ModularGrid":
-        """The one-mode grid with the same per-mode resolution."""
+        """The one-mode grid with the same per-mode resolution; grids of
+        several modes share one per (g_theta, g_k) in a process."""
         if self.n_modes == 1:
             return self
-        return replace(self, n_modes=1)
+        return _one_mode_grid(int(self.g_theta), int(self.g_k))
+
+
+@functools.cache
+def _one_mode_grid(g_theta: int, g_k: int) -> ModularGrid:
+    return ModularGrid(1, g_theta, g_k)
 
 
 def make_grid(n_modes: int, g_theta: int, g_k: int) -> ModularGrid:

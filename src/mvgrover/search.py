@@ -12,6 +12,7 @@ per-cell check.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import os
@@ -53,7 +54,8 @@ MAX_STEPS = 30_000
 # theta_1 slices of at most this many cells (one slice at (n, g) = (2, 24)),
 # or one slice where a slice is larger; its series holds its baby and giant
 # steps in K - 1 stacks of at most this many floats in all, or in one giant
-# step where a step is larger.
+# step where a step is larger.  final_state gathers the class matrices of at
+# most this many floats at a time.
 _STREAM_CELLS = 13_824
 # Physical memory for _check_capacity, read once per process.
 _PHYSICAL_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -285,14 +287,21 @@ def _search_step(n: int, m: int) -> ops.GlobalOperator:
     )
 
 
+@functools.cache
+def _uniform_state(n: int) -> JointState:
+    """The uniform 2^n vector on the bare n-qubit register, read-only; built
+    once per process for each n."""
+    qubits = make_grid(n, 1, 1)
+    return JointState(qubits, np.full(qubits.cell_shape + qubits.band_shape, 2.0 ** (-n / 2)))
+
+
 def _search_vector(n: int, m: int, r: int) -> np.ndarray:
     """v = G^r u for the targets 0..m-1: r steps of _search_step(n, m) from the
     uniform 2^n vector.  v[0] is the value on the targets (a_r), v[-1] the
     value on every other string (c_r); a class with other targets is this
     vector with the band strings relabelled."""
     step = _search_step(n, m)
-    qubits = step.grid
-    state = JointState(qubits, np.full(qubits.cell_shape + qubits.band_shape, 2.0 ** (-n / 2)))
+    state = _uniform_state(n)
     for _ in range(r):
         state = ops.apply(step, state)
     return state.amp.reshape(-1)
@@ -323,6 +332,12 @@ def _unscaled(x, log2_scale: float):
             return math.copysign(math.inf, x)
     with np.errstate(over="ignore"):
         return np.ldexp(x * 2.0 ** (e - whole), whole)
+
+
+def _class_total(x) -> float:
+    """The sum over the classes of per-class values: a float (the one class of
+    a constant target) as it is, an array (one entry per class) by np.sum."""
+    return x if isinstance(x, float) else float(x.sum())
 
 
 def _pattern_sums(per_theta: np.ndarray, onehot: np.ndarray, pattern_bits: np.ndarray) -> tuple:
@@ -496,7 +511,9 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     divided by their largest |w_i| (w = 2^w_log2 prod_i scaled[i] there),
     norms[b] the squared norm of readout branch b, sums[b] = (s1, s2, e) its
     per-class sums in scaled form (sum |P|^2 f = s1 2^(e/2),
-    sum |P|^2 f^2 = s2 2^e over the class's cells, e a float) and
+    sum |P|^2 f^2 = s2 2^e over the class's cells, e a float; s1 and s2 are
+    arrays over the classes, floats for the one class of a constant target
+    but for the series or stream s1 of an odd dilated run) and
     dots[b] = |v|^2 sum_c s2_c, as every class vector has the norm of v.
 
     A plain run has one branch, f = w^r.  The dilated step is G (x) A with
@@ -534,10 +551,9 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     # support.  A mode with no weight on its support keeps zeros and
     # w_log2 = -inf: its mass is 0, as it is when the peak underflows (the
     # envelopes are normalized, so the mass is at most peak^2).
-    off = psq == 0
     w_max = peaks = np.abs(scaled).max(axis=(1, 2)).tolist()
-    if off.any():
-        np.copyto(scaled, 0.0, where=off)  # in place: a run holds two (n, g_theta, g_k) stacks
+    if np.count_nonzero(psq) < psq.size:
+        np.copyto(scaled, 0.0, where=psq == 0)  # in place: a run holds two (n, g_theta, g_k) stacks
         peaks = np.abs(scaled).max(axis=(1, 2)).tolist()
     np.divide(scaled, np.array([p if p > 0 else 1.0 for p in peaks])[:, None, None], out=scaled)
     peak = _unscaled(*_scaled_product(peaks))
@@ -555,8 +571,7 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     stacks = _weight_powers(scaled, powers)
     if bits is None:  # one class of all theta cells: a product of per-mode totals
         totals = [np.einsum("itk,itk->i", psq, p).tolist() for p in stacks]
-        products = map(_scaled_product, totals)
-        power_sums = {q: (np.array([m]), e) for q, (m, e) in zip(powers, products)}
+        power_sums = dict(zip(powers, map(_scaled_product, totals)))
     else:
         per_theta = np.array([np.einsum("itk,itk->it", psq, p) for p in stacks])
         onehot, pattern_bits = np.eye(2)[bits], rows >> np.arange(n - 1, -1, -1) & 1
@@ -568,7 +583,7 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
         return s1 * 2.0 ** (e1 - e2 / 2), s2, e2 + (2 * p * w_log2 if p else 0.0)
 
     mass_sums, mass_exp = power_sums[2]
-    mass = _unscaled(float(mass_sums.sum()) * grid.cell_weight, mass_exp + 2 * w_log2)
+    mass = _unscaled(_class_total(mass_sums) * grid.cell_weight, mass_exp + 2 * w_log2)
     if mass <= 1e-20:
         raise DegenerateWeights(
             f"weight product vanishes on the envelope support (mass {mass:.3e})"
@@ -595,12 +610,13 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
                 f1 = np.array(coefs) @ terms
             sums = [(f1, f2, 0.0), branch(1)]
         else:
-            sums = [branch(0), (np.zeros(len(rows)), np.zeros(len(rows)), 0.0)]
+            empty = 0.0 if bits is None else np.zeros(len(rows))
+            sums = [branch(0), (empty, empty, 0.0)]
     else:
         sums = [branch(r)]
     v = _search_vector(n, rows.shape[1], r)
     vsq = float(_cell_sq(v))
-    dots = [vsq * float(s2.sum()) for _, s2, _ in sums]
+    dots = [vsq * _class_total(s2) for _, s2, _ in sums]
     norms = tuple(_unscaled(d * grid.cell_weight, e) for d, (_, _, e) in zip(dots, sums))
     # log2 of the largest |w| and |w|^r over the cells, from the per-mode maxima.
     top_log2 = math.fsum(math.log2(m) for m in w_max)
@@ -630,9 +646,24 @@ def final_state(cfg: SearchConfig) -> JointState:
     tables = _mode_tables(cfg.envelopes, grid)
     coef = _joint_table([t * wt**run.r for t, wt in zip(tables, run.scaled)])
     coef /= math.sqrt(float(_unscaled(run.norms[0], -2 * run.r * run.w_log2)))
-    vectors = np.full((len(run.rows), 2**grid.n_modes), run.v[-1])
-    np.put_along_axis(vectors, run.rows, run.v[0], axis=1)
-    amp = coef[:, :, None] * vectors[_class_index(run.bits, run.rows, grid)][:, None, :]
+    # The search vector is real (so is every entry of the search step), so a
+    # cell's bands are (Re coef, Im coef) times its real class vector: batched
+    # real matmuls of the float64 views, (k cells, 2) @ (2, 2 d) per theta
+    # cell, whose products are the parts of the complex product.  In chunks
+    # of theta cells, so the gathered (2, 2 d) class matrices stay small.
+    d = 2**grid.n_modes
+    vectors = np.full((len(run.rows), d), run.v[-1].real)
+    np.put_along_axis(vectors, run.rows, run.v[0].real, axis=1)
+    parts = np.zeros((len(run.rows), 2, d, 2))
+    parts[:, 0, :, 0] = parts[:, 1, :, 1] = vectors
+    parts = parts.reshape(-1, 2, 2 * d)
+    index = _class_index(run.bits, run.rows, grid)
+    amp = np.empty(coef.shape + (d,), dtype=np.complex128)
+    coef_parts, amp_parts = (x.view(np.float64).reshape(coef.shape + (-1,)) for x in (coef, amp))
+    chunk = max(1, _STREAM_CELLS // parts[0].size)
+    for lo in range(0, len(index), chunk):
+        hi = lo + chunk
+        np.matmul(coef_parts[lo:hi], parts[index[lo:hi]], out=amp_parts[lo:hi])
     return JointState(grid, amp.reshape(grid.cell_shape + grid.band_shape))
 
 
@@ -644,7 +675,17 @@ def _cell_sq(bands: np.ndarray) -> np.ndarray:
 
 def _max_deviation(v: np.ndarray, ref: np.ndarray) -> float:
     """Largest |v phase / |v| - ref| over the cells (all axes but the last)
-    whose |v| is above _CELL_FLOOR, with phase that of <ref|v>; -inf if none."""
+    whose |v| is above _CELL_FLOOR, with phase that of <ref|v>; -inf if none.
+
+    One vector (v 1-D, a single cell) takes its norm and phase as Python
+    scalars through the same ufunc loops, so it reads the bits of v[None]."""
+    if v.ndim == 1:
+        norm = math.sqrt(float(_cell_sq(v)))
+        if not norm > _CELL_FLOOR:
+            return -math.inf
+        overlap = complex(np.einsum("i,i->", np.conjugate(ref), v)) + 0.0
+        phase = cmath.exp(-1j * float(np.arctan2(overlap.imag, overlap.real)))
+        return float(np.abs(v * (phase * (1.0 / norm)) - ref).max())
     norms = np.sqrt(_cell_sq(v))
     mask = norms > _CELL_FLOOR
     # Adding 0.0 makes a -0.0 real part +0.0, so an orthogonal cell keeps phase 1.
@@ -694,26 +735,37 @@ def run_search(cfg: SearchConfig, threshold: float = DECISION_THRESHOLD) -> Sear
     Read from per-mode sums and one search vector (see _factored_run), with
     no dense state and, but for odd dilated runs that stream their ancilla-0
     branch, no pass over the cells: a branch with factor f has squared norm
-    N = |v|^2 (sum of S2 over the classes) dA and overlaps (c S1 + (a - c) T(s)) dA / sqrt(N), with S1 and
-    S2 a class's sums of |P|^2 f and |P|^2 f^2 over its cells, S1 summed
-    over all classes, T(s) over the classes that target s, a = v[0] and
-    c = v[-1]; the scale of the per-mode sums cancels.  Every class vector is
-    v relabelled, so the per-cell check compares v with the reference search
-    of the targets 0..M-1, once.  norm_constant is the
-    squared norm after the last iteration (1 for unit weights); a dilated
-    run's is the sum of its two branch norms (1 up to rounding).
+    N = |v|^2 (sum of S2 over the classes) dA and overlaps
+    (c S1 + (a - c) T(s)) dA / sqrt(N), with S1 and S2 a class's sums of
+    |P|^2 f and |P|^2 f^2 over its cells, S1 summed over all classes, T(s)
+    over the classes that target s, a = v[0] and c = v[-1]; the scale of the
+    per-mode sums cancels.  From the sums on, a run is a few scalars per
+    class: a constant target's one class keeps Python floats, a and c are
+    Python complex numbers, and the overlaps go straight into the dict.
+    Every class vector is v relabelled, so the per-cell check compares v with
+    the reference search of the targets 0..M-1, once, as one vector
+    (_max_deviation).  norm_constant is the squared norm after the last
+    iteration (1 for unit weights); a dilated run's is the sum of its two
+    branch norms (1 up to rounding).
     """
     run = _factored_run(cfg)
     n = cfg.n_modes
     dilated = len(run.norms) == 2
-    a, c = run.v[0], run.v[-1]
-    m = run.rows.shape[1]
+    a, c = complex(run.v[0]), complex(run.v[-1])
+    rows, strings = run.rows.tolist(), _band_strings(n)
 
-    def overlaps(s1: np.ndarray, dot: float) -> dict[str, complex]:
+    def overlaps(s1, dot: float) -> dict[str, complex]:
         # Each class's S1 dA / sqrt(N) = s1 sqrt(dA / dot): S1 = s1 2^(e/2), N = dA dot 2^e.
         s1 = s1 * math.sqrt(run.grid.cell_weight / dot)
-        on_targets = np.bincount(run.rows.reshape(-1), np.repeat(s1, m), minlength=2**n)
-        return _by_string(c * s1.sum() + (a - c) * on_targets, n)
+        on_targets = {}  # T(s) for the targets s of some class
+        for row, t in zip(rows, [s1] if isinstance(s1, float) else s1.tolist()):
+            for b in row:
+                on_targets[b] = on_targets.get(b, 0.0) + t
+        base = c * _class_total(s1)
+        out = dict.fromkeys(strings, base)
+        for b, t in on_targets.items():
+            out[strings[b]] = base + (a - c) * t
+        return out
 
     # Per branch: its readout, None for an empty dilated branch.
     readouts = [
@@ -733,12 +785,12 @@ def run_search(cfg: SearchConfig, threshold: float = DECISION_THRESHOLD) -> Sear
     # picks ancilla 1.
     dominant = readouts[int(dilated and run.norms[1] >= run.norms[0])]
     branches = [ro[1] if ro is not None and isinstance(ro[1], str) else None for ro in readouts]
-    reference = _reference_rows(n, np.arange(m)[None], run.r)
+    reference = _reference_rows(n, np.arange(len(rows[0]))[None], run.r)
     return SearchReport(
         norm_constant=sum(run.norms),
         overlaps=dominant[0],
         identified=identified,
-        per_cell_max_error=_max_deviation(run.v[None], reference),
+        per_cell_max_error=_max_deviation(run.v, reference[0]),
         iterations_used=run.r,
         ancilla_branch_norms=run.norms if dilated else None,
         branch_identified=tuple(branches) if dilated else None,

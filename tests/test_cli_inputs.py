@@ -238,6 +238,39 @@ def test_unreadable_config_is_invalid(tmp_path, capsys, kind):
     assert "config invalid" in capsys.readouterr().err
 
 
+NO_PATH = {
+    "missing": (lambda path: None, "config file not found: "),
+    "invalid-json": (lambda path: path.write_text("{bad"), "config is not valid JSON: "),
+    "unreadable": (lambda path: path.mkdir(), "cannot read config "),
+    "top-level-array": (lambda path: path.write_text("[1, 2]"), "expected an object, got list"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NO_PATH))
+def test_config_error_without_a_path_reads_as_its_message(tmp_path, capsys, kind):
+    make, message = NO_PATH[kind]
+    bad = tmp_path / "bad.json"
+    make(bad)
+    with pytest.raises(ConfigInvalid) as error:
+        load_config(bad)
+    assert error.value.path == "" and error.value.message.startswith(message)
+    assert str(error.value) == error.value.message
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == f"config invalid ({bad}): {error.value.message}\n"
+    good = write(tmp_path / "cfg.json", BASE)
+    assert main(["run", "--config", good, str(bad), "--out", str(out)]) == 1
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert records[1] == {"config_path": str(bad), "error": "config invalid"}
+    assert capsys.readouterr().err == f"config invalid ({bad}): {error.value.message}\n"
+    # An error at a JSON path keeps the path in front of the message.
+    with pytest.raises(ConfigInvalid) as field_error:
+        parse_config(dict(BASE, g_k="3"))
+    assert field_error.value.path == "/g_k"
+    assert str(field_error.value) == f"/g_k: {field_error.value.message}"
+
+
 def test_state_load_of_a_directory_is_named(tmp_path, capsys):
     assert main(["state", "load", "--path", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith(f"cannot read {tmp_path}: ")

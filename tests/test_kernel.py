@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 
@@ -191,6 +192,20 @@ def test_tensor_single_mode_is_copy():
     a = random_mode(grid, rng)
     joint = tensor([a])
     assert_allclose(joint.amp, a.amp, atol=0)
+
+
+def test_one_mode_grid_is_built_once_per_resolution():
+    # Grids of any number of modes share one read-only one-mode grid per
+    # (g_theta, g_k); a one-mode grid is its own.
+    grid, other = make_grid(3, 4, 5), make_grid(2, 4, 5)
+    one = grid.single_mode()
+    assert one is other.single_mode() is make_grid(4, 4, 5).single_mode()
+    assert one == make_grid(1, 4, 5) and one.single_mode() is one
+    assert make_grid(2, np.int64(4), 5).single_mode() is one
+    assert type(one.g_theta) is int
+    assert make_grid(2, 5, 4).single_mode() == make_grid(1, 5, 4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        one.g_theta = 3
 
 
 def test_tensor_of_logical_zeros_has_single_band_combination():

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mvgrover.search as search
 from mvgrover import (
@@ -618,3 +620,123 @@ def test_scalar_unscaled_matches_array_path(x, log2_scale):
     array = search._unscaled(np.array([x]), log2_scale)
     assert isinstance(scalar, float)
     assert np.array([scalar]).tobytes() == array.tobytes()
+
+
+@st.composite
+def _drawn_configs(draw):
+    """n <= 3 and g_theta, g_k <= 4; a constant target of one or several
+    strings or interval targets; complex tabulated envelopes and weights of
+    both signs with |w| <= 1; plain or dilated, r = 0..5."""
+    n, gt, gk = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    strings = [format(t, f"0{n}b") for t in range(2**n)]
+    kind = draw(st.sampled_from(["constant", "intervals"]))
+    if kind == "constant":
+        picks = draw(st.lists(st.sampled_from(strings), min_size=1, max_size=2**n - 1, unique=True))
+        target = TargetSpec.multi(picks) if len(picks) > 1 else TargetSpec.bits(picks[0])
+    else:
+        ends = st.tuples(st.floats(0.0, math.pi), st.floats(0.0, math.pi)).map(sorted)
+        target = TargetSpec.from_intervals([[tuple(draw(ends))] for _ in range(n)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tables = rng.uniform(0.2, 1.0, (n, gt, gk)) * np.exp(1j * rng.uniform(0, 7, (n, gt, gk)))
+    envs = tuple(EnvelopeSpec.tabulated(t) for t in tables)
+    zetas = tuple(rng.uniform(-1.0, 1.0, (n, gt, gk)))
+    return SearchConfig(n, gt, gk, envs, target, zetas=zetas, iterations=draw(st.integers(0, 5)),
+                        use_dilation=draw(st.booleans()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_drawn_configs())
+def test_drawn_runs_match_dense_loop(cfg):
+    # The scalar tail of a run (float sums for one class, overlaps built
+    # straight into the dict, the one-vector check) against the dense loop.
+    _assert_matches_dense_loop(cfg)
+    assert run_search(cfg).per_cell_max_error <= 1e-12
+
+
+def _check_cases(rng, d):
+    """(v, ref) pairs of d bands: random complex vectors, a reference
+    orthogonal to v (<ref|v> = 0, so the phase is 1) and a v that is the
+    reference up to a global complex phase and a norm."""
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    ref = rng.normal(size=d) + 1j * rng.normal(size=d)
+    orthogonal = np.zeros(d, dtype=np.complex128)
+    orthogonal[0] = 1.0
+    v_orth = v.copy()
+    v_orth[0] = 0.0
+    unit = ref / np.linalg.norm(ref)
+    phased = unit * np.exp(1j * rng.uniform(0, 7)) * rng.uniform(0.1, 10.0)
+    return [(v, ref), (v_orth, orthogonal), (phased, unit)]
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 16])
+def test_one_vector_check_reads_the_bits_of_the_cell_check(d):
+    # One vector takes its norm and phase as Python scalars; it must give
+    # the bits of the same vector checked as an array of one cell.
+    rng = np.random.default_rng(d)
+    for _ in range(50):
+        for v, ref in _check_cases(rng, d):
+            one = search._max_deviation(v, ref)
+            assert one == search._max_deviation(v[None], ref[None])
+            assert one == search._max_deviation(v[None], ref)
+    v, ref = _check_cases(rng, d)[1]
+    assert search._max_deviation(v, ref) == pytest.approx(
+        np.max(np.abs(v / np.linalg.norm(v) - ref)), abs=1e-15)  # phase 1
+    assert search._max_deviation(np.zeros(d, dtype=np.complex128), ref) == -math.inf
+
+
+@pytest.mark.parametrize("kind", sorted(TARGETS))
+def test_run_check_reads_the_bits_of_the_cell_check(kind):
+    cfg = SearchConfig(3, 3, 2, gaussian_envs(3), TARGETS[kind](3), zetas=cos_zetas(make_grid(3, 3, 2)),
+                       iterations=2)
+    run = search._factored_run(cfg)
+    ref = search._reference_rows(3, np.arange(run.rows.shape[1])[None], run.r)
+    assert run_search(cfg).per_cell_max_error == search._max_deviation(run.v[None], ref)
+
+
+def test_uniform_state_is_built_once_per_register():
+    # Like the gates: every run of n qubits starts from one read-only state.
+    for n in (1, 2, 3, 4):
+        state = search._uniform_state(n)
+        assert search._uniform_state(n) is state
+        assert not state.amp.flags.writeable
+        assert np.array_equal(state.amp.reshape(-1), np.full(2**n, 2.0 ** (-n / 2)))
+    cfg = SearchConfig(3, 3, 2, gaussian_envs(3), TARGETS["single"](3), iterations=0)
+    v = search._factored_run(cfg).v
+    assert not v.flags.writeable
+    assert np.shares_memory(v, search._uniform_state(3).amp)
+    first = run_search(cfg)
+    assert run_search(cfg) == first
+    assert np.array_equal(search._uniform_state(3).amp.reshape(-1), np.full(8, 8**-0.5))
+
+
+@pytest.mark.parametrize("n, g, gk, kind", [(2, 4, 3, "single"), (3, 3, 2, "multi"),
+                                            (2, 4, 3, "intervals"), (3, 16, 1, "intervals")])
+def test_final_state_equals_the_complex_product(n, g, gk, kind):
+    # final_state takes Re and Im of the cell coefficients times the real
+    # class vectors; with complex and with negative real envelopes that equals
+    # the complex product elementwise.  (3, 16, 1) takes several chunks.
+    rng = np.random.default_rng([n, g, gk])
+    complex_tables = rng.uniform(0.2, 1.0, (n, g, gk)) * np.exp(1j * rng.uniform(0, 7, (n, g, gk)))
+    negative_tables = rng.uniform(-1.0, -0.2, (n, g, gk)) + 0j
+    zetas = tuple(rng.uniform(-1.0, 1.0, (n, g, gk)))
+    for tables in (complex_tables, negative_tables):
+        envs = tuple(EnvelopeSpec.tabulated(t) for t in tables)
+        cfg = SearchConfig(n, g, gk, envs, TARGETS[kind](n), zetas=zetas, iterations=2)
+        run = search._factored_run(cfg)
+        mode_tables = search._mode_tables(envs, run.grid)
+        coef = search._joint_table([t * w**run.r for t, w in zip(mode_tables, run.scaled)])
+        coef /= math.sqrt(float(search._unscaled(run.norms[0], -2 * run.r * run.w_log2)))
+        vectors = np.full((len(run.rows), 2**n), run.v[-1])
+        np.put_along_axis(vectors, run.rows, run.v[0], axis=1)
+        index = search._class_index(run.bits, run.rows, run.grid)
+        product = coef[:, :, None] * vectors[index][:, None, :]
+        assert np.array_equal(final_state(cfg).amp.reshape(product.shape), product)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_search_vector_is_real(n):
+    # final_state reads only the real parts of v: the search step's entries
+    # are real, so every imaginary part is exactly zero.
+    for m in range(1, 2**n):
+        for r in range(6):
+            assert np.all(search._search_vector(n, m, r).imag == 0)

@@ -90,3 +90,33 @@ def test_pairs_read_metric_directions_from_the_benchmark():
     better = recorder._better(ROOT / "BENCHMARK.json")
     assert better["op_s_p50"] == "lower" and better["ops_per_s"] == "higher"
     assert set(better) == {"op_s_p50", "op_s_p90", "ops_per_s", "peak_mb", "setup_s", "ok_frac"}
+
+
+def test_pairs_report_slot_medians_from_the_result_files(tmp_path):
+    # Each run leaves its op durations in its checkout's result file; op i of
+    # a rotation is slot i, so each side of a pair gets one median per slot.
+    recorder = _load_recorder()
+    assert recorder.slot_counts(ROOT) == {"dense_plain": 3, "dense_dilation": 3, "cli_small": 1}
+    durations = {
+        "parent": iter([[1.0, 10.0, 100.0, 3.0, 30.0, 300.0], [2.0, 20.0, 200.0, 2.0, 20.0, 200.0]]),
+        "change": iter([[1.0, 8.0, 90.0, 1.0, 8.0, 110.0], [3.0, 9.0, 150.0, 5.0, 9.0, 150.0]]),
+    }
+
+    def fake_run(root, workload, trace):
+        times = next(durations[root.name])
+        out = root / "perfbench" / "out"
+        out.mkdir(parents=True, exist_ok=True)
+        name = f"result_{workload}_seed{recorder.SEED}_trace{trace}.json"
+        (out / name).write_text(json.dumps({"durations": times}), encoding="utf-8")
+        metrics = {"op_s_p50": {"value": sorted(times)[len(times) // 2], "unit": "s"}}
+        return {"environment": {}, "samples": len(times), "result": {"metrics": metrics}}
+
+    doc = recorder.record_pairs(tmp_path / "change", tmp_path / "parent", ["dense_plain"], 2,
+                                {"op_s_p50": "lower"}, run=fake_run)
+    entry = doc["workloads"]["dense_plain"]
+    assert [p["slot_p50"] for p in entry["pairs"]] == [
+        {"parent": [2.0, 20.0, 200.0], "change": [1.0, 8.0, 100.0]},
+        {"change": [4.0, 9.0, 150.0], "parent": [2.0, 20.0, 200.0]},
+    ]
+    assert entry["slot_median"] == {"parent": [2.0, 20.0, 200.0], "change": [2.5, 8.5, 125.0]}
+    assert entry["slot_change_won"] == [1, 2, 2]

@@ -25,17 +25,23 @@ only, if given), the parent first in every other pair.  One pair cannot
 resolve a change below about 20% on this benchmark; `BENCH_<label>_pairs.json`
 holds each pair's end-to-end metrics, each metric's median on either side and
 the number of pairs the change won (better in the direction BENCHMARK.json
-gives, ties not counted).
+gives, ties not counted).  A dense workload rotates slots of different cost,
+so each run's op durations, read from the `perfbench/out/` result file of its
+checkout, also give each slot's median op time (`slot_p50`, op i of a
+rotation being slot i), with the median over the pairs and the pairs the
+change won per slot.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 REPO = Path(__file__).resolve().parent.parent
 WORKLOADS = ("dense_plain", "dense_dilation", "cli_small")
@@ -97,6 +103,28 @@ def record_pair(root: Path, parent_root: Path, run=run_bench) -> tuple[dict, dic
     return _document(change), _document(parent)
 
 
+def slot_counts(root: Path) -> dict:
+    """{workload: ops per rotation}: the length of each dense workload's slot
+    list in root's perfbench/workloads.py, read as source; cli_small runs one
+    op."""
+    tree = ast.parse((root / "perfbench" / "workloads.py").read_text(encoding="utf-8"))
+    lengths = {target.id: len(node.value.elts) for node in tree.body
+               if isinstance(node, ast.Assign) and isinstance(node.value, ast.List)
+               for target in node.targets if isinstance(target, ast.Name)}
+    return {"dense_plain": lengths["DENSE_PLAIN_SLOTS"],
+            "dense_dilation": lengths["DENSE_DILATION_SLOTS"], "cli_small": 1}
+
+
+def slot_medians(root: Path, workload: str, slots: int) -> Optional[list]:
+    """Median op time of each slot in the last untraced run of workload at
+    root, from its result file; None where the run left none."""
+    path = root / "perfbench" / "out" / f"result_{workload}_seed{SEED}_trace0.json"
+    if not path.is_file():
+        return None
+    durations = json.loads(path.read_text(encoding="utf-8"))["durations"]
+    return [statistics.median(durations[i::slots]) for i in range(slots)]
+
+
 def _better(benchmark: Path) -> dict:
     """{end-to-end metric: "lower" or "higher"} from BENCHMARK.json."""
     doc = json.loads(benchmark.read_text(encoding="utf-8"))
@@ -106,23 +134,34 @@ def _better(benchmark: Path) -> dict:
 def record_pairs(root: Path, parent_root: Path, workloads, n_pairs: int, better: dict,
                  run=run_bench) -> dict:
     """N untraced pairs of each workload, the parent first in every other
-    pair: each pair's metrics, the medians and the pairs the change won."""
+    pair: each pair's metrics and slot medians, the medians and the pairs the
+    change won."""
     sign = {name: 1 if how == "lower" else -1 for name, how in better.items()}
+    slots = slot_counts(REPO)
     out = {"command": " ".join(bench_command("W", 0)), "workloads": {}}
     for w in workloads:
         pairs = []
         for i in range(n_pairs):
             sides = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
-            pair = {"first": sides[0]}
+            pair = {"first": sides[0], "slot_p50": {}}
             for side in sides:
-                metrics = run(parent_root if side == "parent" else root, w, 0)["result"]["metrics"]
+                side_root = parent_root if side == "parent" else root
+                metrics = run(side_root, w, 0)["result"]["metrics"]
                 pair[side] = {name: metrics[name]["value"] for name in better}
+                pair["slot_p50"][side] = slot_medians(side_root, w, slots[w])
             pairs.append(pair)
         median = {side: {name: statistics.median(p[side][name] for p in pairs) for name in better}
                   for side in ("parent", "change")}
         won = {name: sum(s * p["change"][name] < s * p["parent"][name] for p in pairs)
                for name, s in sign.items()}
         out["workloads"][w] = {"pairs": pairs, "median": median, "change_won": won}
+        timed = [p["slot_p50"] for p in pairs if None not in p["slot_p50"].values()]
+        if timed:
+            out["workloads"][w]["slot_median"] = {
+                side: [statistics.median(t[side][i] for t in timed) for i in range(slots[w])]
+                for side in ("parent", "change")}
+            out["workloads"][w]["slot_change_won"] = [
+                sum(t["change"][i] < t["parent"][i] for t in timed) for i in range(slots[w])]
     return out
 
 

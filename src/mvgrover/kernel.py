@@ -31,6 +31,8 @@ from .errors import (
 
 # Dense storage only; larger mode counts would thrash without a sparse layout.
 MAX_MODES = 4
+# Squared norms below this cannot be normalized: ZeroNorm.
+NORM_FLOOR = 1e-30
 
 STATE_MAGIC = b"MVGR1"
 _HEADER = struct.Struct("<III")
@@ -208,9 +210,9 @@ def tensor(modes: Sequence[ModeState]) -> JointState:
 
 
 def normalize(state: State) -> State:
-    """Rescale to unit quadrature norm.  Raises ZeroNorm below 1e-30."""
+    """Rescale to unit quadrature norm.  Raises ZeroNorm below NORM_FLOOR."""
     nrm = quad_norm(state)
-    if nrm < 1e-30:
+    if nrm < NORM_FLOOR:
         raise ZeroNorm(f"cannot normalize state with squared norm {nrm:.3e}")
     return replace(state, amp=state.amp / math.sqrt(nrm))
 

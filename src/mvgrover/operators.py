@@ -32,7 +32,6 @@ SIGMA = {
     "y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     "z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
 }
-HADAMARD_1 = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 IDENTITY_1 = np.eye(2, dtype=np.complex128)
 
 
@@ -260,9 +259,7 @@ def _resolve_zeta(zeta, grid: ModularGrid) -> np.ndarray:
     """Accept None, a scalar, or a (g_theta, g_k) table; return a real table."""
     if zeta is None:
         return np.ones((grid.g_theta, grid.g_k))
-    if np.iscomplexobj(zeta):
-        raise NonRealWeight("weight tables must be real-valued")
-    arr = np.asarray(zeta, dtype=np.float64)
+    arr = _check_weight(zeta)
     if arr.ndim == 0:
         return np.full((grid.g_theta, grid.g_k), float(arr))
     if arr.shape != (grid.g_theta, grid.g_k):
@@ -302,11 +299,13 @@ def gamma(axis: str, mode: int, zeta, grid: ModularGrid) -> GlobalOperator:
 @cache
 def _gates(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(H, I0, -H I0 H) on n band bits, read-only; built once per process
-    for each n, the diffusion -H I0 H as compose would multiply it."""
-    h = _mode_kron([HADAMARD_1] * n)
-    i0 = np.eye(2**n, dtype=np.complex128)
+    for each n from their exact entries: H's are +-2^(-n/2) (one rounding
+    for odd n), and the diffusion -H I0 H = 2/N - I, N = 2^n, is exact."""
+    big_n = 2**n
+    h = _mode_kron([np.array([[1, 1], [1, -1]], dtype=np.complex128)] * n) * 2.0 ** (-n / 2)
+    i0 = np.eye(big_n, dtype=np.complex128)
     i0[0, 0] = -1.0
-    diffusion = -reduce(lambda a, b: np.einsum("ij,jk->ik", a, b), [h, i0, h])
+    diffusion = np.full((big_n, big_n), 2.0 / big_n, dtype=np.complex128) - np.eye(big_n)
     for gate in (h, i0, diffusion):
         gate.setflags(write=False)
     return h, i0, diffusion
@@ -342,18 +341,14 @@ def inversion_about_zero(grid: ModularGrid) -> GlobalOperator:
     return GlobalOperator(grid, _gates(grid.n_modes)[1])
 
 
-def grover_cell(target: TargetSpec, grid: ModularGrid, global_sign: int = 1) -> GlobalOperator:
+def grover_cell(target: TargetSpec, grid: ModularGrid) -> GlobalOperator:
     """Per-cell search step -H I0 H Is; unitary, one matrix per cell.
 
-    With the default global_sign the minus sign stays inside the matrices,
-    so the four-element single-step search lands on +|target>.  global_sign
-    = -1 flips the overall phase, giving the bare (1 - 2P_uniform) Is
-    product.
+    The minus sign stays inside the matrices, so the four-element
+    single-step search lands on +|target>.
     """
-    if global_sign not in (1, -1):
-        raise ValueError(f"global_sign must be +1 or -1, got {global_sign}")
     # -H I0 H Is: the cached diffusion with its columns signed by the oracle.
-    signs = global_sign * _oracle_signs(target, grid)[..., None, :]
+    signs = _oracle_signs(target, grid)[..., None, :]
     return GlobalOperator(grid, signs * _gates(grid.n_modes)[2])
 
 

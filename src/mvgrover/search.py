@@ -35,13 +35,15 @@ from .errors import (
     WeightOutOfRange,
     ZeroNorm,
 )
-from .kernel import JointState, ModularGrid, make_grid, tensor
+from .kernel import NORM_FLOOR, JointState, ModularGrid, make_grid, tensor
 from .operators import TargetSpec, joint_weight
 from .zak import EnvelopeSpec, envelope_densities, logical_mode
 
 AUTO = "auto"
 
 DECISION_THRESHOLD = 1e-8
+# A dilated branch with a squared norm at most this is empty: it has no readout.
+BRANCH_FLOOR = 1e-20
 # Cells with less amplitude than this are skipped by the per-cell check;
 # far above underflow, far below any cell an envelope actually populates.
 _CELL_FLOOR = 1e-200
@@ -199,17 +201,17 @@ def iteration_count(n_modes: int, m_targets: int) -> int:
     return max(1, count)
 
 
-def identify(overlaps: dict[str, complex], threshold: float = DECISION_THRESHOLD) -> str:
-    """The unique string with |overlap| above threshold.
+def identify(overlaps: dict[str, complex]) -> str:
+    """The unique string with |overlap| above DECISION_THRESHOLD.
 
     Raises AmbiguousAssociation or NoAssociation when the answer is not
     unique.
     """
-    hits = sorted(s for s, v in overlaps.items() if abs(v) > threshold)
+    hits = sorted(s for s, v in overlaps.items() if abs(v) > DECISION_THRESHOLD)
     if not hits:
-        raise NoAssociation(f"no overlap above {threshold:.1e}")
+        raise NoAssociation(f"no overlap above {DECISION_THRESHOLD:.1e}")
     if len(hits) > 1:
-        raise AmbiguousAssociation(f"{len(hits)} overlaps above {threshold:.1e}: {hits}")
+        raise AmbiguousAssociation(f"{len(hits)} overlaps above {DECISION_THRESHOLD:.1e}: {hits}")
     return hits[0]
 
 
@@ -361,28 +363,11 @@ def _pattern_sums(per_theta: np.ndarray, onehot: np.ndarray, pattern_bits: np.nd
 
 
 def _weight_powers(scaled: np.ndarray, powers: Sequence[int]):
-    """Yield scaled^q for each q of the ascending powers, by multiplication
-    only: np.power takes its general pow loop for q >= 3, several times the
-    cost of a product.  q = 0 gives ones and q = 1 scaled itself; every other
-    power is built in one buffer by left-to-right binary powering (a square,
-    then one more factor where the next binary digit of q is 1), continued
-    from the power before it when that one's digits begin q's.  Each power is
-    read before the next is asked for."""
-    buf, done = None, ""  # the binary digits of the power buf holds
+    """Yield scaled^q for each q of the powers, each in the same buffer, so
+    each power is read before the next is asked for."""
+    buf = np.empty_like(scaled)
     for q in powers:
-        if q < 2:
-            yield scaled if q else np.ones_like(scaled)
-            continue
-        digits = format(q, "b")
-        if not (done and digits.startswith(done)):
-            done = "1"
-        for d in digits[len(done):]:
-            src = scaled if done == "1" else buf
-            buf = np.multiply(src, src, out=buf)
-            if d == "1":
-                np.multiply(buf, scaled, out=buf)
-            done += d
-        yield buf
+        yield np.power(scaled, q, out=buf)
 
 
 def _series_coefficients(s: float, budget: int) -> Optional[list]:
@@ -398,11 +383,6 @@ def _series_coefficients(s: float, budget: int) -> Optional[list]:
     if s >= 1.0:
         return None
     limit = 2.0**-53 * (1.0 - s) ** 1.5
-    # |b_k| = Gamma(k - 1/2) / (2 sqrt(pi) k!): when the bound still fails at
-    # the budget, no count fits, and the runs that stream skip the loop.
-    top = math.exp(math.lgamma(budget - 0.5) - math.lgamma(budget + 1.0)) if budget else 0.0
-    if top / (2.0 * math.sqrt(math.pi)) * s**budget >= limit:
-        return None
     coefs, c = [1.0], 1.0
     for k in range(1, budget + 1):
         c *= s * (k - 1.5) / k
@@ -625,7 +605,7 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
             f"the weight w, w^{r} or a branch norm leaves the float range "
             f"(|x| <= {np.finfo(np.float64).max:.4g})"
         )
-    if not cfg.use_dilation and norms[0] < 1e-30:
+    if not cfg.use_dilation and norms[0] < NORM_FLOOR:
         raise ZeroNorm(f"cannot normalize state with squared norm {norms[0]:.3e}")
     return _FactoredRun(grid, r, rows, bits, v, scaled, w_log2, sums, dots, norms)
 
@@ -716,20 +696,20 @@ def per_cell_max_error(state: JointState, target: TargetSpec, r: int) -> float:
     return worst if worst >= 0.0 else math.nan
 
 
-def _readout(cfg: SearchConfig, overlaps: dict[str, complex], threshold: float) -> tuple:
+def _readout(cfg: SearchConfig, overlaps: dict[str, complex]) -> tuple:
     """(overlaps, identified, failure) of one branch."""
     if cfg.target.is_constant and cfg.target.n_targets > 1:
-        hits = tuple(sorted(s for s, v in overlaps.items() if abs(v) > threshold))
+        hits = tuple(sorted(s for s, v in overlaps.items() if abs(v) > DECISION_THRESHOLD))
         return overlaps, hits or None, None if hits else "no-association"
     try:
-        return overlaps, identify(overlaps, threshold), None
+        return overlaps, identify(overlaps), None
     except AmbiguousAssociation:
         return overlaps, None, "ambiguous-association"
     except NoAssociation:
         return overlaps, None, "no-association"
 
 
-def run_search(cfg: SearchConfig, threshold: float = DECISION_THRESHOLD) -> SearchReport:
+def run_search(cfg: SearchConfig) -> SearchReport:
     """Full pipeline: list, iterations, univocal readout of each branch.
 
     Read from per-mode sums and one search vector (see _factored_run), with
@@ -769,7 +749,7 @@ def run_search(cfg: SearchConfig, threshold: float = DECISION_THRESHOLD) -> Sear
 
     # Per branch: its readout, None for an empty dilated branch.
     readouts = [
-        None if dilated and nrm <= 1e-20 else _readout(cfg, overlaps(s1, dot), threshold)
+        None if dilated and nrm <= BRANCH_FLOOR else _readout(cfg, overlaps(s1, dot))
         for (s1, _, _), dot, nrm in zip(run.sums, run.dots, run.norms)
     ]
     live = [ro for ro in readouts if ro is not None]

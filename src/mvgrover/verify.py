@@ -28,6 +28,7 @@ from .kernel import (
 from .operators import TargetSpec
 from .search import (
     AUTO,
+    BRANCH_FLOOR,
     DECISION_THRESHOLD,
     SearchConfig,
     build_list,
@@ -135,7 +136,6 @@ def check_hadamard_involution(corrupt=None):
 
 
 def check_grover_identity(corrupt=None):
-    sign = -1 if corrupt == "grover-sign" else 1
     for n in (1, 2):
         grid = make_grid(n, 4, 3)
         d = 2**n
@@ -143,9 +143,11 @@ def check_grover_identity(corrupt=None):
         diffusion = 2.0 * np.outer(uniform, uniform) - np.eye(d)
         for idx in range(d):
             target = TargetSpec.bits(format(idx, f"0{n}b"))
-            built = ops.grover_cell(target, grid, global_sign=sign)
+            built = ops.grover_cell(target, grid).mats
+            if corrupt == "grover-sign":
+                built = -built
             expected = diffusion @ ops.oracle(target, grid).mats
-            _assert_close(built.mats, expected, 1e-12, f"grover identity n={n} target={idx}")
+            _assert_close(built, expected, 1e-12, f"grover identity n={n} target={idx}")
 
 
 def check_per_cell_unitarity(corrupt=None):
@@ -342,7 +344,7 @@ def _dense_run(cfg: SearchConfig, r: int) -> tuple[list, list]:
     branches = [ancilla_branch(state, a) for a in (0, 1)] if cfg.use_dilation else [state]
     norms = [quad_norm(b) for b in branches]
     overlaps = [
-        logical_overlaps(cfg.envelopes, normalize(b)) if nrm > 1e-20 else None
+        logical_overlaps(cfg.envelopes, normalize(b)) if nrm > BRANCH_FLOOR else None
         for b, nrm in zip(branches, norms)
     ]
     return norms, overlaps

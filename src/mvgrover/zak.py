@@ -204,9 +204,10 @@ class EnvelopeSpec:
                 raise ShapeMismatch(
                     f"envelope table has shape {self.table.shape}, grid needs {(g.g_theta, g.g_k)}"
                 )
-            # Scaled to a largest magnitude of 1 first, so the norm neither over- nor
-            # underflows; real division, as complex division by a subnormal overflows.
-            scale = float(np.abs(self.table).max())
+            # Scaled to a largest real or imaginary part of 1 first, so the norm
+            # neither over- nor underflows (a magnitude can overflow where no part
+            # does); real division, as complex division by a subnormal overflows.
+            scale = float(np.abs(self.table.view(np.float64)).max())
             if scale == 0.0:
                 raise ZeroNorm("envelope table has zero quadrature norm")
             real = self.table.view(np.float64) / scale

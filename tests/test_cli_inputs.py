@@ -123,6 +123,22 @@ def test_extreme_tabulated_envelopes_scale_to_the_ones_table(tmp_path, value):
     assert run(tmp_path, doc)[0] == 0
 
 
+@pytest.mark.filterwarnings("error")
+def test_complex_envelope_entry_beyond_float_magnitude_scales(tmp_path):
+    # |1.5e308 + 1.5e308j| overflows, though both parts are finite: the table
+    # is scaled by its largest part, so it reads as the same table at 1e-308.
+    values = [[1.0] * 3 for _ in range(3)]
+    values[0][0] = [1.5e308, 1.5e308]
+    big = np.ones((3, 3), dtype=np.complex128)
+    big[0, 0] = 1.5e308 + 1.5e308j
+    grid = make_grid(1, 3, 3)
+    table = EnvelopeSpec.tabulated(big).table_for(grid)
+    assert np.array_equal(table, EnvelopeSpec.tabulated(big * 1e-308).table_for(grid))
+    doc = dict(BASE, envelopes=[{"kind": "tabulated", "values": values}, {"kind": "gaussian"}])
+    code, record = run(tmp_path, doc)
+    assert code == 0 and record["report"] is not None and record["error"] is None
+
+
 def test_iterations_beyond_step_budget_refused(tmp_path, capsys):
     doc = dict(BASE, iterations=10**12)
     with pytest.raises(CapacityExceeded):

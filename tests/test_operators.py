@@ -246,19 +246,28 @@ def test_hadamard_conjugation_of_inversion_is_uniform_reflection():
         assert np.max(np.abs(product.mats - (np.eye(d) - 2 * uniform))) < 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_gates_are_built_once_per_register(n):
     # H, I0 and the diffusion depend on n alone: grids of n modes share one
-    # read-only copy of each.
+    # read-only copy of each, built from its exact entries.
     grid, other = make_grid(n, 4, 3), make_grid(n, 2, 5)
     for build in (hadamard, inversion_about_zero):
         assert build(grid).mats is build(other).mats
         assert not build(grid).mats.flags.writeable
-    h, i0 = hadamard(grid), inversion_about_zero(grid)
+    d = 2**n
+    # H[i, j] = (-1)^popcount(i & j) 2^(-n/2): exact for even n, and for odd
+    # n the one rounding of 2^(-n/2) times a sign.
+    parity = np.array([[bin(i & j).count("1") % 2 for j in range(d)] for i in range(d)])
+    assert np.array_equal(hadamard(grid).mats, (1 - 2 * parity) * 2.0 ** (-n / 2))
+    i0 = np.eye(d)
+    i0[0, 0] = -1.0
+    assert np.array_equal(inversion_about_zero(grid).mats, i0)
+    # -H I0 H = 2/N - delta_ij, and the search step is its columns signed by
+    # the oracle's diagonal.
+    diffusion = np.full((d, d), 2.0 / d) - np.eye(d)
     for spec in (TargetSpec.bits("1" * n), TargetSpec.from_intervals([[(0.5, 2.0)]] * n)):
-        composed = compose(h, i0, h, oracle(spec, grid)).mats
-        assert np.array_equal(grover_cell(spec, grid).mats, -composed)
-        assert np.array_equal(grover_cell(spec, grid, global_sign=-1).mats, composed)
+        signs = np.einsum("...ii->...i", oracle(spec, grid).mats)
+        assert np.array_equal(grover_cell(spec, grid).mats, signs[..., None, :] * diffusion)
 
 
 @pytest.mark.parametrize("axes", [(), (1,), (3,), (1, 1), (4, 1), (1, 3), (4, 3), (4,), (2, 3),
@@ -309,16 +318,6 @@ def test_grover_two_steps_match_reference_probability():
     ref = reference_qubit_grover(3, ["101"], 2)
     assert np.max(np.abs(state - ref)) < 1e-12
     assert abs(state[0b101]) ** 2 == pytest.approx(0.9453125, abs=1e-12)
-
-
-def test_grover_global_sign_toggle():
-    grid = make_grid(1, 2, 2)
-    spec = TargetSpec.bits("1")
-    assert_allclose(
-        grover_cell(spec, grid, global_sign=-1).mats,
-        -grover_cell(spec, grid).mats,
-        atol=0,
-    )
 
 
 def test_grover_identity_matches_projector_route():

@@ -585,6 +585,24 @@ def test_long_runs_match_dense_loop(r, use_dilation):
     assert np.linalg.norm(final_state(unit).amp) ** 2 * unit.grid.cell_weight == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("n, r, bound", [(2, 2000, 1e-14), (4, search.MAX_STEPS, 1e-12)])
+def test_unit_weight_runs_keep_norm_one(n, r, bound):
+    # The search step's entries 2/N - delta_ij are exact, so the norm of a
+    # unit-weight run stays 1; a step multiplied out as -H I0 H drifted by
+    # 1.8e-12 at (n, r) = (2, 2000) and by 3.7e-11 at (4, 30000).
+    cfg = SearchConfig(n, 2, 2, gaussian_envs(n), TargetSpec.bits("1" * n), iterations=r)
+    assert abs(1.0 - run_search(cfg).norm_constant) <= bound
+
+
+def test_dense_loop_keeps_norm_one():
+    # The dense oracle applies the same exact step, so its norm stays that
+    # of the list it starts from (1 up to the list's own rounding, 1.1e-14
+    # here); it drifted by 1.8e-12 at r = 2000 when the step was multiplied out.
+    cfg = SearchConfig(2, 4, 4, gaussian_envs(2), TargetSpec.bits("10"), iterations=2000)
+    (norm,), _ = _dense_run(cfg, 2000)
+    assert abs(norm / quad_norm(build_list(cfg.envelopes, cfg.grid)) - 1.0) <= 1e-14
+
+
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_compensating_weights_on_a_dilated_run(r):
     # w = 1 from weights of 1e-300 ... 1e200 on four modes: the ancilla-0

@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict
 from typing import Optional
 
 from . import __version__
@@ -22,18 +22,6 @@ from .config import load_config
 from .errors import ConfigInvalid, DegenerateWeights, MvGroverError
 from .kernel import load_state, quad_norm, save_state
 from .search import SearchReport, build_list, final_state, run_search
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """One run's archived result: config echo, report, timing, provenance."""
-
-    config: dict
-    report: Optional[SearchReport]
-    wall_time_ms: float
-    grid: dict
-    version: str
-    error: Optional[str] = None
 
 
 def _fmt_float(x: float) -> str:
@@ -90,29 +78,7 @@ def dumps_record(record) -> str:
 
 
 def _report_doc(report: SearchReport) -> dict:
-    return {
-        "norm_constant": report.norm_constant,
-        "overlaps": {k: v for k, v in sorted(report.overlaps.items())},
-        "identified": list(report.identified)
-        if isinstance(report.identified, tuple)
-        else report.identified,
-        "per_cell_max_error": report.per_cell_max_error,
-        "iterations_used": report.iterations_used,
-        "ancilla_branch_norms": report.ancilla_branch_norms,
-        "branch_identified": report.branch_identified,
-        "failure": report.failure,
-    }
-
-
-def _record_doc(record: RunRecord) -> dict:
-    return {
-        "config": record.config,
-        "report": _report_doc(record.report) if record.report else None,
-        "wall_time_ms": record.wall_time_ms,
-        "grid": record.grid,
-        "version": record.version,
-        "error": record.error,
-    }
+    return {**asdict(report), "overlaps": dict(sorted(report.overlaps.items()))}
 
 
 def _exit_code(exc: Exception) -> int:
@@ -136,15 +102,14 @@ def _execute_run(config_path: str) -> tuple[Optional[str], int]:
         print(f"{config_path}: {error}", file=sys.stderr)
     wall = (time.perf_counter() - started) * 1000.0
 
-    record = RunRecord(
-        config=echo,
-        report=report,
-        wall_time_ms=wall,
-        grid={"n_modes": cfg.n_modes, "g_theta": cfg.g_theta, "g_k": cfg.g_k},
-        version=__version__,
-        error=error,
-    )
-    line = dumps_record(_record_doc(record))
+    line = dumps_record({
+        "config": echo,
+        "report": _report_doc(report) if report else None,
+        "wall_time_ms": wall,
+        "grid": {"n_modes": cfg.n_modes, "g_theta": cfg.g_theta, "g_k": cfg.g_k},
+        "version": __version__,
+        "error": error,
+    })
     if report is None:
         return line, code
     if report.identified is None:

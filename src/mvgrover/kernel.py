@@ -14,7 +14,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, replace
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -103,28 +103,6 @@ def make_grid(n_modes: int, g_theta: int, g_k: int) -> ModularGrid:
     return ModularGrid(n_modes, g_theta, g_k)
 
 
-def _freeze_amp(amp, shape: tuple[int, ...]) -> np.ndarray:
-    arr = np.ascontiguousarray(amp, dtype=np.complex128)
-    if arr.shape != shape:
-        raise ShapeMismatch(f"amplitude tensor has shape {arr.shape}, expected {shape}")
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class ModeState:
-    """Single-mode amplitudes over grid cells and the two-band index."""
-
-    grid: ModularGrid
-    amp: np.ndarray
-
-    def __post_init__(self):
-        if self.grid.n_modes != 1:
-            raise ShapeMismatch("ModeState requires a single-mode grid")
-        shape = (self.grid.g_theta, self.grid.g_k, 2)
-        object.__setattr__(self, "amp", _freeze_amp(self.amp, shape))
-
-
 @dataclass(frozen=True, eq=False)
 class JointState:
     """n-mode amplitudes, shape (g_theta,)*n + (g_k,)*n + (2,)*n.
@@ -140,32 +118,45 @@ class JointState:
     def __post_init__(self):
         if self.n_ancilla not in (0, 1):
             raise AncillaMismatch(f"n_ancilla must be 0 or 1, got {self.n_ancilla}")
-        shape = (
-            self.grid.cell_shape
-            + self.grid.band_shape
-            + (2,) * self.n_ancilla
+        shape = self.grid.cell_shape + self.grid.band_shape + (2,) * self.n_ancilla
+        amp = np.ascontiguousarray(self.amp, dtype=np.complex128)
+        if amp.shape != shape:
+            raise ShapeMismatch(f"amplitude tensor has shape {amp.shape}, expected {shape}")
+        amp.setflags(write=False)
+        object.__setattr__(self, "amp", amp)
+
+
+def check_one_mode(state: JointState) -> None:
+    """ShapeMismatch unless state lives on a one-mode grid with no ancilla."""
+    if state.grid.n_modes != 1 or state.n_ancilla:
+        raise ShapeMismatch(
+            f"need a one-mode state without an ancilla, got {state.grid.n_modes} "
+            f"mode(s) and {state.n_ancilla} ancilla bit(s)"
         )
-        object.__setattr__(self, "amp", _freeze_amp(self.amp, shape))
 
 
-State = Union[ModeState, JointState]
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """sum x * y of two float64 vectors: einsum over rows of 64 floats, in
+    this thread (vdot would hand a large state to the BLAS threads), then
+    numpy's pairwise sum over the row sums, so the rounding error does not
+    grow with the length as one running einsum sum's does."""
+    head = x.size - x.size % 64
+    rows = np.einsum("ij,ij->i", x[:head].reshape(-1, 64), y[:head].reshape(-1, 64))
+    return float(np.add.reduce(rows)) + float(np.einsum("i,i->", x[head:], y[head:]))
 
 
-def quad_norm(state: State) -> float:
-    """Squared quadrature norm: sum |amp|^2 * (d_theta*d_k)**n_modes.
-
-    A dot product of the float64 view with itself: einsum runs in this
-    thread, where vdot would hand a large state to the BLAS threads.
-    """
+def quad_norm(state: JointState) -> float:
+    """Squared quadrature norm: sum |amp|^2 * (d_theta*d_k)**n_modes, the
+    dot product of the float64 view with itself."""
     real = state.amp.reshape(-1).view(np.float64)
-    return float(np.einsum("i,i->", real, real)) * state.grid.cell_weight
+    return _dot(real, real) * state.grid.cell_weight
 
 
-def inner(a: State, b: State) -> complex:
+def inner(a: JointState, b: JointState) -> complex:
     """Quadrature inner product, conjugate-linear in the first argument.
 
-    Dot products of the float64 views, in this thread as in quad_norm, with
-    no conjugated copy: Re = a_re b_re + a_im b_im, Im = a_re b_im - a_im b_re.
+    Dot products of the float64 views, as in quad_norm, with no conjugated
+    copy: Re = a_re b_re + a_im b_im, Im = a_re b_im - a_im b_re.
     """
     if a.grid != b.grid:
         raise GridMismatch(f"grids differ: {a.grid} vs {b.grid}")
@@ -175,24 +166,23 @@ def inner(a: State, b: State) -> complex:
         )
     x = a.amp.reshape(-1).view(np.float64)
     y = b.amp.reshape(-1).view(np.float64)
-    re = np.einsum("i,i->", x, y)
-    im = np.einsum("i,i->", x[0::2], y[1::2]) - np.einsum("i,i->", x[1::2], y[0::2])
-    return complex(float(re), float(im)) * a.grid.cell_weight
+    im = _dot(x[0::2], y[1::2]) - _dot(x[1::2], y[0::2])
+    return complex(_dot(x, y), im) * a.grid.cell_weight
 
 
-def tensor(modes: Sequence[ModeState]) -> JointState:
-    """Outer product of single-mode states into one joint state.
+def tensor(modes: Sequence[JointState]) -> JointState:
+    """Outer product of one-mode states (no ancilla) into one joint state.
 
     Axes come out grouped as (all theta, all k, all bands) in mode order.
+    The joint grid is built first, so more than MAX_MODES modes raise
+    CapacityExceeded before any allocation.
     """
     if len(modes) == 0:
         raise ZeroSize("tensor() needs at least one mode")
-    if len(modes) > MAX_MODES:
-        raise CapacityExceeded(
-            f"dense storage supports at most {MAX_MODES} modes, got {len(modes)}"
-        )
     base = modes[0].grid
-    for m in modes[1:]:
+    grid = ModularGrid(len(modes), base.g_theta, base.g_k)
+    for m in modes:
+        check_one_mode(m)
         if m.grid != base:
             raise GridMismatch("all modes must share g_theta and g_k")
     n = len(modes)
@@ -205,11 +195,10 @@ def tensor(modes: Sequence[ModeState]) -> JointState:
         + [3 * i + 1 for i in range(n)]
         + [3 * i + 2 for i in range(n)]
     )
-    amp = np.ascontiguousarray(np.transpose(amp, perm))
-    return JointState(ModularGrid(n, base.g_theta, base.g_k), amp)
+    return JointState(grid, np.ascontiguousarray(np.transpose(amp, perm)))
 
 
-def normalize(state: State) -> State:
+def normalize(state: JointState) -> JointState:
     """Rescale to unit quadrature norm.  Raises ZeroNorm below NORM_FLOOR."""
     nrm = quad_norm(state)
     if nrm < NORM_FLOOR:

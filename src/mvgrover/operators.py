@@ -106,19 +106,23 @@ class TargetSpec:
     def is_constant(self) -> bool:
         return self.strings is not None
 
-    def band_indices(self, grid: ModularGrid) -> np.ndarray:
-        """Flattened band index of each target, per theta cell.
-
-        Shape (1,)*n + (M,) in constant mode, (g_theta,)*n + (1,) in extended
-        mode; broadcastable against the theta axes of the cell shape.
-        """
+    def classes(self, grid: ModularGrid) -> tuple:
+        """(bits, rows): the (n, g_theta) per-mode bits of an interval target
+        (mode_bits; None for a constant one) and the (classes, M) target band
+        indices of each target class, mode 0 the most significant bit.  A
+        constant target is one class; interval classes are the product set of
+        the bits each mode's theta values search, ascending (class_index)."""
         if self.strings is None:
-            return band_of_bits(self.mode_bits(grid))[..., None]
+            bits = self.mode_bits(grid)
+            codes = [0]
+            for present in map(set, bits.tolist()):
+                codes = [2 * c + b for c in codes for b in (0, 1) if b in present]
+            return bits, np.array(codes, dtype=np.intp)[:, None]
         n = self.n_modes
         if grid.n_modes != n:
             raise GridMismatch(f"target has {n} modes, grid has {grid.n_modes}")
         idx = [sum(b << (n - 1 - i) for i, b in enumerate(s)) for s in self.strings]
-        return np.asarray(idx, dtype=np.intp).reshape((1,) * n + (len(idx),))
+        return None, np.array([idx], dtype=np.intp)
 
     def mode_bits(self, grid: ModularGrid) -> np.ndarray:
         """(n, g_theta) searched bit of each mode at each theta value (extended mode)."""
@@ -135,13 +139,16 @@ class TargetSpec:
         return inside.any(axis=1).astype(np.intp)
 
 
-def band_of_bits(bits: np.ndarray) -> np.ndarray:
-    """The (g_theta,)*n band index of each theta cell from (n, g_theta)
-    per-mode bits, mode 0 the most significant bit."""
+def class_index(bits: Optional[np.ndarray], rows: np.ndarray, grid: ModularGrid) -> np.ndarray:
+    """Each theta cell's class (theta cells flattened) from TargetSpec.classes:
+    class 0 for a constant target, else the class whose band index the
+    cell's per-mode bits spell."""
+    if bits is None:
+        return np.zeros(grid.g_theta**grid.n_modes, dtype=np.intp)
     band = bits[0]
     for bit in bits[1:]:
         band = (band[..., None] << 1) | bit
-    return band
+    return np.searchsorted(rows[:, 0], band.reshape(-1))
 
 
 def _broadcasts_to(shape: tuple, cell_shape: tuple) -> bool:
@@ -317,12 +324,16 @@ def hadamard(grid: ModularGrid) -> GlobalOperator:
 
 
 def _oracle_signs(target: TargetSpec, grid: ModularGrid) -> np.ndarray:
-    """The oracle's diagonal at each cell: -1 on the cell's searched band
-    strings, 1 elsewhere; cell axes broadcastable against the cell shape."""
-    tb = target.band_indices(grid)
-    signs = np.ones(tb.shape[:-1] + (2**grid.n_modes,))
-    np.put_along_axis(signs, tb, -1.0, axis=-1)
-    return signs.reshape(tb.shape[:-1] + (1,) * grid.n_modes + signs.shape[-1:])
+    """The oracle's diagonal at each cell: each target class's sign row, -1
+    on its searched band strings and 1 elsewhere, gathered per theta cell;
+    cell axes broadcastable against the cell shape."""
+    bits, rows = target.classes(grid)
+    n = grid.n_modes
+    signs = np.ones((len(rows), 2**n))
+    np.put_along_axis(signs, rows, -1.0, axis=1)
+    if bits is None:
+        return signs.reshape((1,) * (2 * n) + (-1,))
+    return signs[class_index(bits, rows, grid)].reshape((grid.g_theta,) * n + (1,) * n + (-1,))
 
 
 def oracle(target: TargetSpec, grid: ModularGrid) -> GlobalOperator:

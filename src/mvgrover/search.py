@@ -260,26 +260,6 @@ def _resolved_iterations(cfg: SearchConfig) -> int:
     return r
 
 
-def _target_classes(target: TargetSpec, grid: ModularGrid) -> tuple:
-    """(bits, rows): the (n, g_theta) per-mode bits of an interval target (None
-    for a constant one) and each class's target band indices.  Interval classes
-    are the product set of the bits each mode's theta values search, ascending."""
-    if target.is_constant:
-        return None, target.band_indices(grid).reshape(1, -1)
-    bits = target.mode_bits(grid)
-    codes = [0]
-    for present in map(set, bits.tolist()):
-        codes = [2 * c + b for c in codes for b in (0, 1) if b in present]
-    return bits, np.array(codes, dtype=np.intp)[:, None]
-
-
-def _class_index(bits: Optional[np.ndarray], rows: np.ndarray, grid: ModularGrid) -> np.ndarray:
-    """Each theta cell's class (theta cells flattened) from _target_classes."""
-    if bits is None:
-        return np.zeros(grid.g_theta**grid.n_modes, dtype=np.intp)
-    return np.searchsorted(rows[:, 0], ops.band_of_bits(bits).reshape(-1))
-
-
 @functools.cache
 def _search_step(n: int, m: int) -> ops.GlobalOperator:
     """grover_cell on the bare n-qubit register (the one-cell grid) with the
@@ -485,7 +465,7 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
 
     psi(cell, b) = P(cell) f(cell) v_c(cell)[b]: rows[c] holds class c's
     target band indices, bits the per-mode interval bits that give each theta
-    cell its class (_class_index), v the search vector of the targets 0..M-1
+    cell its class (ops.class_index), v the search vector of the targets 0..M-1
     (_search_vector), whose v[0] every class reads on its targets and v[-1]
     on its other strings, scaled[i] mode i's weights on the envelope support
     divided by their largest |w_i| (w = 2^w_log2 prod_i scaled[i] there),
@@ -521,7 +501,7 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     n = grid.n_modes
     if cfg.target.n_modes != n:
         raise ShapeMismatch(f"target spans {cfg.target.n_modes} modes, grid has {n}")
-    bits, rows = _target_classes(cfg.target, grid)
+    bits, rows = cfg.target.classes(grid)
     r = _resolved_iterations(cfg)
     psq = envelope_densities(cfg.envelopes, _mode_grid(cfg.envelopes, grid))
     scaled = np.array(ops.mode_weight_tables(cfg.zetas, grid))  # the weights w, scaled below
@@ -578,7 +558,8 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
             # than the stream's g_theta^n g_k^n cells; the stream otherwise.
             coefs = _series_coefficients(peak * peak, (psq[0].size**n - 1) // psq.size)
             if coefs is None:
-                f1 = _streamed_branch(psq, scaled, peak, _class_index(bits, rows, grid), len(rows))
+                index = ops.class_index(bits, rows, grid)
+                f1 = _streamed_branch(psq, scaled, peak, index, len(rows))
             else:
                 sq = np.square(scaled)
                 if bits is None:
@@ -637,7 +618,7 @@ def final_state(cfg: SearchConfig) -> JointState:
     parts = np.zeros((len(run.rows), 2, d, 2))
     parts[:, 0, :, 0] = parts[:, 1, :, 1] = vectors
     parts = parts.reshape(-1, 2, 2 * d)
-    index = _class_index(run.bits, run.rows, grid)
+    index = ops.class_index(run.bits, run.rows, grid)
     amp = np.empty(coef.shape + (d,), dtype=np.complex128)
     coef_parts, amp_parts = (x.view(np.float64).reshape(coef.shape + (-1,)) for x in (coef, amp))
     chunk = max(1, _STREAM_CELLS // parts[0].size)
@@ -689,8 +670,8 @@ def per_cell_max_error(state: JointState, target: TargetSpec, r: int) -> float:
     n = grid.n_modes
     d = 2**n
     v = state.amp.reshape(grid.cell_shape + (d,))
-    bits, rows = _target_classes(target, grid)  # one reference per target class
-    ref = _reference_rows(n, rows, r)[_class_index(bits, rows, grid)]
+    bits, rows = target.classes(grid)  # one reference per target class
+    ref = _reference_rows(n, rows, r)[ops.class_index(bits, rows, grid)]
     ref = ref.reshape((grid.g_theta,) * n + (1,) * n + (d,))
     worst = max(_max_deviation(vi, ref_i) for vi, ref_i in zip(v, ref))
     return worst if worst >= 0.0 else math.nan

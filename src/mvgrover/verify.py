@@ -16,7 +16,6 @@ import numpy as np
 from . import operators as ops
 from .kernel import (
     JointState,
-    ModeState,
     ancilla_branch,
     inner,
     make_grid,
@@ -117,10 +116,8 @@ def check_tensor_norm_multiplicative(corrupt=None):
     grid = make_grid(1, 3, 4)
     a = _random_state(grid, rng)
     b = _random_state(grid, rng)
-    ma = ModeState(grid, a.amp)
-    mb = ModeState(grid, b.amp)
-    joint = tensor([ma, mb])
-    _assert_close(quad_norm(joint), quad_norm(ma) * quad_norm(mb), 1e-12, "tensor norm")
+    joint = tensor([a, b])
+    _assert_close(quad_norm(joint), quad_norm(a) * quad_norm(b), 1e-12, "tensor norm")
 
 
 def check_pauli_algebra(corrupt=None):
@@ -330,9 +327,11 @@ def _agreement_configs(rng) -> list[SearchConfig]:
 
 
 def _dense_run(cfg: SearchConfig, r: int) -> tuple[list, list]:
-    """Branch norms and normalized overlaps (None for an empty branch) of the
-    explicit dense loop: build_list, then r applications of grover_weighted,
-    or of dilation() with the ancilla in |0>."""
+    """Branch norms and normalized overlaps (None for an empty dilated
+    branch, as run_search reads it) of the explicit dense loop: build_list,
+    then r applications of grover_weighted, or of dilation() with the
+    ancilla in |0>.  A plain run is normalized whatever its norm, down to
+    normalize's ZeroNorm, as in run_search."""
     grid = cfg.grid
     state = build_list(cfg.envelopes, grid)
     if cfg.use_dilation:
@@ -344,7 +343,8 @@ def _dense_run(cfg: SearchConfig, r: int) -> tuple[list, list]:
     branches = [ancilla_branch(state, a) for a in (0, 1)] if cfg.use_dilation else [state]
     norms = [quad_norm(b) for b in branches]
     overlaps = [
-        logical_overlaps(cfg.envelopes, normalize(b)) if nrm > BRANCH_FLOOR else None
+        None if cfg.use_dilation and nrm <= BRANCH_FLOOR
+        else logical_overlaps(cfg.envelopes, normalize(b))
         for b, nrm in zip(branches, norms)
     ]
     return norms, overlaps

@@ -24,7 +24,7 @@ from .errors import (
     WindowTooSmall,
     ZeroNorm,
 )
-from .kernel import ModeState, ModularGrid
+from .kernel import JointState, ModularGrid, check_one_mode
 
 # A wave may leave at most this fraction of its squared norm outside the
 # stored window before the transform refuses it.
@@ -81,7 +81,7 @@ def position_norm(wave: PositionWave) -> float:
     return float(np.vdot(wave.samples, wave.samples).real) * wave.d_theta
 
 
-def zak_forward(psi: PositionWave, grid: ModularGrid) -> ModeState:
+def zak_forward(psi: PositionWave, grid: ModularGrid) -> JointState:
     """Expand a position wave over the modular cells and band index.
 
     amp[j, m, b] = sum_N psi(2*pi*N + theta_j + b*pi) * exp(-i*2*pi*k_m*N).
@@ -101,15 +101,16 @@ def zak_forward(psi: PositionWave, grid: ModularGrid) -> ModeState:
     periods = np.arange(-psi.n_win, psi.n_win + 1)
     kernel = np.exp(-2j * math.pi * np.outer(periods, g.k_values()))
     amp = np.einsum("nbj,nm->jmb", per_period, kernel)
-    return ModeState(g, amp)
+    return JointState(g, amp)
 
 
-def zak_inverse(state: ModeState, n_win: int) -> PositionWave:
-    """Rebuild position samples from modular amplitudes.
+def zak_inverse(state: JointState, n_win: int) -> PositionWave:
+    """Rebuild position samples from one-mode modular amplitudes (no ancilla).
 
     Exact inverse of zak_forward on waves supported inside the window when
     g_k >= 2*n_win + 1.
     """
+    check_one_mode(state)
     if n_win < 1:
         raise WindowTooSmall(f"n_win must be >= 1, got {n_win}")
     g = state.grid
@@ -219,14 +220,14 @@ class EnvelopeSpec:
 
 def envelope_densities(envelopes, grid: ModularGrid) -> np.ndarray:
     """|g|^2 of each envelope as one real (len(envelopes), g_theta, g_k) array:
-    the gaussians as outer products of the densities of one gaussian_axes pass,
-    with no complex table, the others as |table_for|^2."""
+    the gaussians as outer products of the squared rows of one gaussian_axes
+    pass, with no complex table, the others as |table_for|^2."""
     g = grid.single_mode()
     out = np.empty((len(envelopes), g.g_theta, g.g_k))
     gauss = [i for i, env in enumerate(envelopes) if env.kind == "gaussian"]
     if gauss:
-        rows, cols = gaussian_axes([envelopes[i] for i in gauss], g, power=2)
-        for i, row, col in zip(gauss, rows, cols):
+        rows, cols = gaussian_axes([envelopes[i] for i in gauss], g)
+        for i, row, col in zip(gauss, np.square(rows), np.square(cols)):
             np.multiply.outer(row, col, out=out[i])
     for i, env in enumerate(envelopes):
         if env.kind != "gaussian":
@@ -234,13 +235,13 @@ def envelope_densities(envelopes, grid: ModularGrid) -> np.ndarray:
     return out
 
 
-def gaussian_axes(specs, grid: ModularGrid, power: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """(m, g_theta) and (m, g_k) real profiles |g|^power of m gaussians, each row
-    normalized on its axis: row i of the two gives spec i's table (power 1) or
-    density (power 2) as an outer product.  A row is exp(min d^2 - d^2), d = (x -
-    centre) / (2 width / sqrt(power)), peak exactly 1; ZeroNorm where the table's
-    peak exp(-min d^2) is 0.  Both axes of all specs take one pass, the shorter
-    axis padded with x = inf, which adds 0."""
+def gaussian_axes(specs, grid: ModularGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(m, g_theta) and (m, g_k) real profiles of m gaussians, each row of unit
+    norm on its axis: row i of the two gives spec i's table as an outer
+    product, and its density as the outer product of the squared rows.  A row
+    is exp(min d^2 - d^2), d = (x - centre) / (2 width), peak exactly 1;
+    ZeroNorm where the table's peak exp(-min d^2) is 0.  Both axes of all specs
+    take one pass, the shorter axis padded with x = inf, which adds 0."""
     g = grid.single_mode()
     centre, width = np.array(  # (2 parameters, 2 axes, m, 1)
         [[(s.center_theta, s.center_k), (2.0 * s.sigma_theta, 2.0 * s.sigma_k)] for s in specs]
@@ -250,30 +251,29 @@ def gaussian_axes(specs, grid: ModularGrid, power: int = 1) -> tuple[np.ndarray,
     x[0, g.g_theta:] = np.inf
     x[1, g.g_k:] = np.inf
     with np.errstate(over="ignore"):  # a tiny width overflows d**2 to inf; exp(-inf) = 0
-        d2 = np.square((x[:, None, :] - centre) / (width / math.sqrt(power)))
+        d2 = np.square((x[:, None, :] - centre) / width)
     low = d2.min(axis=2, keepdims=True)
-    if math.exp(-float(low.max()) / power) == 0.0:
+    if math.exp(-float(low.max())) == 0.0:
         raise ZeroNorm("envelope table has zero quadrature norm")
     row = np.exp(np.subtract(low, d2, out=d2), out=d2)
-    norm = np.einsum("imx,imx->im", row, row) if power == 1 else row.sum(axis=2)
-    norm *= steps
-    row /= (np.sqrt(norm) if power == 1 else norm)[:, :, None]
+    norm = np.einsum("imx,imx->im", row, row) * steps
+    row /= np.sqrt(norm)[:, :, None]
     return row[0, :, : g.g_theta], row[1, :, : g.g_k]
 
 
-def logical_mode(table: np.ndarray, bit: int, grid: ModularGrid) -> ModeState:
+def logical_mode(table: np.ndarray, bit: int, grid: ModularGrid) -> JointState:
     """One mode's logical |bit>: the envelope table on that band, nothing on the other."""
     g = grid.single_mode()
     amp = np.zeros((g.g_theta, g.g_k, 2), dtype=np.complex128)
     amp[:, :, bit] = table
-    return ModeState(g, amp)
+    return JointState(g, amp)
 
 
-def logical_zero(env: EnvelopeSpec, grid: ModularGrid) -> ModeState:
+def logical_zero(env: EnvelopeSpec, grid: ModularGrid) -> JointState:
     """CV logical |0>: envelope on band 0, nothing on band 1."""
     return logical_mode(env.table_for(grid), 0, grid)
 
 
-def logical_one(env: EnvelopeSpec, grid: ModularGrid) -> ModeState:
+def logical_one(env: EnvelopeSpec, grid: ModularGrid) -> JointState:
     """CV logical |1>: envelope on band 1, orthogonal to logical_zero."""
     return logical_mode(env.table_for(grid), 1, grid)

@@ -169,6 +169,33 @@ def test_domain_validation_names_field(tmp_path, capsys, overrides, path):
     assert f"{path}:" in capsys.readouterr().err
 
 
+_INTERVALS = {"mode": "intervals", "intervals": [[[0.0, 1.0]], []]}
+
+
+@pytest.mark.parametrize(
+    "overrides, path",
+    [
+        ({"envelopes": [{"center_theta": 1.0}, {"kind": "gaussian"}]}, "/envelopes/0/kind"),
+        ({"zetas": [{"kind": "cosine"}, {"value": 0.5}]}, "/zetas/1/kind"),
+        ({"envelopes": [{"kind": "gaussian"}, {"kind": "lorentzian"}]}, "/envelopes/1/kind"),
+        ({"zetas": [{"kind": "sine"}, {"kind": "cosine"}]}, "/zetas/0/kind"),
+        ({"target": {"mode": "constant", "bits": "1x"}}, "/target/bits"),
+        ({"target": {"mode": "constant", "strings": ["01", "1x"]}}, "/target/strings/1"),
+        ({"target": {"mode": "random"}}, "/target/mode"),
+        ({"envelopes": [{"kind": "gaussian"}]}, "/envelopes"),
+        ({"zetas": [{"kind": "cosine"}] * 3}, "/zetas"),
+        ({"target": dict(_INTERVALS, intervals=[[[0.0, 1.0]]])}, "/target/intervals"),
+        ({"target": dict(_INTERVALS, intervals=[[[0.0, 1.0, 2.0]], []])}, "/target/intervals/0/0"),
+        ({"target": dict(_INTERVALS, intervals=[[], [[0.5]]])}, "/target/intervals/1/0"),
+        ({"use_dilation": "yes"}, "/use_dilation"),
+    ],
+)
+def test_invalid_configs_name_their_path(overrides, path):
+    with pytest.raises(ConfigInvalid) as error:
+        parse_config(dict(BASE, **overrides))
+    assert error.value.path == path
+
+
 # --- tables: built in one pass, walked entry by entry only to name a bad one -----
 
 

@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 from mvgrover import (
     EnvelopeSpec,
     JointState,
-    ModeState,
     TargetSpec,
     build_gaussian,
     build_list,
@@ -27,6 +26,7 @@ from mvgrover import (
     state_from_bytes,
     state_to_bytes,
     tensor,
+    with_ancilla,
     zak_forward,
 )
 from mvgrover.errors import (
@@ -45,7 +45,7 @@ def random_mode(grid, rng):
     amp = rng.standard_normal((grid.g_theta, grid.g_k, 2)) + 1j * rng.standard_normal(
         (grid.g_theta, grid.g_k, 2)
     )
-    return normalize(ModeState(grid, amp))
+    return normalize(JointState(grid, amp))
 
 
 def inner_by_loops(a, b):
@@ -94,7 +94,7 @@ def test_quad_norm_constant_amplitude_is_one():
     # |h|^2 = 1/(2 pi) integrates to 1 over the area 2*pi*1 (both bands)
     grid = make_grid(1, 6, 5)
     amp = np.full((6, 5, 2), 1.0 / math.sqrt(2 * math.pi), dtype=complex)
-    assert quad_norm(ModeState(grid, amp)) == pytest.approx(1.0, abs=1e-12)
+    assert quad_norm(JointState(grid, amp)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_quad_norm_zero_tensor():
@@ -114,7 +114,7 @@ def test_quad_norm_matches_position_space_norm():
 def test_quad_norm_shape_validation():
     grid = make_grid(1, 4, 4)
     with pytest.raises(ShapeMismatch):
-        ModeState(grid, np.zeros((4, 4)))
+        JointState(grid, np.zeros((4, 4)))
     with pytest.raises(ShapeMismatch):
         JointState(grid, np.zeros((4, 4, 4)))
 
@@ -129,6 +129,16 @@ def test_inner_self_equals_quad_norm():
     val = inner(psi, psi)
     assert val.imag == pytest.approx(0.0, abs=1e-15)
     assert val.real == pytest.approx(quad_norm(psi), abs=1e-13)
+
+
+@pytest.mark.parametrize("g", [4, 8, 16, 32])
+def test_list_norm_does_not_drift_with_state_size(g):
+    # All 4 g^4 amplitudes of a constant-envelope list are equal; one running
+    # sum of their squares missed 1 by 2e-14 to 1e-13 at these sizes.
+    psi = build_list([EnvelopeSpec.constant()] * 2, make_grid(2, g, g))
+    assert abs(quad_norm(psi) - 1.0) <= 1e-15
+    val = inner(psi, psi)
+    assert abs(val.real - quad_norm(psi)) <= 1e-15 and val.imag == 0.0
 
 
 def test_inner_disjoint_band_support_is_exactly_zero():
@@ -182,7 +192,7 @@ def test_tensor_norm_is_product_of_norms():
     grid = make_grid(1, 4, 3)
     a, b = random_mode(grid, rng), random_mode(grid, rng)
     assert quad_norm(tensor([a, b])) == pytest.approx(1.0, abs=1e-12)
-    scaled = ModeState(grid, 2.0 * a.amp)
+    scaled = JointState(grid, 2.0 * a.amp)
     assert quad_norm(tensor([scaled, b])) == pytest.approx(4.0, abs=1e-12)
 
 
@@ -220,10 +230,28 @@ def test_tensor_of_logical_zeros_has_single_band_combination():
 
 
 def test_tensor_grid_mismatch():
-    a = ModeState(make_grid(1, 3, 3), np.zeros((3, 3, 2)))
-    b = ModeState(make_grid(1, 4, 3), np.zeros((4, 3, 2)))
+    a = JointState(make_grid(1, 3, 3), np.zeros((3, 3, 2)))
+    b = JointState(make_grid(1, 4, 3), np.zeros((4, 3, 2)))
     with pytest.raises(GridMismatch):
         tensor([a, b])
+
+
+def test_tensor_takes_one_mode_states_only():
+    grid = make_grid(1, 3, 2)
+    one = JointState(grid, np.ones((3, 2, 2)))
+    two_modes = JointState(make_grid(2, 3, 2), np.ones((3, 3, 2, 2, 2, 2)))
+    for bad in (two_modes, with_ancilla(one)):
+        with pytest.raises(ShapeMismatch):
+            tensor([one, bad])
+        with pytest.raises(ShapeMismatch):
+            tensor([bad])
+
+
+def test_tensor_mode_cap_is_the_grid_cap():
+    one = JointState(make_grid(1, 2, 2), np.ones((2, 2, 2)))
+    with pytest.raises(CapacityExceeded, match="at most 4 modes, got 5"):
+        tensor([one] * 5)
+    assert tensor([one] * 4).grid == make_grid(4, 2, 2)
 
 
 def test_tensor_associative_marginals():
@@ -249,14 +277,14 @@ def test_normalize_idempotent_and_scale_invariant():
     psi = random_mode(grid, rng)
     again = normalize(psi)
     assert_allclose(again.amp, psi.amp, atol=1e-12)
-    tripled = normalize(ModeState(grid, 3.0 * psi.amp))
+    tripled = normalize(JointState(grid, 3.0 * psi.amp))
     assert_allclose(tripled.amp, psi.amp, atol=1e-12)
 
 
 def test_normalize_zero_state():
     grid = make_grid(1, 4, 4)
     with pytest.raises(ZeroNorm):
-        normalize(ModeState(grid, np.zeros((4, 4, 2))))
+        normalize(JointState(grid, np.zeros((4, 4, 2))))
 
 
 # --- invariants ------------------------------------------------------------
@@ -275,7 +303,7 @@ def test_quadrature_norm_invariant_under_unitaries():
 
 def test_states_are_immutable():
     grid = make_grid(1, 3, 3)
-    psi = ModeState(grid, np.ones((3, 3, 2)))
+    psi = JointState(grid, np.ones((3, 3, 2)))
     with pytest.raises(ValueError):
         psi.amp[0, 0, 0] = 0.0
 

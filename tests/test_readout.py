@@ -88,6 +88,15 @@ def test_plain_run_below_norm_floor_is_zero_norm():
         run_search(cfg)
 
 
+def test_faint_plain_run_matches_dense_loop():
+    # w = 0.0081 and r = 5 leave a squared norm of about 1e-21: below the
+    # dilated branch floor, above the plain-run norm floor, so it is read.
+    cfg = SearchConfig(3, 1, 1, (EnvelopeSpec.constant(),) * 3, TargetSpec.bits("000"),
+                       zetas=(0.2, 0.45, 0.09), iterations=5)
+    assert run_search(cfg).norm_constant < 1e-20
+    _assert_matches_dense_loop(cfg)
+
+
 def test_dilated_tie_reads_ancilla_one():
     # Two cells with w = (-1, 0): the branches (w' psi, w psi) carry one cell
     # each, with equal norms and opposite overlaps.
@@ -105,6 +114,48 @@ def test_dilated_tie_reads_ancilla_one():
     assert abs(branch_one["1"]) == pytest.approx(0.5, abs=1e-12)
     for s, v in branch_one.items():
         assert abs(report.overlaps[s] - v) <= 1e-13
+
+
+def _spy_stream(monkeypatch):
+    """Record the weight scale of every _streamed_branch call."""
+    scales, stream = [], search._streamed_branch
+
+    def spy(psq, scaled, scale, index, n_classes):
+        scales.append(scale)
+        return stream(psq, scaled, scale, index, n_classes)
+
+    monkeypatch.setattr(search, "_streamed_branch", spy)
+    return scales
+
+
+def test_dilated_branches_that_disagree_are_ambiguous(monkeypatch):
+    # Mode 0 searches bit 1 at theta = pi/4 only, where w = 1; at 3 pi/4 it
+    # searches 0 and w = 0.  After one step the ancilla-1 branch holds the
+    # class "10" and the ancilla-0 branch the class "00", with half the norm each.
+    scales = _spy_stream(monkeypatch)
+    target = TargetSpec.from_intervals([[(0.0, math.pi / 2)], []])
+    zetas = (np.array([[1.0], [0.0]]), np.ones((2, 1)))
+    cfg = SearchConfig(2, 2, 1, (EnvelopeSpec.constant(),) * 2, target, zetas=zetas,
+                       iterations=1, use_dilation=True)
+    report = run_search(cfg)
+    assert report.identified is None and report.failure == "ambiguous-association"
+    assert report.branch_identified == ("00", "10")
+    assert report.ancilla_branch_norms == pytest.approx((0.5, 0.5), abs=1e-15)
+    assert scales == [1.0]
+    _assert_matches_dense_loop(cfg)
+
+
+def test_stream_clips_weights_just_above_one(monkeypatch):
+    # w = 1 + 1e-13 passes the dilation check; 1 - w^2 < 0 there is clipped
+    # to 0 per cell by the stream, as the dense loop's ancilla weight does.
+    scales = _spy_stream(monkeypatch)
+    zetas = (np.array([[1.0 + 1e-13], [0.5]]), np.ones((2, 1)))
+    cfg = SearchConfig(2, 2, 1, (EnvelopeSpec.constant(),) * 2, TargetSpec.bits("10"),
+                       zetas=zetas, use_dilation=True)
+    report = run_search(cfg)
+    assert report.identified == "10" and report.branch_identified == ("10", "10")
+    assert len(scales) == 1 and scales[0] > 1.0
+    _assert_matches_dense_loop(cfg)
 
 
 @pytest.mark.parametrize("n, g", [(2, 16), (3, 6)])
@@ -194,7 +245,7 @@ def test_step_budget_does_not_scale_with_classes():
     # 16 interval classes share one search vector, so r alone is bounded.
     target = TargetSpec.from_intervals([[(0.0, 1.5)]] * 4)
     cfg = SearchConfig(4, 2, 1, gaussian_envs(4), target, iterations=2000)
-    assert len(search._target_classes(target, cfg.grid)[1]) == 16
+    assert len(target.classes(cfg.grid)[1]) == 16
     assert run_search(cfg).per_cell_max_error <= 1e-12
     with pytest.raises(CapacityExceeded):
         run_search(SearchConfig(4, 2, 1, gaussian_envs(4), target, iterations=30_001))
@@ -217,7 +268,7 @@ def test_interval_run_builds_one_class_operator(monkeypatch):
     search._search_step.cache_clear()
     target = TargetSpec.from_intervals([[(0.0, 1.5)]] * 4)
     cfg = SearchConfig(4, 2, 1, gaussian_envs(4), target, iterations=2)
-    assert len(search._target_classes(target, cfg.grid)[1]) == 16
+    assert len(target.classes(cfg.grid)[1]) == 16
     report = run_search(cfg)
     assert calls == ["grover_cell", "apply", "apply"]
     assert report.per_cell_max_error <= 1e-12
@@ -746,7 +797,7 @@ def test_final_state_equals_the_complex_product(n, g, gk, kind):
         coef /= math.sqrt(float(search._unscaled(run.norms[0], -2 * run.r * run.w_log2)))
         vectors = np.full((len(run.rows), 2**n), run.v[-1])
         np.put_along_axis(vectors, run.rows, run.v[0], axis=1)
-        index = search._class_index(run.bits, run.rows, run.grid)
+        index = search.ops.class_index(run.bits, run.rows, run.grid)
         product = coef[:, :, None] * vectors[index][:, None, :]
         assert np.array_equal(final_state(cfg).amp.reshape(product.shape), product)
 

@@ -142,10 +142,19 @@ def test_roundtrip_gaussian():
 
 def test_zero_state_inverse_is_zero_wave():
     grid = make_grid(1, 4, 4)
-    from mvgrover import ModeState
+    from mvgrover import JointState
 
-    wave = zak_inverse(ModeState(grid, np.zeros((4, 4, 2))), 2)
+    wave = zak_inverse(JointState(grid, np.zeros((4, 4, 2))), 2)
     assert not wave.samples.any()
+
+
+def test_inverse_takes_one_mode_states_only():
+    from mvgrover import JointState, with_ancilla
+
+    one = JointState(make_grid(1, 4, 4), np.zeros((4, 4, 2)))
+    for bad in (JointState(make_grid(2, 4, 4), np.zeros((4,) * 4 + (2, 2))), with_ancilla(one)):
+        with pytest.raises(ShapeMismatch):
+            zak_inverse(bad, 2)
 
 
 def test_translation_covariance_phase():

@@ -137,20 +137,15 @@ def _write_lines(path: str, lines: list[str], code: int) -> int:
     return code
 
 
-def cmd_run(config_path: str, out_path: str) -> int:
-    """Run one search; exit 0 on univocal identification, 1 or 2 otherwise."""
-    line, code = _execute_run(config_path)
-    if line is None:
-        return code
-    return _write_lines(out_path, [line], code)
-
-
-def cmd_run_batch(config_paths: list[str], out_path: str) -> int:
-    """Run several configs; line-delimited records, worst exit code wins."""
-    worst = 0
-    lines = []
+def cmd_run(config_paths: list[str], out_path: str) -> int:
+    """Run each config into one record line of out_path; exit 0 when every
+    run identifies univocally, else the worst code.  A lone invalid config
+    writes no file; in a batch it gets a `config invalid` line."""
+    worst, lines = 0, []
     for path in config_paths:
         line, code = _execute_run(path)
+        if line is None and len(config_paths) == 1:
+            return code
         worst = max(worst, code)
         lines.append(line if line is not None else dumps_record({"config_path": path, "error": "config invalid"}))
     return _write_lines(out_path, lines, worst)
@@ -243,9 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "run":
-        if len(args.config) == 1:
-            return cmd_run(args.config[0], args.out)
-        return cmd_run_batch(args.config, args.out)
+        return cmd_run(args.config, args.out)
     if args.command == "verify":
         return cmd_verify(args.level, corrupt=args.corrupt)
     if args.command == "state":

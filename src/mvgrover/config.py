@@ -9,10 +9,10 @@ from typing import Any
 
 import numpy as np
 
-from .errors import CapacityExceeded, ConfigInvalid, MvGroverError
+from .errors import ConfigInvalid, MvGroverError
 from .kernel import make_grid
 from .operators import TargetSpec
-from .search import AUTO, SearchConfig
+from .search import AUTO, SearchConfig, _check_capacity
 from .zak import EnvelopeSpec
 
 _TOP_KEYS = {
@@ -191,10 +191,9 @@ def parse_config(doc: dict) -> SearchConfig:
     n_modes = _as_int(_require(doc, "n_modes", ""), "/n_modes", minimum=1)
     g_theta = _as_int(_require(doc, "g_theta", ""), "/g_theta", minimum=1)
     g_k = _as_int(_require(doc, "g_k", ""), "/g_k", minimum=1)
-    try:
-        grid = make_grid(n_modes, g_theta, g_k).single_mode()
-    except CapacityExceeded as exc:
-        raise ConfigInvalid("/n_modes", str(exc)) from None
+    grid = _build("/n_modes", make_grid, n_modes, g_theta, g_k).single_mode()
+    # Each per-mode table is a quarter of the one-mode state: refused before any exists.
+    _build("/g_theta", _check_capacity, grid)
 
     envelopes_doc = _as_list(_require(doc, "envelopes", ""), "/envelopes")
     if len(envelopes_doc) != n_modes:
@@ -244,6 +243,7 @@ def load_config(path) -> tuple[SearchConfig, dict]:
         raise ConfigInvalid("", f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigInvalid("", f"config is not valid JSON: {exc}") from None
-    except (OSError, UnicodeDecodeError, RecursionError) as exc:  # a directory, not UTF-8, too deep
+    except (OSError, ValueError, RecursionError) as exc:
+        # a directory, not UTF-8, an integer of too many digits, too deep
         raise ConfigInvalid("", f"cannot read config {path}: {exc}") from None
     return parse_config(doc), doc

@@ -170,12 +170,30 @@ def inner(a: JointState, b: JointState) -> complex:
     return complex(_dot(x, y), im) * a.grid.cell_weight
 
 
+def joint_table(tables: Sequence[np.ndarray]) -> np.ndarray:
+    """Product over modes of per-mode arrays of one rank: axis j of the result
+    is the joint axis of every table's axis j, mode 0 most significant, so two
+    gates give np.kron, (theta, k) tables give (theta cells, k cells) and
+    (theta, k, band) amplitudes the joint cell and band axes.  Multiplied left
+    to right; the result is a new array even for one table, and the ones of
+    the tables' rank for an empty (0, ...) stack."""
+    if not len(tables):
+        return np.ones((1,) * (np.ndim(tables) - 1))
+    out = np.array(tables[0])
+    for t in map(np.asarray, tables[1:]):
+        # (a_0, 1, a_1, 1, ...) times (1, b_0, 1, b_1, ...), then axis j holds (a_j, b_j).
+        left = out.reshape([s for a in out.shape for s in (a, 1)])
+        right = t.reshape([s for b in t.shape for s in (1, b)])
+        out = (left * right).reshape([a * b for a, b in zip(out.shape, t.shape)])
+    return out
+
+
 def tensor(modes: Sequence[JointState]) -> JointState:
     """Outer product of one-mode states (no ancilla) into one joint state.
 
-    Axes come out grouped as (all theta, all k, all bands) in mode order.
-    The joint grid is built first, so more than MAX_MODES modes raise
-    CapacityExceeded before any allocation.
+    Axes come out grouped as (all theta, all k, all bands) in mode order
+    (joint_table).  The joint grid is built first, so more than MAX_MODES
+    modes raise CapacityExceeded before any allocation.
     """
     if len(modes) == 0:
         raise ZeroSize("tensor() needs at least one mode")
@@ -185,17 +203,8 @@ def tensor(modes: Sequence[JointState]) -> JointState:
         check_one_mode(m)
         if m.grid != base:
             raise GridMismatch("all modes must share g_theta and g_k")
-    n = len(modes)
-    amp = modes[0].amp
-    for m in modes[1:]:
-        amp = np.multiply.outer(amp, m.amp)
-    # mode i contributed axes (3i, 3i+1, 3i+2) = (theta_i, k_i, b_i)
-    perm = (
-        [3 * i for i in range(n)]
-        + [3 * i + 1 for i in range(n)]
-        + [3 * i + 2 for i in range(n)]
-    )
-    return JointState(grid, np.ascontiguousarray(np.transpose(amp, perm)))
+    amp = joint_table([m.amp for m in modes])
+    return JointState(grid, amp.reshape(grid.cell_shape + grid.band_shape))
 
 
 def normalize(state: JointState) -> JointState:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cache, reduce
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .errors import (
     ShapeMismatch,
     WeightOutOfRange,
 )
-from .kernel import JointState, ModularGrid
+from .kernel import JointState, ModularGrid, joint_table
 
 SIGMA = {
     "x": np.array([[0, 1], [1, 0]], dtype=np.complex128),
@@ -228,11 +228,6 @@ def compose(*ops: GlobalOperator) -> GlobalOperator:
     return GlobalOperator(first.grid, mats, weight, first.n_ancilla)
 
 
-def _mode_kron(per_mode: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker chain over modes, mode 0 most significant."""
-    return reduce(np.kron, per_mode)
-
-
 def identity(grid: ModularGrid) -> GlobalOperator:
     return GlobalOperator(grid, np.eye(2**grid.n_modes, dtype=np.complex128))
 
@@ -245,21 +240,17 @@ def pauli(axis: str, mode: int, grid: ModularGrid) -> GlobalOperator:
         raise BadMode(f"mode {mode} out of range for {grid.n_modes} modes")
     factors = [IDENTITY_1] * grid.n_modes
     factors[mode] = SIGMA[axis]
-    return GlobalOperator(grid, _mode_kron(factors))
+    return GlobalOperator(grid, joint_table(factors))
 
 
 def mode_table_to_cells(table: np.ndarray, mode: int, grid: ModularGrid) -> np.ndarray:
-    """Reshape a (g_theta, g_k) per-mode table onto the joint cell axes."""
-    arr = np.asarray(table)
-    if arr.shape != (grid.g_theta, grid.g_k):
-        raise ShapeMismatch(
-            f"mode table has shape {arr.shape}, grid needs {(grid.g_theta, grid.g_k)}"
-        )
+    """A (g_theta, g_k) per-mode table reshaped onto the joint cell axes: one
+    mode's weight broadcast over the cells, with no cell-sized array."""
     n = grid.n_modes
     shape = [1] * (2 * n)
     shape[mode] = grid.g_theta
     shape[n + mode] = grid.g_k
-    return arr.reshape(shape)
+    return table.reshape(shape)
 
 
 def _resolve_zeta(zeta, grid: ModularGrid) -> np.ndarray:
@@ -282,10 +273,7 @@ def joint_weight(zetas, grid: ModularGrid) -> np.ndarray:
     zetas may be None (all ones) or one entry per mode, each entry a table,
     a scalar, or None.
     """
-    w = np.ones((1,) * (2 * grid.n_modes))
-    for mode, table in enumerate(mode_weight_tables(zetas, grid)):
-        w = w * mode_table_to_cells(table, mode, grid)
-    return w
+    return joint_table(mode_weight_tables(zetas, grid)).reshape(grid.cell_shape)
 
 
 def mode_weight_tables(zetas, grid: ModularGrid) -> list[np.ndarray]:
@@ -309,7 +297,7 @@ def _gates(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for each n from their exact entries: H's are +-2^(-n/2) (one rounding
     for odd n), and the diffusion -H I0 H = 2/N - I, N = 2^n, is exact."""
     big_n = 2**n
-    h = _mode_kron([np.array([[1, 1], [1, -1]], dtype=np.complex128)] * n) * 2.0 ** (-n / 2)
+    h = joint_table([np.array([[1, 1], [1, -1]], dtype=np.complex128)] * n) * 2.0 ** (-n / 2)
     i0 = np.eye(big_n, dtype=np.complex128)
     i0[0, 0] = -1.0
     diffusion = np.full((big_n, big_n), 2.0 / big_n, dtype=np.complex128) - np.eye(big_n)

@@ -35,7 +35,7 @@ from .errors import (
     WeightOutOfRange,
     ZeroNorm,
 )
-from .kernel import NORM_FLOOR, JointState, ModularGrid, make_grid, tensor
+from .kernel import NORM_FLOOR, JointState, ModularGrid, joint_table, make_grid, tensor
 from .operators import TargetSpec, joint_weight
 from .zak import EnvelopeSpec, envelope_densities, logical_mode
 
@@ -93,8 +93,9 @@ def _check_capacity(grid: ModularGrid) -> None:
     """
     state_bytes = 16 * math.prod(grid.cell_shape + grid.band_shape)
     if 4 * state_bytes > _PHYSICAL_BYTES:
+        mib = state_bytes / 2**20 if state_bytes < 2**1000 else math.inf  # inf past the float range
         raise CapacityExceeded(
-            f"a dense state takes {state_bytes / 2**20:.4g} MiB; four of them exceed "
+            f"a dense state takes {mib:.4g} MiB; four of them exceed "
             f"the {_PHYSICAL_BYTES / 2**20:.4g} MiB of physical memory"
         )
 
@@ -141,33 +142,20 @@ def build_list(envelopes: Sequence[EnvelopeSpec], grid: ModularGrid) -> JointSta
     return ops.apply(ops.hadamard(grid), tensor(modes))
 
 
+@functools.cache
+def _band_strings(n: int) -> tuple[str, ...]:
+    return tuple(format(idx, f"0{n}b") for idx in range(2**n))
+
+
 def logical_basis(
     envelopes: Sequence[EnvelopeSpec], grid: ModularGrid
 ) -> dict[str, JointState]:
     """All 2^n logical basis states built from the given envelopes."""
     tables = _mode_tables(envelopes, grid)
-    n = grid.n_modes
-    basis = {}
-    for idx in range(2**n):
-        bits = [(idx >> (n - 1 - i)) & 1 for i in range(n)]
-        modes = [logical_mode(t, b, grid) for t, b in zip(tables, bits)]
-        basis[format(idx, f"0{n}b")] = tensor(modes)
-    return basis
-
-
-def _joint_table(tables: Sequence[np.ndarray]) -> np.ndarray:
-    """Product of 2D tables over joint (row, column) axes, the first table's
-    axes most significant: per-mode (theta, k) tables give (theta cells, k cells).
-    One table is returned as it is."""
-    out = tables[0] if len(tables) else np.ones((1, 1))
-    for t in tables[1:]:
-        out = (out[:, None, :, None] * t[None, :, None, :]).reshape(out.shape[0] * t.shape[0], -1)
-    return out
-
-
-@functools.cache
-def _band_strings(n: int) -> tuple[str, ...]:
-    return tuple(format(idx, f"0{n}b") for idx in range(2**n))
+    return {
+        s: tensor([logical_mode(t, int(b), grid) for t, b in zip(tables, s)])
+        for s in _band_strings(grid.n_modes)
+    }
 
 
 def _by_string(values: np.ndarray, n: int) -> dict[str, complex]:
@@ -187,7 +175,7 @@ def logical_overlaps(
         raise AncillaMismatch("take an ancilla branch before computing overlaps")
     grid = state.grid
     n = grid.n_modes
-    profile = np.conjugate(_joint_table(_mode_tables(envelopes, grid)))
+    profile = np.conjugate(joint_table(_mode_tables(envelopes, grid)))
     sums = np.einsum("c,cs->s", profile.reshape(-1), state.amp.reshape(profile.size, 2**n))
     return _by_string(sums * grid.cell_weight, n)
 
@@ -201,13 +189,18 @@ def iteration_count(n_modes: int, m_targets: int) -> int:
     return max(1, count)
 
 
+def _hits(overlaps: dict[str, complex]) -> tuple[str, ...]:
+    """The strings whose |overlap| is above DECISION_THRESHOLD, sorted."""
+    return tuple(sorted(s for s, v in overlaps.items() if abs(v) > DECISION_THRESHOLD))
+
+
 def identify(overlaps: dict[str, complex]) -> str:
     """The unique string with |overlap| above DECISION_THRESHOLD.
 
     Raises AmbiguousAssociation or NoAssociation when the answer is not
     unique.
     """
-    hits = sorted(s for s, v in overlaps.items() if abs(v) > DECISION_THRESHOLD)
+    hits = _hits(overlaps)
     if not hits:
         raise NoAssociation(f"no overlap above {DECISION_THRESHOLD:.1e}")
     if len(hits) > 1:
@@ -264,9 +257,7 @@ def _resolved_iterations(cfg: SearchConfig) -> int:
 def _search_step(n: int, m: int) -> ops.GlobalOperator:
     """grover_cell on the bare n-qubit register (the one-cell grid) with the
     band indices 0..m-1 as targets; built once per process for each (n, m)."""
-    return ops.grover_cell(
-        TargetSpec.multi([format(t, f"0{n}b") for t in range(m)]), make_grid(n, 1, 1)
-    )
+    return ops.grover_cell(TargetSpec.multi(_band_strings(n)[:m]), make_grid(n, 1, 1))
 
 
 @functools.cache
@@ -425,25 +416,26 @@ def _series_powers(psq: np.ndarray, sq: np.ndarray, n_terms: int, axes: tuple) -
     return out[:n_terms]
 
 
-def _streamed_branch(psq, scaled, scale: float, index: np.ndarray, n_classes: int) -> np.ndarray:
-    """Per class, the sum of |P|^2 w' over its cells, w' = sqrt(1 - w^2) the
-    ancilla-0 factor of an odd dilated run, which is no product over modes.
+def _streamed_branch(psq, scaled, scale: float, index: np.ndarray, n_classes: int) -> tuple:
+    """Per class, the sums of |P|^2 w' and of |P|^2 w'^2 over its cells,
+    w' = sqrt(1 - w^2) the ancilla-0 factor of an odd dilated run, which is no
+    product over modes.
 
     w^2 = scale^2 prod_i scaled[i]^2 is built from the run's scaled weights
     (each at most 1 in magnitude, scale = prod_i max |w_i| <= 1 + 1e-12 by the
     dilation check), so no partial product leaves the float range, and
-    1 - w^2 can be negative only when scale > 1: only then is it clipped at 0.
-    Summed over the k cells in chunks of whole theta_1 slices through one
-    buffer, then pairwise over each class's theta cells (a sequential sum
-    over 12^3 of them is off by 3e-14).
+    1 - w^2 can be negative only when scale > 1: only then is it clipped at 0,
+    per cell, as the dense loop's ancilla weight is.  Summed over the k cells
+    in chunks of whole theta_1 slices through one buffer, then pairwise over
+    each class's theta cells (a sequential sum over 12^3 of them is off by 3e-14).
     """
-    psq_rest = _joint_table(psq[1:])  # (theta cells, k cells) of modes 1..n-1
-    wsq_rest = _joint_table(np.square(scaled[1:])).reshape(-1)
+    psq_rest = joint_table(psq[1:])  # (theta cells, k cells) of modes 1..n-1
+    wsq_rest = joint_table(np.square(scaled[1:])).reshape(-1)
     wsq_first = np.square(scaled[0]) * (scale * scale)
     g_theta, g_k = wsq_first.shape
     chunk = min(g_theta, max(1, _STREAM_CELLS // (g_k * psq_rest.size)))
     buf = np.empty((chunk, g_k, psq_rest.size))  # (theta_1, k_1, cells of modes 1..n-1)
-    per_theta = np.empty((g_theta, psq_rest.shape[0]))
+    per_theta = np.empty((2, g_theta, psq_rest.shape[0]))  # sums of w'^2, then of w'
     for lo in range(0, g_theta, chunk):
         hi = min(lo + chunk, g_theta)
         b = buf[: hi - lo]
@@ -451,13 +443,16 @@ def _streamed_branch(psq, scaled, scale: float, index: np.ndarray, n_classes: in
         np.subtract(1.0, b, out=b)
         if scale > 1.0:
             np.maximum(b, 0.0, out=b)
-        np.sqrt(b, out=b)
-        # |P|^2 = psq[0][theta_1, k_1] psq_rest[t, k]: contracted over k_1, then over k.
-        over_k1 = np.matmul(psq[0, lo:hi, None, :], b).reshape((hi - lo,) + psq_rest.shape)
-        np.einsum("jtk,tk->jt", over_k1, psq_rest, out=per_theta[lo:hi])
+        for i, sums in enumerate(per_theta):
+            if i:
+                np.sqrt(b, out=b)
+            # |P|^2 = psq[0][theta_1, k_1] psq_rest[t, k]: contracted over k_1, then over k.
+            over_k1 = np.matmul(psq[0, lo:hi, None, :], b).reshape((hi - lo,) + psq_rest.shape)
+            np.einsum("jtk,tk->jt", over_k1, psq_rest, out=sums[lo:hi])
     order = np.argsort(index, kind="stable")
     starts = np.searchsorted(index[order], np.arange(n_classes))
-    return np.add.reduceat(per_theta.reshape(-1)[order], starts)
+    f2, f1 = (np.add.reduceat(sums.reshape(-1)[order], starts) for sums in per_theta)
+    return f1, f2
 
 
 def _factored_run(cfg: SearchConfig) -> _FactoredRun:
@@ -492,15 +487,14 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     overflows.  The weight scale 2^(p w_log2) cancels in the overlaps and
     enters only the norms and the range checks, which use per-mode maxima
     (max |w| = prod max |w_i| on a product set).  The ancilla-0 branch of an
-    odd dilated run has f^2 = 1 - w^2, so its f^2 sums are
-    sum |P|^2 - sum |P|^2 w^2; its f = w' sums are a series of weight powers
-    (_series_coefficients) where that costs less than a pass over the cells,
-    and that pass (_streamed_branch) otherwise.
+    odd dilated run has f^2 = 1 - w^2.  Where that costs less than a pass over
+    the cells, which needs every |w| < 1, its f^2 sums are
+    sum |P|^2 - sum |P|^2 w^2 and its f = w' sums a series of weight powers
+    (_series_coefficients); otherwise that pass (_streamed_branch) gives both,
+    with 1 - w^2 clipped at 0 per cell (exactly 0 where |w| = 1).
     """
     grid = cfg.grid
     n = grid.n_modes
-    if cfg.target.n_modes != n:
-        raise ShapeMismatch(f"target spans {cfg.target.n_modes} modes, grid has {n}")
     bits, rows = cfg.target.classes(grid)
     r = _resolved_iterations(cfg)
     psq = envelope_densities(cfg.envelopes, _mode_grid(cfg.envelopes, grid))
@@ -520,10 +514,7 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     w_log2 = math.log2(peak) if peak > 0 else -math.inf
 
     # Per-class sums of |P|^2 scaled^q, and their exponent, for the powers
-    # the mass (2) and the branches (p and 2 p) read.  Every power takes the
-    # same contraction, so on a class whose scaled weights are all +-1 the
-    # q = 0 and q = 2 sums agree bit for bit: with a weight scale of 1 (|w| = 1
-    # there) the ancilla-0 branch of an odd dilated run is exactly empty.
+    # the mass (2) and the branches (p and 2 p) read, all by one contraction.
     if cfg.use_dilation:
         powers = (0, 1, 2) if r % 2 else (0, 2)
     else:
@@ -551,16 +542,17 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     if cfg.use_dilation:  # each w_max > 0 above the mass floor
         ops.check_dilation_weight(_unscaled(*_scaled_product(w_max)))  # whatever r
         if r % 2:
-            # sum |P|^2 w'^2 = sum |P|^2 - sum |P|^2 w^2, clipped at 0 per class.
-            (s0, e0), (s2, e2) = power_sums[0], power_sums[2]
-            f2 = np.maximum(_unscaled(s0, e0) - _unscaled(s2, e2 + 2 * w_log2), 0.0)
             # The series when its K terms, n g_theta g_k floats each, cost less
             # than the stream's g_theta^n g_k^n cells; the stream otherwise.
             coefs = _series_coefficients(peak * peak, (psq[0].size**n - 1) // psq.size)
             if coefs is None:
                 index = ops.class_index(bits, rows, grid)
-                f1 = _streamed_branch(psq, scaled, peak, index, len(rows))
+                f1, f2 = _streamed_branch(psq, scaled, peak, index, len(rows))
             else:
+                # Every w^2 < 1 here: sum |P|^2 w'^2 = sum |P|^2 - sum |P|^2 w^2,
+                # clipped at 0 per class against rounding.
+                (s0, e0), (s2, e2) = power_sums[0], power_sums[2]
+                f2 = np.maximum(_unscaled(s0, e0) - _unscaled(s2, e2 + 2 * w_log2), 0.0)
                 sq = np.square(scaled)
                 if bits is None:
                     terms = _series_powers(psq, sq, len(coefs), (1, 2)).prod(axis=1)[:, None]
@@ -605,7 +597,7 @@ def final_state(cfg: SearchConfig) -> JointState:
     run = _factored_run(cfg)
     grid = run.grid
     tables = _mode_tables(cfg.envelopes, grid)
-    coef = _joint_table([t * wt**run.r for t, wt in zip(tables, run.scaled)])
+    coef = joint_table([t * wt**run.r for t, wt in zip(tables, run.scaled)])
     coef /= math.sqrt(float(_unscaled(run.norms[0], -2 * run.r * run.w_log2)))
     # The search vector is real (so is every entry of the search step), so a
     # cell's bands are (Re coef, Im coef) times its real class vector: batched
@@ -677,17 +669,15 @@ def per_cell_max_error(state: JointState, target: TargetSpec, r: int) -> float:
     return worst if worst >= 0.0 else math.nan
 
 
-def _readout(cfg: SearchConfig, overlaps: dict[str, complex]) -> tuple:
-    """(overlaps, identified, failure) of one branch."""
-    if cfg.target.is_constant and cfg.target.n_targets > 1:
-        hits = tuple(sorted(s for s, v in overlaps.items() if abs(v) > DECISION_THRESHOLD))
-        return overlaps, hits or None, None if hits else "no-association"
-    try:
-        return overlaps, identify(overlaps), None
-    except AmbiguousAssociation:
-        return overlaps, None, "ambiguous-association"
-    except NoAssociation:
-        return overlaps, None, "no-association"
+def _readout(multi: bool, overlaps: dict[str, complex]) -> tuple:
+    """(identified, failure) of one branch: every hit of a multi-target run,
+    else the one hit that identify returns."""
+    hits = _hits(overlaps)
+    if not hits:
+        return None, "no-association"
+    if multi:
+        return hits, None
+    return (hits[0], None) if len(hits) == 1 else (None, "ambiguous-association")
 
 
 def run_search(cfg: SearchConfig) -> SearchReport:
@@ -728,14 +718,16 @@ def run_search(cfg: SearchConfig) -> SearchReport:
             out[strings[b]] = base + (a - c) * t
         return out
 
-    # Per branch: its readout, None for an empty dilated branch.
-    readouts = [
-        None if dilated and nrm <= BRANCH_FLOOR else _readout(cfg, overlaps(s1, dot))
+    # Per branch: its overlaps and readout, None for an empty dilated branch.
+    branch_overlaps = [
+        None if dilated and nrm <= BRANCH_FLOOR else overlaps(s1, dot)
         for (s1, _, _), dot, nrm in zip(run.sums, run.dots, run.norms)
     ]
+    multi = cfg.target.n_targets > 1
+    readouts = [None if ov is None else _readout(multi, ov) for ov in branch_overlaps]
     live = [ro for ro in readouts if ro is not None]
-    failure = next((ro[2] for ro in live if ro[2]), None)
-    hits = [ro[1] for ro in live if ro[1] is not None]
+    failure = next((ro[1] for ro in live if ro[1]), None)
+    hits = [ro[0] for ro in live if ro[0] is not None]
     if not hits:
         identified, failure = None, failure or "no-association"
     elif all(h == hits[0] for h in hits):
@@ -744,12 +736,12 @@ def run_search(cfg: SearchConfig) -> SearchReport:
         identified, failure = None, "ambiguous-association"
     # The dominant branch holds at least half the norm, so it is live; a tie
     # picks ancilla 1.
-    dominant = readouts[int(dilated and run.norms[1] >= run.norms[0])]
-    branches = [ro[1] if ro is not None and isinstance(ro[1], str) else None for ro in readouts]
+    dominant = branch_overlaps[int(dilated and run.norms[1] >= run.norms[0])]
+    branches = [ro[0] if ro is not None and isinstance(ro[0], str) else None for ro in readouts]
     reference = _reference_rows(n, np.arange(len(rows[0]))[None], run.r)
     return SearchReport(
         norm_constant=sum(run.norms),
-        overlaps=dominant[0],
+        overlaps=dominant,
         identified=identified,
         per_cell_max_error=_max_deviation(run.v, reference[0]),
         iterations_used=run.r,
@@ -767,7 +759,7 @@ def weighted_list(
     amp[cell, b] = w(cell) * prod_i g_i(cell_i) on every band string b; this
     is what the four single-step search results add up to at n = 2.
     """
-    profile = _joint_table(_mode_tables(envelopes, grid)).reshape(grid.cell_shape)
+    profile = joint_table(_mode_tables(envelopes, grid)).reshape(grid.cell_shape)
     base = profile * joint_weight(zetas, grid)
     amp = np.empty(grid.cell_shape + grid.band_shape, dtype=np.complex128)
     amp[...] = base[(Ellipsis,) + (None,) * grid.n_modes]
@@ -788,8 +780,7 @@ def sum_over_targets(cfg: SearchConfig) -> JointState:
     grid = cfg.grid
     lst = build_list(cfg.envelopes, grid)
     total = np.zeros_like(lst.amp)
-    for idx in range(4):
-        spec = TargetSpec.bits(format(idx, "02b"))
-        op = ops.grover_weighted(spec, cfg.zetas, grid)
+    for s in _band_strings(2):
+        op = ops.grover_weighted(TargetSpec.bits(s), cfg.zetas, grid)
         total = total + ops.apply(op, lst).amp
     return JointState(grid, total)

@@ -92,6 +92,35 @@ def test_capacity_exceeded_before_allocation(tmp_path, capsys):
     assert not (tmp_path / "s.mvgr").exists()
 
 
+# One-mode grids whose state, taken four times, exceeds physical memory.  numpy
+# refuses each of these shapes before allocating, so a weight table built
+# before the capacity check fails without taking memory.
+HUGE_ONE_MODE = {
+    "constant-weight": (10**30, 2, {"kind": "constant", "params": {"value": 0.5}}),
+    "cosine-weight": (10**30, 2, {"kind": "cosine"}),
+    "square-grid": (2**32, 2**32, {"kind": "constant"}),
+    "beyond-the-float-range": (10**400, 2, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_ONE_MODE))
+def test_one_mode_grid_beyond_capacity_is_refused_before_any_table(tmp_path, capsys, case):
+    g_theta, g_k, zeta = HUGE_ONE_MODE[case]
+    doc = {"n_modes": 1, "g_theta": g_theta, "g_k": g_k, "envelopes": [{"kind": "constant"}],
+           "target": {"mode": "constant", "bits": "1"}, "zetas": zeta and [zeta]}
+    with pytest.raises(ConfigInvalid, match="physical memory") as error:
+        parse_config(doc)
+    assert error.value.path == "/g_theta"
+    assert run(tmp_path, doc) == (1, None)
+    assert "config invalid" in capsys.readouterr().err
+    out = tmp_path / "batch.jsonl"
+    huge, good = write(tmp_path / "huge.json", doc), write(tmp_path / "good.json", BASE)
+    assert main(["run", "--config", huge, good, "--out", str(out)]) == 1
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert records[0] == {"config_path": huge, "error": "config invalid"}
+    assert records[1]["report"]["identified"] == "10"
+
+
 # --- numbers beyond the float range or the step budget ----------------------------
 
 OVERFLOW = {
@@ -260,6 +289,8 @@ UNREADABLE = {
     "directory": lambda path: path.mkdir(),
     "not-utf8": lambda path: path.write_bytes(b'{"n_modes": "\xff"}'),
     "too-deep": lambda path: path.write_text("[" * 100_000 + "]" * 100_000),
+    # json.load refuses an integer of more than 4300 digits with a plain ValueError.
+    "too-many-digits": lambda path: path.write_text('{"g_theta": ' + "9" * 5000 + "}"),
 }
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import struct
 
@@ -16,11 +17,13 @@ from mvgrover import (
     grover_cell,
     hadamard,
     inner,
+    joint_weight,
     load_state,
     logical_one,
     logical_zero,
     make_grid,
     normalize,
+    pauli,
     quad_norm,
     save_state,
     state_from_bytes,
@@ -38,7 +41,8 @@ from mvgrover.errors import (
     ZeroNorm,
     ZeroSize,
 )
-from mvgrover.operators import apply
+from mvgrover.kernel import joint_table
+from mvgrover.operators import SIGMA, apply, mode_table_to_cells
 
 
 def random_mode(grid, rng):
@@ -266,6 +270,54 @@ def test_tensor_associative_marginals():
         axes = tuple(a for a in range(joint.amp.ndim) if a != 6 + i)
         marginal = np.sum(np.abs(joint.amp) ** 2, axis=axes) * joint.grid.cell_weight
         assert_allclose(marginal, per_mode, atol=1e-12)
+
+
+# --- joint_table -----------------------------------------------------------
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_joint_table_is_each_products_definition(n):
+    # Bit for bit: the Kronecker chain of gates, the einsum outer product of
+    # real (theta, k) tables and the pairwise broadcast product of complex
+    # ones (einsum's complex product rounds otherwise), the outer product and
+    # axis regrouping of one-mode states, and the broadcast product of the
+    # mode weights on the cell axes.
+    rng = np.random.default_rng(n)
+    gates = [_complex(rng, (2, 2)) for _ in range(n)]
+    assert np.array_equal(joint_table(gates), functools.reduce(np.kron, gates))
+    grid = make_grid(n, 3, 2)
+    real = [rng.standard_normal((3, 2)) for _ in range(n)]
+    letters = "abcdefgh"[: 2 * n]
+    spec = ",".join(letters[2 * i : 2 * i + 2] for i in range(n))
+    outer = np.einsum(f"{spec}->{letters[::2]}{letters[1::2]}", *real).reshape(3**n, 2**n)
+    assert np.array_equal(joint_table(real), outer)
+    tables = [_complex(rng, (3, 2)) for _ in range(n)]
+    pairwise = functools.reduce(
+        lambda out, t: (out[:, None, :, None] * t[None, :, None, :]).reshape(len(out) * 3, -1),
+        tables)
+    assert np.array_equal(joint_table(tables), pairwise)
+    modes = [JointState(grid.single_mode(), _complex(rng, (3, 2, 2))) for _ in range(n)]
+    amp = functools.reduce(np.multiply.outer, [m.amp for m in modes])
+    regrouped = np.transpose(amp, [3 * i + axis for axis in range(3) for i in range(n)])
+    assert np.array_equal(tensor(modes).amp, regrouped)
+    weights = [rng.uniform(-1.0, 1.0, (3, 2)) for _ in range(n)]
+    broadcast = np.ones((1,) * (2 * n))
+    for mode, table in enumerate(weights):
+        broadcast = broadcast * mode_table_to_cells(table, mode, grid)
+    assert np.array_equal(joint_weight(weights, grid), broadcast)
+
+
+def test_joint_table_never_aliases_an_input():
+    table = np.arange(6.0).reshape(2, 3)
+    for out in (joint_table([table]), joint_table(np.stack([table, table]))):
+        assert not np.shares_memory(out, table)
+    x = pauli("x", 0, make_grid(1, 2, 2)).mats
+    assert not np.shares_memory(x, SIGMA["x"]) and SIGMA["x"].flags.writeable
+    assert np.array_equal(joint_table(np.ones((0, 3, 4))), np.ones((1, 1)))
 
 
 # --- normalize -------------------------------------------------------------

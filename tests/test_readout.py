@@ -29,6 +29,7 @@ from mvgrover import (
     with_ancilla,
 )
 from mvgrover.errors import CapacityExceeded, WeightOutOfRange, ZeroNorm
+from mvgrover.kernel import joint_table
 from mvgrover.verify import _branch_hit, _dense_run
 
 TARGETS = {
@@ -156,6 +157,19 @@ def test_stream_clips_weights_just_above_one(monkeypatch):
     assert report.identified == "10" and report.branch_identified == ("10", "10")
     assert len(scales) == 1 and scales[0] > 1.0
     _assert_matches_dense_loop(cfg)
+
+
+def test_stream_clips_the_branch_norm_per_cell(monkeypatch):
+    # The ancilla-0 norm sums |P|^2 max(1 - w^2, 0) per cell, as the dense
+    # loop does; sum |P|^2 - sum |P|^2 w^2 of the class, clipped once, is
+    # 2.7e-13 off where one cell has w = 1 + 1e-13.
+    scales = _spy_stream(monkeypatch)
+    zetas = (np.array([[1.0 + 1e-13], [0.5]]), np.ones((2, 1)))
+    cfg = SearchConfig(2, 2, 1, (EnvelopeSpec.constant(),) * 2, TargetSpec.bits("10"),
+                       zetas=zetas, iterations=1, use_dilation=True)
+    norms, _ = _dense_run(cfg, 1)
+    assert run_search(cfg).ancilla_branch_norms[0] == pytest.approx(norms[0], rel=1e-15, abs=0)
+    assert scales[0] > 1.0
 
 
 @pytest.mark.parametrize("n, g", [(2, 16), (3, 6)])
@@ -793,7 +807,7 @@ def test_final_state_equals_the_complex_product(n, g, gk, kind):
         cfg = SearchConfig(n, g, gk, envs, TARGETS[kind](n), zetas=zetas, iterations=2)
         run = search._factored_run(cfg)
         mode_tables = search._mode_tables(envs, run.grid)
-        coef = search._joint_table([t * w**run.r for t, w in zip(mode_tables, run.scaled)])
+        coef = joint_table([t * w**run.r for t, w in zip(mode_tables, run.scaled)])
         coef /= math.sqrt(float(search._unscaled(run.norms[0], -2 * run.r * run.w_log2)))
         vectors = np.full((len(run.rows), 2**n), run.v[-1])
         np.put_along_axis(vectors, run.rows, run.v[0], axis=1)

@@ -152,9 +152,12 @@ def cmd_run(config_paths: list[str], out_path: str) -> int:
 
 
 def cmd_verify(level: str, corrupt: Optional[str] = None) -> int:
-    from .verify import run_suite
+    from . import verify
 
-    return 0 if run_suite(level, corrupt=corrupt) else 1
+    if corrupt is not None and corrupt not in verify.CORRUPTIONS:
+        print(f"unknown corruption {corrupt!r}; supported: {verify.CORRUPTIONS}", file=sys.stderr)
+        return 1
+    return 0 if verify.run_suite(level, corrupt=corrupt) else 1
 
 
 def cmd_state_save(config_path: str, path: str, stage: str) -> int:

@@ -10,9 +10,9 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigInvalid, MvGroverError
-from .kernel import make_grid
+from .kernel import check_capacity, make_grid
 from .operators import TargetSpec
-from .search import AUTO, SearchConfig, _check_capacity
+from .search import AUTO, SearchConfig
 from .zak import EnvelopeSpec
 
 _TOP_KEYS = {
@@ -175,7 +175,11 @@ def _parse_zeta(doc: Any, grid, path: str) -> np.ndarray:
         phase = _as_number(params.get("phase", 0.0), f"{path}/params/phase")
         theta = grid.theta_values()[:, None]
         k = grid.k_values()[None, :]
-        return amplitude * np.cos(theta_factor * theta + k_factor * k + phase)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            table = amplitude * np.cos(theta_factor * theta + k_factor * k + phase)
+        if not np.isfinite(table).all():
+            raise ConfigInvalid(f"{path}/params", "the cosine weight leaves the float range")
+        return table
     if kind == "table":
         values = _require(doc, "values", path)
         return _parse_table(values, grid.g_theta, grid.g_k, f"{path}/values", complex_ok=False)
@@ -193,7 +197,7 @@ def parse_config(doc: dict) -> SearchConfig:
     g_k = _as_int(_require(doc, "g_k", ""), "/g_k", minimum=1)
     grid = _build("/n_modes", make_grid, n_modes, g_theta, g_k).single_mode()
     # Each per-mode table is a quarter of the one-mode state: refused before any exists.
-    _build("/g_theta", _check_capacity, grid)
+    _build("/g_theta", check_capacity, grid)
 
     envelopes_doc = _as_list(_require(doc, "envelopes", ""), "/envelopes")
     if len(envelopes_doc) != n_modes:

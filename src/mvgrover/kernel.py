@@ -33,6 +33,8 @@ from .errors import (
 MAX_MODES = 4
 # Squared norms below this cannot be normalized: ZeroNorm.
 NORM_FLOOR = 1e-30
+# Physical memory for check_capacity, read once per process.
+_PHYSICAL_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 STATE_MAGIC = b"MVGR1"
 _HEADER = struct.Struct("<III")
@@ -101,6 +103,23 @@ def _one_mode_grid(g_theta: int, g_k: int) -> ModularGrid:
 def make_grid(n_modes: int, g_theta: int, g_k: int) -> ModularGrid:
     """Build a grid; raises ZeroSize for empty axes, CapacityExceeded for n > 4."""
     return ModularGrid(n_modes, g_theta, g_k)
+
+
+def check_capacity(grid: ModularGrid) -> None:
+    """CapacityExceeded unless four dense states fit in physical memory.
+
+    Runs and state builds take the grid from SearchConfig.grid before any
+    grid-sized array exists.  A run holds only a few theta_1 slices of its
+    cell tables; final_state and the list that `state save` writes build one
+    state, the dense oracle loop about two.
+    """
+    state_bytes = 16 * math.prod(grid.cell_shape + grid.band_shape)
+    if 4 * state_bytes > _PHYSICAL_BYTES:
+        mib = state_bytes / 2**20 if state_bytes < 2**1000 else math.inf  # inf past the float range
+        raise CapacityExceeded(
+            f"a dense state takes {mib:.4g} MiB; four of them exceed "
+            f"the {_PHYSICAL_BYTES / 2**20:.4g} MiB of physical memory"
+        )
 
 
 @dataclass(frozen=True, eq=False)

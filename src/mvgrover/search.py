@@ -15,7 +15,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import os
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -35,7 +34,8 @@ from .errors import (
     WeightOutOfRange,
     ZeroNorm,
 )
-from .kernel import NORM_FLOOR, JointState, ModularGrid, joint_table, make_grid, tensor
+from .kernel import (NORM_FLOOR, JointState, ModularGrid, check_capacity, joint_table,
+                     make_grid, tensor)
 from .operators import TargetSpec, joint_weight
 from .zak import EnvelopeSpec, envelope_densities, logical_mode
 
@@ -59,8 +59,6 @@ MAX_STEPS = 30_000
 # step where a step is larger.  final_state gathers the class matrices of at
 # most this many floats at a time.
 _STREAM_CELLS = 13_824
-# Physical memory for _check_capacity, read once per process.
-_PHYSICAL_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,25 +77,8 @@ class SearchConfig:
     @property
     def grid(self) -> ModularGrid:
         grid = make_grid(self.n_modes, self.g_theta, self.g_k)
-        _check_capacity(grid)
+        check_capacity(grid)
         return grid
-
-
-def _check_capacity(grid: ModularGrid) -> None:
-    """CapacityExceeded unless four dense states fit in physical memory.
-
-    Runs and state builds take the grid from SearchConfig.grid before any
-    grid-sized array exists.  A run holds only a few theta_1 slices of its
-    cell tables; final_state and the list that `state save` writes build one
-    state, the dense oracle loop about two.
-    """
-    state_bytes = 16 * math.prod(grid.cell_shape + grid.band_shape)
-    if 4 * state_bytes > _PHYSICAL_BYTES:
-        mib = state_bytes / 2**20 if state_bytes < 2**1000 else math.inf  # inf past the float range
-        raise CapacityExceeded(
-            f"a dense state takes {mib:.4g} MiB; four of them exceed "
-            f"the {_PHYSICAL_BYTES / 2**20:.4g} MiB of physical memory"
-        )
 
 
 @dataclass(frozen=True)
@@ -293,24 +274,14 @@ def _scaled_product(values: Sequence[float]) -> tuple[float, int]:
     return math.prod(m for m, _ in parts), sum(e for _, e in parts)
 
 
-def _unscaled(x, log2_scale: float):
-    """x * 2^log2_scale; inf or 0 where that leaves the float range.  A
-    float takes math.ldexp, an array np.ldexp: the same bits."""
+def _unscaled(x: float, log2_scale: float) -> float:
+    """x * 2^log2_scale; inf or 0 where that leaves the float range."""
     e = min(max(log2_scale, -4096.0), 4096.0)
     whole = math.floor(e)
-    if isinstance(x, float):
-        try:
-            return math.ldexp(x * 2.0 ** (e - whole), whole)
-        except OverflowError:
-            return math.copysign(math.inf, x)
-    with np.errstate(over="ignore"):
-        return np.ldexp(x * 2.0 ** (e - whole), whole)
-
-
-def _class_total(x) -> float:
-    """The sum over the classes of per-class values: a float (the one class of
-    a constant target) as it is, an array (one entry per class) by np.sum."""
-    return x if isinstance(x, float) else float(x.sum())
+    try:
+        return math.ldexp(x * 2.0 ** (e - whole), whole)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def _pattern_sums(per_theta: np.ndarray, onehot: np.ndarray, pattern_bits: np.ndarray) -> tuple:
@@ -417,7 +388,7 @@ def _series_powers(psq: np.ndarray, sq: np.ndarray, n_terms: int, axes: tuple) -
 
 
 def _streamed_branch(psq, scaled, scale: float, index: np.ndarray, n_classes: int) -> tuple:
-    """Per class, the sums of |P|^2 w' and of |P|^2 w'^2 over its cells,
+    """Per class, the sums of |P|^2 w' and of |P|^2 w'^2 over its cells, as lists,
     w' = sqrt(1 - w^2) the ancilla-0 factor of an odd dilated run, which is no
     product over modes.
 
@@ -451,7 +422,7 @@ def _streamed_branch(psq, scaled, scale: float, index: np.ndarray, n_classes: in
             np.einsum("jtk,tk->jt", over_k1, psq_rest, out=sums[lo:hi])
     order = np.argsort(index, kind="stable")
     starts = np.searchsorted(index[order], np.arange(n_classes))
-    f2, f1 = (np.add.reduceat(sums.reshape(-1)[order], starts) for sums in per_theta)
+    f2, f1 = (np.add.reduceat(sums.reshape(-1)[order], starts).tolist() for sums in per_theta)
     return f1, f2
 
 
@@ -467,14 +438,14 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     norms[b] the squared norm of readout branch b, sums[b] = (s1, s2, e) its
     per-class sums in scaled form (sum |P|^2 f = s1 2^(e/2),
     sum |P|^2 f^2 = s2 2^e over the class's cells, e a float; s1 and s2 are
-    arrays over the classes, floats for the one class of a constant target
-    but for the series or stream s1 of an odd dilated run) and
+    lists of one float per class, one float for a constant target) and
     dots[b] = |v|^2 sum_c s2_c, as every class vector has the norm of v.
 
     A plain run has one branch, f = w^r.  The dilated step is G (x) A with
     A = w sigma_x + w' sigma_z, and (G (x) A)^r = G^r (x) A^r with A^2 = 1,
     so a dilated run iterates the bare G and its ancilla branches carry
-    f = (1, 0) after an even r and (w', w) after an odd r.
+    f = (1, 0) after an even r and (w', w) after an odd r.  Either way the
+    main branch has f = w^p, p = r for a plain run and r % 2 for a dilated one.
 
     P, w and so f = w^p are products over modes, and a class is a product set
     of cells (all theta cells for a constant target, else those whose per-mode
@@ -488,10 +459,10 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     enters only the norms and the range checks, which use per-mode maxima
     (max |w| = prod max |w_i| on a product set).  The ancilla-0 branch of an
     odd dilated run has f^2 = 1 - w^2.  Where that costs less than a pass over
-    the cells, which needs every |w| < 1, its f^2 sums are
-    sum |P|^2 - sum |P|^2 w^2 and its f = w' sums a series of weight powers
-    (_series_coefficients); otherwise that pass (_streamed_branch) gives both,
-    with 1 - w^2 clipped at 0 per cell (exactly 0 where |w| = 1).
+    the cells, which needs every |w| < 1, its f = w' sums a series of weight
+    powers (_series_coefficients) and its f^2 sums are sum |P|^2, the series'
+    term 0, less sum |P|^2 w^2; otherwise that pass (_streamed_branch) gives
+    both, with 1 - w^2 clipped at 0 per cell (exactly 0 where |w| = 1).
     """
     grid = cfg.grid
     n = grid.n_modes
@@ -506,6 +477,8 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     # w_log2 = -inf: its mass is 0, as it is when the peak underflows (the
     # envelopes are normalized, so the mass is at most peak^2).
     w_max = peaks = np.abs(scaled).max(axis=(1, 2)).tolist()
+    if not all(math.isfinite(m) for m in w_max):  # NaN or inf in some mode's table
+        raise WeightOutOfRange("weights must be finite numbers")
     if np.count_nonzero(psq) < psq.size:
         np.copyto(scaled, 0.0, where=psq == 0)  # in place: a run holds two (n, g_theta, g_k) stacks
         peaks = np.abs(scaled).max(axis=(1, 2)).tolist()
@@ -514,27 +487,24 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     w_log2 = math.log2(peak) if peak > 0 else -math.inf
 
     # Per-class sums of |P|^2 scaled^q, and their exponent, for the powers
-    # the mass (2) and the branches (p and 2 p) read, all by one contraction.
-    if cfg.use_dilation:
-        powers = (0, 1, 2) if r % 2 else (0, 2)
-    else:
-        powers = tuple(sorted({2, r, 2 * r}))
+    # the mass (2) and the main branch (p and 2 p) read, all by one contraction.
+    p = r % 2 if cfg.use_dilation else r
+    powers = sorted({2, p, 2 * p})
     stacks = _weight_powers(scaled, powers)
     if bits is None:  # one class of all theta cells: a product of per-mode totals
-        totals = [np.einsum("itk,itk->i", psq, p).tolist() for p in stacks]
-        power_sums = dict(zip(powers, map(_scaled_product, totals)))
+        totals = [np.einsum("itk,itk->i", psq, q).tolist() for q in stacks]
+        power_sums = {q: ([m], e) for q, (m, e) in zip(powers, map(_scaled_product, totals))}
     else:
-        per_theta = np.array([np.einsum("itk,itk->it", psq, p) for p in stacks])
+        per_theta = np.array([np.einsum("itk,itk->it", psq, q) for q in stacks])
         onehot, pattern_bits = np.eye(2)[bits], rows >> np.arange(n - 1, -1, -1) & 1
-        power_sums = dict(zip(powers, zip(*_pattern_sums(per_theta, onehot, pattern_bits))))
+        sums, exps = _pattern_sums(per_theta, onehot, pattern_bits)
+        power_sums = dict(zip(powers, zip(sums.tolist(), exps)))
 
-    def branch(p: int) -> tuple:
-        """(s1, s2, e) of f = w^p, from the sums of the powers p and 2 p."""
-        (s1, e1), (s2, e2) = power_sums[p], power_sums[2 * p]
-        return s1 * 2.0 ** (e1 - e2 / 2), s2, e2 + (2 * p * w_log2 if p else 0.0)
-
+    # The main branch, f = w^p: (s1, s2, e) from the sums of the powers p and 2 p.
+    (s1, e1), (s2, e2) = power_sums[p], power_sums[2 * p]
+    main = [x * 2.0 ** (e1 - e2 / 2) for x in s1], s2, e2 + (2 * p * w_log2 if p else 0.0)
     mass_sums, mass_exp = power_sums[2]
-    mass = _unscaled(_class_total(mass_sums) * grid.cell_weight, mass_exp + 2 * w_log2)
+    mass = _unscaled(sum(mass_sums) * grid.cell_weight, mass_exp + 2 * w_log2)
     if mass <= 1e-20:
         raise DegenerateWeights(
             f"weight product vanishes on the envelope support (mass {mass:.3e})"
@@ -549,10 +519,6 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
                 index = ops.class_index(bits, rows, grid)
                 f1, f2 = _streamed_branch(psq, scaled, peak, index, len(rows))
             else:
-                # Every w^2 < 1 here: sum |P|^2 w'^2 = sum |P|^2 - sum |P|^2 w^2,
-                # clipped at 0 per class against rounding.
-                (s0, e0), (s2, e2) = power_sums[0], power_sums[2]
-                f2 = np.maximum(_unscaled(s0, e0) - _unscaled(s2, e2 + 2 * w_log2), 0.0)
                 sq = np.square(scaled)
                 if bits is None:
                     terms = _series_powers(psq, sq, len(coefs), (1, 2)).prod(axis=1)[:, None]
@@ -560,16 +526,21 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
                     per_theta = _series_powers(psq, sq, len(coefs), (2,))
                     terms, exps = _pattern_sums(per_theta, onehot, pattern_bits)
                     terms = np.ldexp(terms, np.array(exps)[:, None])
-                f1 = np.array(coefs) @ terms
-            sums = [(f1, f2, 0.0), branch(1)]
+                f1 = (np.array(coefs) @ terms).tolist()
+                # Every w^2 < 1 here: sum |P|^2 w'^2 = sum |P|^2 - sum |P|^2 w^2,
+                # clipped at 0 per class against rounding; sum |P|^2 is term 0
+                # and sum |P|^2 w^2 the mass's.
+                f2 = [max(x - _unscaled(y, mass_exp + 2 * w_log2), 0.0)
+                      for x, y in zip(terms[0].tolist(), mass_sums)]
+            sums = [(f1, f2, 0.0), main]
         else:
-            empty = 0.0 if bits is None else np.zeros(len(rows))
-            sums = [branch(0), (empty, empty, 0.0)]
+            empty = [0.0] * len(rows)
+            sums = [main, (empty, empty, 0.0)]
     else:
-        sums = [branch(r)]
+        sums = [main]
     v = _search_vector(n, rows.shape[1], r)
     vsq = float(_cell_sq(v))
-    dots = [vsq * _class_total(s2) for _, s2, _ in sums]
+    dots = [vsq * sum(s2) for _, s2, _ in sums]
     norms = tuple(_unscaled(d * grid.cell_weight, e) for d, (_, _, e) in zip(dots, sums))
     # log2 of the largest |w| and |w|^r over the cells, from the per-mode maxima.
     top_log2 = math.fsum(math.log2(m) for m in w_max)
@@ -691,7 +662,7 @@ def run_search(cfg: SearchConfig) -> SearchReport:
     |P|^2 f and |P|^2 f^2 over its cells, S1 summed over all classes, T(s)
     over the classes that target s, a = v[0] and c = v[-1]; the scale of the
     per-mode sums cancels.  From the sums on, a run is a few scalars per
-    class: a constant target's one class keeps Python floats, a and c are
+    class: each class's sums are Python floats, one list per sum, a and c are
     Python complex numbers, and the overlaps go straight into the dict.
     Every class vector is v relabelled, so the per-cell check compares v with
     the reference search of the targets 0..M-1, once, as one vector
@@ -707,12 +678,12 @@ def run_search(cfg: SearchConfig) -> SearchReport:
 
     def overlaps(s1, dot: float) -> dict[str, complex]:
         # Each class's S1 dA / sqrt(N) = s1 sqrt(dA / dot): S1 = s1 2^(e/2), N = dA dot 2^e.
-        s1 = s1 * math.sqrt(run.grid.cell_weight / dot)
+        s1 = [x * math.sqrt(run.grid.cell_weight / dot) for x in s1]
         on_targets = {}  # T(s) for the targets s of some class
-        for row, t in zip(rows, [s1] if isinstance(s1, float) else s1.tolist()):
+        for row, t in zip(rows, s1):
             for b in row:
                 on_targets[b] = on_targets.get(b, 0.0) + t
-        base = c * _class_total(s1)
+        base = c * sum(s1)
         out = dict.fromkeys(strings, base)
         for b, t in on_targets.items():
             out[strings[b]] = base + (a - c) * t

@@ -164,12 +164,14 @@ class EnvelopeSpec:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"kind must be one of {self._KINDS}, got {self.kind!r}")
-        if self.kind == "gaussian" and (self.sigma_theta <= 0 or self.sigma_k <= 0):
+        if self.kind == "gaussian" and not (self.sigma_theta > 0 and self.sigma_k > 0):  # NaN too
             raise ValueError("gaussian envelope needs positive widths")
+        if self.kind == "gaussian" and (math.isnan(self.center_theta) or math.isnan(self.center_k)):
+            raise ValueError("gaussian envelope needs centres that are numbers")
         if self.kind == "tabulated":
-            if self.table is None:
-                raise ValueError("tabulated envelope needs a table")
             arr = np.ascontiguousarray(self.table, dtype=np.complex128)
+            if self.table is None or not np.isfinite(arr).all():
+                raise ValueError("tabulated envelope needs a table of finite entries")
             arr.setflags(write=False)
             object.__setattr__(self, "table", arr)
 

@@ -280,6 +280,16 @@ def test_verify_corrupted_sign_names_invariant(capsys):
     assert "FAIL grover-operator-identity" in out
 
 
+def test_verify_unknown_corruption_is_one_line():
+    src = str(Path(mvgrover.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "mvgrover", "verify", "--corrupt", "bogus"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stdout == "" and "Traceback" not in done.stderr
+    assert done.stderr.splitlines() == ["unknown corruption 'bogus'; supported: ('grover-sign',)"]
+
+
 def test_verify_lines_carry_check_times(capsys):
     assert main(["verify", "--level", "full"]) == 0
     lines = capsys.readouterr().out.splitlines()

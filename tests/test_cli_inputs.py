@@ -142,6 +142,23 @@ def test_weights_beyond_float_range_are_named(tmp_path, capsys, case):
     assert "WeightOutOfRange" in capsys.readouterr().err
 
 
+COSINE_OVERFLOW = {
+    "product": {"theta_factor": 1e308},  # theta_factor * theta overflows
+    "sum": {"theta_factor": 6e307, "phase": 1.7e308},  # each term finite, their sum not
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(COSINE_OVERFLOW))
+def test_cosine_weight_beyond_float_range_is_invalid(tmp_path, capsys, case):
+    doc = dict(BASE, zetas=[{"kind": "cosine", "params": COSINE_OVERFLOW[case]}, BASE["zetas"][1]])
+    with pytest.raises(ConfigInvalid, match="^/zetas/0/params: "):
+        parse_config(doc)
+    code, record = run(tmp_path, doc)
+    assert code == 1 and record is None
+    assert "/zetas/0/params" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", [1e300, 1e-20, 2.2250738585e-313])
 def test_extreme_tabulated_envelopes_scale_to_the_ones_table(tmp_path, value):
     grid = make_grid(1, 3, 3)

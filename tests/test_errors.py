@@ -1,5 +1,6 @@
 """Every library call that rejects its input raises its named error type."""
 
+import math
 import os
 
 import numpy as np
@@ -42,6 +43,7 @@ from mvgrover.errors import (
     GridMismatch,
     LatticeMisaligned,
     ShapeMismatch,
+    WeightOutOfRange,
     WindowTooSmall,
     ZeroSize,
 )
@@ -142,3 +144,36 @@ def test_target_of_other_mode_count_is_a_grid_mismatch(kind, user):
     with pytest.raises(GridMismatch, match="target has 3 modes, grid has 2"):
         TARGET_USERS[user](MISMATCHED_TARGETS[kind])
 
+
+
+def _one_cell(value):
+    table = np.full((2, 2), 0.5, dtype=np.asarray(value).dtype)
+    table[1, 0] = value
+    return table
+
+
+NON_FINITE = {
+    "inf-weights": (WeightOutOfRange, "weights must be finite",
+                    lambda: run_search(config(zetas=(np.full((2, 2), np.inf), None)))),
+    "nan-weights": (WeightOutOfRange, "weights must be finite",
+                    lambda: run_search(config(zetas=(None, np.full((2, 2), np.nan))))),
+    "nan-weight-dilated": (WeightOutOfRange, "weights must be finite",
+                           lambda: run_search(config(zetas=(_one_cell(np.nan), None),
+                                                     use_dilation=True))),
+    "inf-weight-final": (WeightOutOfRange, "weights must be finite",
+                         lambda: final_state(config(zetas=(_one_cell(-np.inf), None)))),
+    "nan-centre": (ValueError, "centres", lambda: EnvelopeSpec.gaussian(center_k=math.nan)),
+    "nan-width": (ValueError, "widths", lambda: EnvelopeSpec.gaussian(sigma_theta=math.nan)),
+    "nan-table": (ValueError, "finite", lambda: EnvelopeSpec.tabulated(_one_cell(np.nan))),
+    "inf-table": (ValueError, "finite", lambda: EnvelopeSpec.tabulated(np.full((2, 2), np.inf))),
+    "complex-inf-entry": (ValueError, "finite",
+                          lambda: EnvelopeSpec.tabulated(_one_cell(complex(1.0, math.inf)))),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_input_is_refused_by_name(case):
+    error, message, call = NON_FINITE[case]
+    with pytest.raises(error, match=message):
+        call()

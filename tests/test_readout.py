@@ -475,8 +475,36 @@ def test_series_matches_streamed_branch(monkeypatch, n, g, kind):
         with monkeypatch.context() as patched:
             patched.setattr(search, "_series_coefficients", lambda s, budget: None)
             streamed = search._factored_run(cfg).sums[0][0]
-        assert series.shape == streamed.shape
+        assert len(series) == len(streamed)
+        series, streamed = np.asarray(series), np.asarray(streamed)
         assert np.max(np.abs(series - streamed) / streamed) <= 1e-14
+
+
+@pytest.mark.parametrize("kind", sorted(TARGETS))
+def test_runs_ask_only_for_the_weight_powers_they_read(monkeypatch, kind):
+    # The mass reads the power 2 and the main branch, f = w^p, the powers p and
+    # 2 p, p = r % 2 dilated and r plain; an odd dilated run's ancilla-0
+    # branch takes sum |P|^2 from its series or its stream, with no power 0.
+    asked, weight_powers = [], search._weight_powers
+
+    def spy(scaled, powers):
+        asked.append(tuple(powers))
+        return weight_powers(scaled, powers)
+
+    monkeypatch.setattr(search, "_weight_powers", spy)
+    rng = np.random.default_rng(len(kind))
+    for r in range(4):
+        cfg = _series_config(rng, 2, 8, 8, kind, r, 0.7)
+        with monkeypatch.context() as patched:
+            patched.setattr(search, "_streamed_branch", _no_stream)  # the series
+            run_search(cfg)
+        with monkeypatch.context() as patched:
+            patched.setattr(search, "_series_coefficients", lambda s, budget: None)  # the stream
+            run_search(cfg)
+        run_search(SearchConfig(2, 8, 8, cfg.envelopes, cfg.target, zetas=cfg.zetas, iterations=r))
+        dilated = (1, 2) if r % 2 else (0, 2)
+        assert asked == [dilated, dilated, tuple(sorted({2, r, 2 * r}))]
+        asked.clear()
 
 
 def test_cost_rule_picks_series_or_stream(monkeypatch):
@@ -698,9 +726,12 @@ def test_compensating_weights_on_a_dilated_run(r):
     ],
 )
 def test_scalar_unscaled_matches_array_path(x, log2_scale):
-    # A float goes through math.ldexp, an array through np.ldexp: the same bits.
+    # math.ldexp of the clamped split, against np.ldexp of the same split: the same bits.
     scalar = search._unscaled(x, log2_scale)
-    array = search._unscaled(np.array([x]), log2_scale)
+    e = min(max(log2_scale, -4096.0), 4096.0)
+    whole = math.floor(e)
+    with np.errstate(over="ignore"):
+        array = np.ldexp(np.array([x]) * 2.0 ** (e - whole), whole)
     assert isinstance(scalar, float)
     assert np.array([scalar]).tobytes() == array.tobytes()
 

@@ -82,10 +82,10 @@ class ModularGrid:
         return (2,) * self.n_modes
 
     def theta_values(self) -> np.ndarray:
-        return (np.arange(self.g_theta) + 0.5) * self.d_theta
+        return np.arange(0.5, self.g_theta) * self.d_theta
 
     def k_values(self) -> np.ndarray:
-        return (np.arange(self.g_k) + 0.5) * self.d_k
+        return np.arange(0.5, self.g_k) * self.d_k
 
     def single_mode(self) -> "ModularGrid":
         """The one-mode grid with the same per-mode resolution; grids of
@@ -162,6 +162,20 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     head = x.size - x.size % 64
     rows = np.einsum("ij,ij->i", x[:head].reshape(-1, 64), y[:head].reshape(-1, 64))
     return float(np.add.reduce(rows)) + float(np.einsum("i,i->", x[head:], y[head:]))
+
+
+# np.matmul and np.dot hand a contraction to BLAS, which OpenBLAS keeps in this
+# thread below about this many entries and hands to its threads above.
+BLAS_ENTRIES = 10_000
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i a[..., i] b[..., i] of two real arrays of one shape: np.matmul,
+    one BLAS dot product per row, for rows of at most BLAS_ENTRIES, else
+    einsum, which stays in this thread."""
+    if a.shape[-1] > BLAS_ENTRIES:
+        return np.einsum("...i,...i->...", a, b)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def quad_norm(state: JointState) -> float:

@@ -9,6 +9,7 @@ the grid.  Application never mixes cells.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from functools import cache, reduce
@@ -121,7 +122,7 @@ class TargetSpec:
         n = self.n_modes
         if grid.n_modes != n:
             raise GridMismatch(f"target has {n} modes, grid has {grid.n_modes}")
-        idx = [sum(b << (n - 1 - i) for i, b in enumerate(s)) for s in self.strings]
+        idx = [int("".join(map(str, s)), 2) for s in self.strings]
         return None, np.array([idx], dtype=np.intp)
 
     def mode_bits(self, grid: ModularGrid) -> np.ndarray:
@@ -130,13 +131,13 @@ class TargetSpec:
             raise ValueError("constant targets have no per-mode bits")
         if grid.n_modes != self.n_modes:
             raise GridMismatch(f"target has {self.n_modes} modes, grid has {grid.n_modes}")
-        # (n, L, 2) interval ends, each mode's set padded with empty [0, 0).
-        width = max(1, max(map(len, self.intervals)))
-        ends = np.array([list(mode_set) + [(0.0, 0.0)] * (width - len(mode_set))
-                         for mode_set in self.intervals])
-        theta = grid.theta_values()
-        inside = (theta >= ends[:, :, :1]) & (theta < ends[:, :, 1:])
-        return inside.any(axis=1).astype(np.intp)
+        # The theta values ascend, so those in [lo, hi) are one slice of them.
+        theta = grid.theta_values().tolist()
+        bits = np.zeros((self.n_modes, grid.g_theta), dtype=np.intp)
+        for row, mode_set in zip(bits, self.intervals):
+            for lo, hi in mode_set:
+                row[bisect.bisect_left(theta, lo) : bisect.bisect_left(theta, hi)] = 1
+        return bits
 
 
 def class_index(bits: Optional[np.ndarray], rows: np.ndarray, grid: ModularGrid) -> np.ndarray:
@@ -159,9 +160,10 @@ def _broadcasts_to(shape: tuple, cell_shape: tuple) -> bool:
 
 
 def _check_weight(weight) -> np.ndarray:
-    if np.iscomplexobj(weight):
+    arr = np.asarray(weight)
+    if arr.dtype.kind == "c":
         raise NonRealWeight("weight tables must be real-valued")
-    return np.asarray(weight, dtype=np.float64)
+    return arr.astype(np.float64, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,6 +195,8 @@ class GlobalOperator:
         weight = _check_weight(self.weight)
         if not _broadcasts_to(weight.shape, cell_shape):
             raise ShapeMismatch(f"weight axes {weight.shape} do not broadcast to {cell_shape}")
+        if not np.isfinite(weight).all():
+            raise WeightOutOfRange("weights must be finite numbers")
         mats.setflags(write=False)
         weight.setflags(write=False)
         object.__setattr__(self, "mats", mats)
@@ -357,8 +361,9 @@ def grover_weighted(target: TargetSpec, zetas, grid: ModularGrid) -> GlobalOpera
 
 
 def check_dilation_weight(top: float) -> None:
-    """WeightOutOfRange unless the largest |w|, top, is at most 1 (to 1e-12)."""
-    if top > 1.0 + 1e-12:
+    """WeightOutOfRange unless the largest |w|, top, is at most 1 (to 1e-12);
+    a NaN top is refused too."""
+    if not top <= 1.0 + 1e-12:
         raise WeightOutOfRange(f"dilation needs |weight| <= 1 everywhere, max is {top:.6g}")
 
 
@@ -393,8 +398,12 @@ def apply(op: GlobalOperator, state: JointState) -> JointState:
         raise AncillaMismatch(
             f"operator expects n_ancilla={op.n_ancilla}, state has {state.n_ancilla}"
         )
-    vec = state.amp.reshape(state.grid.cell_shape + (op.dim,))
-    out = np.einsum("...ij,...j->...i", op.mats, vec)
-    if op.weight.ndim or op.weight != 1.0:
+    d = op.dim
+    vec = state.amp.reshape(state.grid.cell_shape + (d,))
+    if vec.size == d:  # one cell: one matrix-vector product
+        out = (op.mats.reshape(d, d) @ vec.reshape(d)).reshape(vec.shape)
+    else:
+        out = np.einsum("...ij,...j->...i", op.mats, vec)
+    if op.weight.ndim or float(op.weight) != 1.0:
         out *= op.weight[..., None]
     return JointState(state.grid, out.reshape(state.amp.shape), state.n_ancilla)

@@ -6,8 +6,9 @@ envelope product, f a weight factor and v_c the n-qubit search vector of the
 cell's target class c.  After r steps the search vector is a_r on the targets
 and c_r on every other string, so every class reads the values a_r and c_r of
 the one vector v of the targets 0..M-1.  The dense loop (build_list, then
-apply) is the oracle, and a dense-vector qubit search the reference for the
-per-cell check.
+apply) is the oracle; a run checks v against the two-value recurrence of a_r
+and c_r, and per_cell_max_error checks a dense state against a dense-vector
+qubit search.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     ZeroNorm,
 )
 from .kernel import (NORM_FLOOR, JointState, ModularGrid, check_capacity, joint_table,
-                     make_grid, tensor)
+                     make_grid, row_dots, tensor)
 from .operators import TargetSpec, joint_weight
 from .zak import EnvelopeSpec, envelope_densities, logical_mode
 
@@ -48,9 +49,10 @@ BRANCH_FLOOR = 1e-20
 # far above underflow, far below any cell an envelope actually populates.
 _CELL_FLOOR = 1e-200
 # A run takes r steps of the search on the n-qubit register and r steps of
-# the dense reference on one row, about 30 us together on a 2-core x86
-# machine, whatever the number of target classes.  r is bounded by this: a
-# run at the bound takes about 1 s.  An automatic r takes at most 3 (n = 4, M = 1).
+# the two-value recurrence that checks it, about 8 us together on a 2-core
+# x86 machine, whatever the number of target classes.  r is bounded by this:
+# a run at the bound takes about 0.25 s.  An automatic r takes at most 3
+# (n = 4, M = 1).
 MAX_STEPS = 30_000
 # The ancilla-0 branch of an odd dilated run is streamed in chunks of whole
 # theta_1 slices of at most this many cells (one slice at (n, g) = (2, 24)),
@@ -76,9 +78,17 @@ class SearchConfig:
 
     @property
     def grid(self) -> ModularGrid:
-        grid = make_grid(self.n_modes, self.g_theta, self.g_k)
-        check_capacity(grid)
-        return grid
+        return _checked_grid(self.n_modes, self.g_theta, self.g_k)
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _checked_grid(n_modes: int, g_theta: int, g_k: int) -> ModularGrid:
+    """make_grid after check_capacity of its shape; built once per process
+    for each (n, g_theta, g_k), told apart by type, so a bool or float size
+    is refused whatever was built before."""
+    grid = make_grid(n_modes, g_theta, g_k)
+    check_capacity(grid)
+    return grid
 
 
 @dataclass(frozen=True)
@@ -221,6 +231,20 @@ def _reference_rows(n: int, rows: np.ndarray, r: int) -> np.ndarray:
     return v
 
 
+def _recurrence_row(n: int, m: int, r: int) -> np.ndarray:
+    """reference_qubit_grover for the targets 0..m-1 from the two values of
+    the search vector: a on the targets and c on the other strings, r steps of
+    mean = (m (-a) + (N - m) c) / N, a <- 2 mean + a, c <- 2 mean - c in
+    Python floats from a = c = 2^(-n/2); O(r + 2^n) work.  For m = N, c has
+    no string and the row is all a."""
+    big_n = 2**n
+    a = c = 2.0 ** (-n / 2)
+    for _ in range(r):
+        mean = (m * -a + (big_n - m) * c) / big_n
+        a, c = 2.0 * mean + a, 2.0 * mean - c
+    return np.array([a] * m + [c] * (big_n - m))
+
+
 def _resolved_iterations(cfg: SearchConfig) -> int:
     """The run's r; CapacityExceeded when it exceeds MAX_STEPS."""
     if cfg.iterations == AUTO:
@@ -270,8 +294,12 @@ _LOG2_MAX = math.log2(np.finfo(np.float64).max)
 def _scaled_product(values: Sequence[float]) -> tuple[float, int]:
     """prod(values) = m 2^e as (m, e): mantissas and exponents multiplied
     apart, so no partial product leaves the float range."""
-    parts = [math.frexp(v) for v in values]
-    return math.prod(m for m, _ in parts), sum(e for _, e in parts)
+    m, e = 1.0, 0
+    for v in values:
+        mantissa, exponent = math.frexp(v)
+        m *= mantissa
+        e += exponent
+    return m, e
 
 
 def _unscaled(x: float, log2_scale: float) -> float:
@@ -305,11 +333,12 @@ def _pattern_sums(per_theta: np.ndarray, onehot: np.ndarray, pattern_bits: np.nd
 
 
 def _weight_powers(scaled: np.ndarray, powers: Sequence[int]):
-    """Yield scaled^q for each q of the powers, each in the same buffer, so
-    each power is read before the next is asked for."""
+    """Yield scaled^q for each q of the powers, scaled itself for q = 1 and
+    each other in the same buffer, so each power is read before the next is
+    asked for."""
     buf = np.empty_like(scaled)
     for q in powers:
-        yield np.power(scaled, q, out=buf)
+        yield scaled if q == 1 else np.power(scaled, q, out=buf)
 
 
 def _series_coefficients(s: float, budget: int) -> Optional[list]:
@@ -465,7 +494,7 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     both, with 1 - w^2 clipped at 0 per cell (exactly 0 where |w| = 1).
     """
     grid = cfg.grid
-    n = grid.n_modes
+    n, cell_weight = grid.n_modes, grid.cell_weight
     bits, rows = cfg.target.classes(grid)
     r = _resolved_iterations(cfg)
     psq = envelope_densities(cfg.envelopes, _mode_grid(cfg.envelopes, grid))
@@ -482,7 +511,9 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     if np.count_nonzero(psq) < psq.size:
         np.copyto(scaled, 0.0, where=psq == 0)  # in place: a run holds two (n, g_theta, g_k) stacks
         peaks = np.abs(scaled).max(axis=(1, 2)).tolist()
-    np.divide(scaled, np.array([p if p > 0 else 1.0 for p in peaks])[:, None, None], out=scaled)
+    for mode, p in zip(scaled, peaks):
+        if p > 0:
+            mode /= p
     peak = _unscaled(*_scaled_product(peaks))
     w_log2 = math.log2(peak) if peak > 0 else -math.inf
 
@@ -492,10 +523,11 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     powers = sorted({2, p, 2 * p})
     stacks = _weight_powers(scaled, powers)
     if bits is None:  # one class of all theta cells: a product of per-mode totals
-        totals = [np.einsum("itk,itk->i", psq, q).tolist() for q in stacks]
+        psq_rows = psq.reshape(n, -1)
+        totals = [row_dots(psq_rows, q.reshape(n, -1)).tolist() for q in stacks]
         power_sums = {q: ([m], e) for q, (m, e) in zip(powers, map(_scaled_product, totals))}
     else:
-        per_theta = np.array([np.einsum("itk,itk->it", psq, q) for q in stacks])
+        per_theta = np.array([row_dots(psq, q) for q in stacks])
         onehot, pattern_bits = np.eye(2)[bits], rows >> np.arange(n - 1, -1, -1) & 1
         sums, exps = _pattern_sums(per_theta, onehot, pattern_bits)
         power_sums = dict(zip(powers, zip(sums.tolist(), exps)))
@@ -504,7 +536,7 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     (s1, e1), (s2, e2) = power_sums[p], power_sums[2 * p]
     main = [x * 2.0 ** (e1 - e2 / 2) for x in s1], s2, e2 + (2 * p * w_log2 if p else 0.0)
     mass_sums, mass_exp = power_sums[2]
-    mass = _unscaled(sum(mass_sums) * grid.cell_weight, mass_exp + 2 * w_log2)
+    mass = _unscaled(sum(mass_sums) * cell_weight, mass_exp + 2 * w_log2)
     if mass <= 1e-20:
         raise DegenerateWeights(
             f"weight product vanishes on the envelope support (mass {mass:.3e})"
@@ -539,9 +571,9 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     else:
         sums = [main]
     v = _search_vector(n, rows.shape[1], r)
-    vsq = float(_cell_sq(v))
+    vsq = float(np.vdot(v, v).real)
     dots = [vsq * sum(s2) for _, s2, _ in sums]
-    norms = tuple(_unscaled(d * grid.cell_weight, e) for d, (_, _, e) in zip(dots, sums))
+    norms = tuple(_unscaled(d * cell_weight, e) for d, (_, _, e) in zip(dots, sums))
     # log2 of the largest |w| and |w|^r over the cells, from the per-mode maxima.
     top_log2 = math.fsum(math.log2(m) for m in w_max)
     if max(r, 1) * top_log2 > _LOG2_MAX or not all(math.isfinite(x) for x in norms):
@@ -665,8 +697,9 @@ def run_search(cfg: SearchConfig) -> SearchReport:
     class: each class's sums are Python floats, one list per sum, a and c are
     Python complex numbers, and the overlaps go straight into the dict.
     Every class vector is v relabelled, so the per-cell check compares v with
-    the reference search of the targets 0..M-1, once, as one vector
-    (_max_deviation).  norm_constant is the squared norm after the last
+    the search of the targets 0..M-1, once, as one vector (_max_deviation):
+    the reference is the two-value recurrence (_recurrence_row), which takes
+    Python floats and no dense 2^n step.  norm_constant is the squared norm after the last
     iteration (1 for unit weights); a dilated run's is the sum of its two
     branch norms (1 up to rounding).
     """
@@ -675,10 +708,12 @@ def run_search(cfg: SearchConfig) -> SearchReport:
     dilated = len(run.norms) == 2
     a, c = complex(run.v[0]), complex(run.v[-1])
     rows, strings = run.rows.tolist(), _band_strings(n)
+    cell_weight = run.grid.cell_weight
 
     def overlaps(s1, dot: float) -> dict[str, complex]:
         # Each class's S1 dA / sqrt(N) = s1 sqrt(dA / dot): S1 = s1 2^(e/2), N = dA dot 2^e.
-        s1 = [x * math.sqrt(run.grid.cell_weight / dot) for x in s1]
+        scale = math.sqrt(cell_weight / dot)
+        s1 = [x * scale for x in s1]
         on_targets = {}  # T(s) for the targets s of some class
         for row, t in zip(rows, s1):
             for b in row:
@@ -709,12 +744,11 @@ def run_search(cfg: SearchConfig) -> SearchReport:
     # picks ancilla 1.
     dominant = branch_overlaps[int(dilated and run.norms[1] >= run.norms[0])]
     branches = [ro[0] if ro is not None and isinstance(ro[0], str) else None for ro in readouts]
-    reference = _reference_rows(n, np.arange(len(rows[0]))[None], run.r)
     return SearchReport(
         norm_constant=sum(run.norms),
         overlaps=dominant,
         identified=identified,
-        per_cell_max_error=_max_deviation(run.v, reference[0]),
+        per_cell_max_error=_max_deviation(run.v, _recurrence_row(n, len(rows[0]), run.r)),
         iterations_used=run.r,
         ancilla_branch_norms=run.norms if dilated else None,
         branch_identified=tuple(branches) if dilated else None,

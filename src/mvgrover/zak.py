@@ -12,6 +12,9 @@ adds an error on the order of the out-of-band mass.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -24,7 +27,7 @@ from .errors import (
     WindowTooSmall,
     ZeroNorm,
 )
-from .kernel import JointState, ModularGrid, check_one_mode
+from .kernel import JointState, ModularGrid, check_one_mode, row_dots
 
 # A wave may leave at most this fraction of its squared norm outside the
 # stored window before the transform refuses it.
@@ -210,56 +213,86 @@ class EnvelopeSpec:
             # Scaled to a largest real or imaginary part of 1 first, so the norm
             # neither over- nor underflows (a magnitude can overflow where no part
             # does); real division, as complex division by a subnormal overflows.
-            scale = float(np.abs(self.table.view(np.float64)).max())
+            parts = self.table.view(np.float64)
+            scale = float(np.abs(parts).max())
             if scale == 0.0:
                 raise ZeroNorm("envelope table has zero quadrature norm")
-            real = self.table.view(np.float64) / scale
-            real /= math.sqrt(float(np.einsum("ij,ij->", real, real)) * g.d_theta * g.d_k)
+            real = parts / scale
+            flat = real.reshape(-1)
+            real /= math.sqrt(float(row_dots(flat, flat)) * g.d_theta * g.d_k)
             return real.view(np.complex128)
-        rows, cols = gaussian_axes([self], g)
+        rows, cols = gaussian_axes([self], g, 1)
         return np.multiply.outer(rows[0], cols[0], dtype=np.complex128)
 
 
 def envelope_densities(envelopes, grid: ModularGrid) -> np.ndarray:
     """|g|^2 of each envelope as one real (len(envelopes), g_theta, g_k) array:
-    the gaussians as outer products of the squared rows of one gaussian_axes
-    pass, with no complex table, the others as |table_for|^2."""
+    the gaussians as outer products of the density rows of one gaussian_axes
+    pass, all in one broadcast product, with no complex table; the others as
+    |table_for|^2, all in one pass."""
     g = grid.single_mode()
+    gauss = [env.kind == "gaussian" for env in envelopes]
+    parts = []  # (mask, densities) of the gaussians and of the others
+    if any(gauss):
+        rows, cols = gaussian_axes(list(itertools.compress(envelopes, gauss)), g, 2)
+        parts.append((gauss, rows[:, :, None] * cols[:, None, :]))
+    rest = [not x for x in gauss]
+    if any(rest):
+        tables = [env.table_for(g) for env in itertools.compress(envelopes, rest)]
+        parts.append((rest, np.abs(tables) ** 2))
+    if len(parts) == 1:
+        return parts[0][1]
     out = np.empty((len(envelopes), g.g_theta, g.g_k))
-    gauss = [i for i, env in enumerate(envelopes) if env.kind == "gaussian"]
-    if gauss:
-        rows, cols = gaussian_axes([envelopes[i] for i in gauss], g)
-        for i, row, col in zip(gauss, np.square(rows), np.square(cols)):
-            np.multiply.outer(row, col, out=out[i])
-    for i, env in enumerate(envelopes):
-        if env.kind != "gaussian":
-            out[i] = np.abs(env.table_for(g)) ** 2
+    for mask, dens in parts:
+        out[mask] = dens
     return out
 
 
-def gaussian_axes(specs, grid: ModularGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(m, g_theta) and (m, g_k) real profiles of m gaussians, each row of unit
-    norm on its axis: row i of the two gives spec i's table as an outer
-    product, and its density as the outer product of the squared rows.  A row
-    is exp(min d^2 - d^2), d = (x - centre) / (2 width), peak exactly 1;
-    ZeroNorm where the table's peak exp(-min d^2) is 0.  Both axes of all specs
-    take one pass, the shorter axis padded with x = inf, which adds 0."""
-    g = grid.single_mode()
-    centre, width = np.array(  # (2 parameters, 2 axes, m, 1)
-        [[(s.center_theta, s.center_k), (2.0 * s.sigma_theta, 2.0 * s.sigma_k)] for s in specs]
-    ).transpose(1, 2, 0)[..., None]
+@functools.cache
+def _axis_points(g: ModularGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The (2, max(g_theta, g_k)) theta and k midpoints of one-mode grid g,
+    the shorter axis padded with x = inf, and the (2, 1) steps; read-only,
+    built once per process for each (g_theta, g_k)."""
     steps = np.array([[g.d_theta], [g.d_k]])
     x = np.arange(0.5, max(g.g_theta, g.g_k)) * steps
     x[0, g.g_theta:] = np.inf
     x[1, g.g_k:] = np.inf
-    with np.errstate(over="ignore"):  # a tiny width overflows d**2 to inf; exp(-inf) = 0
+    for a in (x, steps):
+        a.setflags(write=False)
+    return x, steps
+
+
+def gaussian_axes(specs, grid: ModularGrid, exponent: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m, g_theta) and (m, g_k) real profiles of m gaussians: row i of the two
+    gives spec i's table (exponent 1) or its density |g|^2 (exponent 2) as an
+    outer product.  A row is exp(e (min d^2 - d^2)), e the exponent and
+    d = (x - centre) / (2 width), peak exactly 1, normalized on its axis:
+    sum row^2 dx = 1 for a table, sum row dx = 1 for a density.  ZeroNorm
+    where the table's peak exp(-min d^2) is 0.  Both axes of all specs take
+    one pass, the shorter axis padded with x = inf, which adds 0."""
+    g = grid.single_mode()
+    x, steps = _axis_points(g)
+    params = [(s.center_theta, s.center_k, 2.0 * s.sigma_theta, 2.0 * s.sigma_k) for s in specs]
+    table = np.array(params).T[:, :, None]
+    centre, width = table[:2], table[2:]  # (2 axes, m, 1) each
+    # d^2 overflows to inf (exp(-inf) = 0) only for a tiny width or a huge
+    # centre, as every x is below 4: only then is the overflow silenced.
+    tame = all(-1e75 < ct < 1e75 and -1e75 < ck < 1e75 and wt > 1e-75 and wk > 1e-75
+               for ct, ck, wt, wk in params)
+    with contextlib.nullcontext() if tame else np.errstate(over="ignore"):
         d2 = np.square((x[:, None, :] - centre) / width)
     low = d2.min(axis=2, keepdims=True)
     if math.exp(-float(low.max())) == 0.0:
         raise ZeroNorm("envelope table has zero quadrature norm")
-    row = np.exp(np.subtract(low, d2, out=d2), out=d2)
-    norm = np.einsum("imx,imx->im", row, row) * steps
-    row /= np.sqrt(norm)[:, :, None]
+    np.subtract(low, d2, out=d2)
+    if exponent != 1:
+        d2 *= exponent
+    row = np.exp(d2, out=d2)
+    if exponent == 1:
+        norm = np.sqrt(np.einsum("imx,imx->im", row, row) * steps)
+    else:
+        norm = row.sum(axis=2) * steps
+    row /= norm[:, :, None]
     return row[0, :, : g.g_theta], row[1, :, : g.g_k]
 
 

@@ -17,9 +17,11 @@ from mvgrover import (
     ancilla_branch,
     build_list,
     compose,
+    dilation,
     final_state,
     gamma,
     grover_cell,
+    grover_weighted,
     identity,
     inner,
     joint_weight,
@@ -168,6 +170,18 @@ NON_FINITE = {
     "inf-table": (ValueError, "finite", lambda: EnvelopeSpec.tabulated(np.full((2, 2), np.inf))),
     "complex-inf-entry": (ValueError, "finite",
                           lambda: EnvelopeSpec.tabulated(_one_cell(complex(1.0, math.inf)))),
+    # The dense operators: a NaN weight used to build NaN matrices or weights.
+    "nan-dilation": (WeightOutOfRange, "dilation needs",
+                     lambda: dilation(TargetSpec.bits("10"), (_one_cell(np.nan), None), GRID)),
+    "nan-grover-weighted": (WeightOutOfRange, "weights must be finite",
+                            lambda: grover_weighted(TargetSpec.bits("10"), (None, _one_cell(np.nan)),
+                                                    GRID)),
+    "nan-gamma": (WeightOutOfRange, "weights must be finite",
+                  lambda: gamma("x", 0, math.nan, GRID)),
+    "inf-operator-weight": (WeightOutOfRange, "weights must be finite",
+                            lambda: GlobalOperator(GRID, np.eye(4), weight=-math.inf)),
+    "nan-with-weight": (WeightOutOfRange, "weights must be finite",
+                        lambda: identity(GRID).with_weight(np.full((2, 2, 1, 1), math.nan))),
 }
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvgrover.search as search
+import mvgrover.zak as zak
 from mvgrover import (
     EnvelopeSpec,
     GlobalOperator,
@@ -239,15 +240,17 @@ def test_interval_run_peak_memory(build):
 def test_per_cell_check_reads_one_reference_row(monkeypatch, low):
     # theta = pi/4 searches "1", theta = 3pi/4 searches "0"; the envelope
     # puts `low` on the second cell.  Both classes are relabellings of the
-    # search of "0", so the check reads that one row whatever the amplitudes.
+    # search of "0", so the check reads that one row, of the two-value
+    # recurrence, whatever the amplitudes.
     calls = []
-    reference_rows = search._reference_rows
+    recurrence_row = search._recurrence_row
 
-    def spy(n, rows, r):
-        calls.extend(tuple(format(t, f"0{n}b") for t in row) for row in rows)
-        return reference_rows(n, rows, r)
+    def spy(n, m, r):
+        calls.append(tuple(format(t, f"0{n}b") for t in range(m)))
+        return recurrence_row(n, m, r)
 
-    monkeypatch.setattr(search, "_reference_rows", spy)
+    monkeypatch.setattr(search, "_recurrence_row", spy)
+    monkeypatch.setattr(search, "_reference_rows", None)  # the run reads no dense reference
     envs = (EnvelopeSpec.tabulated(np.array([[1.0], [low]])),)
     cfg = SearchConfig(1, 2, 1, envs, TargetSpec.from_intervals([[(0.0, 1.0)]]))
     report = run_search(cfg)
@@ -803,7 +806,7 @@ def test_run_check_reads_the_bits_of_the_cell_check(kind):
     cfg = SearchConfig(3, 3, 2, gaussian_envs(3), TARGETS[kind](3), zetas=cos_zetas(make_grid(3, 3, 2)),
                        iterations=2)
     run = search._factored_run(cfg)
-    ref = search._reference_rows(3, np.arange(run.rows.shape[1])[None], run.r)
+    ref = search._recurrence_row(3, run.rows.shape[1], run.r)[None]
     assert run_search(cfg).per_cell_max_error == search._max_deviation(run.v[None], ref)
 
 
@@ -821,6 +824,31 @@ def test_uniform_state_is_built_once_per_register():
     first = run_search(cfg)
     assert run_search(cfg) == first
     assert np.array_equal(search._uniform_state(3).amp.reshape(-1), np.full(8, 8**-0.5))
+
+
+def test_per_shape_caches_hold_one_entry_per_grid_shape():
+    # No cache depends on a config, envelope or target: runs of different
+    # envelopes, weights, targets, iteration counts and dilation on two grids
+    # leave one entry per grid shape in each per-shape cache, and two runs of
+    # one config give equal reports.
+    caches = (search._checked_grid, zak._axis_points)
+    for cache in caches:
+        cache.cache_clear()
+    shapes = [(2, 4, 3), (3, 3, 2)]
+    for n, g, gk in shapes:
+        grid = make_grid(n, g, gk)
+        wide = tuple(EnvelopeSpec.gaussian(1.0, 0.4, 0.9, 0.3) for _ in range(n))
+        tabulated = (EnvelopeSpec.tabulated(np.linspace(0.2, 1.0, g * gk).reshape(g, gk)),) * n
+        for envelopes in (gaussian_envs(n), wide, tabulated):
+            for zetas in (None, cos_zetas(grid)):
+                for kind in sorted(TARGETS):
+                    for iterations, dilated in ((0, False), (1, True), (3, False), (3, True)):
+                        cfg = SearchConfig(n, g, gk, envelopes, TARGETS[kind](n), zetas=zetas,
+                                           iterations=iterations, use_dilation=dilated)
+                        first = run_search(cfg)
+                        assert run_search(cfg) == first
+    for cache in caches:
+        assert cache.cache_info().currsize == len(shapes)
 
 
 @pytest.mark.parametrize("n, g, gk, kind", [(2, 4, 3, "single"), (3, 3, 2, "multi"),

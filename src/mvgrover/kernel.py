@@ -164,20 +164,6 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.add.reduce(rows)) + float(np.einsum("i,i->", x[head:], y[head:]))
 
 
-# np.matmul and np.dot hand a contraction to BLAS, which OpenBLAS keeps in this
-# thread below about this many entries and hands to its threads above.
-BLAS_ENTRIES = 10_000
-
-
-def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_i a[..., i] b[..., i] of two real arrays of one shape: np.matmul,
-    one BLAS dot product per row, for rows of at most BLAS_ENTRIES, else
-    einsum, which stays in this thread."""
-    if a.shape[-1] > BLAS_ENTRIES:
-        return np.einsum("...i,...i->...", a, b)
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
-
-
 def quad_norm(state: JointState) -> float:
     """Squared quadrature norm: sum |amp|^2 * (d_theta*d_k)**n_modes, the
     dot product of the float64 view with itself."""

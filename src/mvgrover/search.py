@@ -36,7 +36,7 @@ from .errors import (
     ZeroNorm,
 )
 from .kernel import (NORM_FLOOR, JointState, ModularGrid, check_capacity, joint_table,
-                     make_grid, row_dots, tensor)
+                     make_grid, tensor)
 from .operators import TargetSpec, joint_weight
 from .zak import EnvelopeSpec, envelope_densities, logical_mode
 
@@ -523,11 +523,10 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     powers = sorted({2, p, 2 * p})
     stacks = _weight_powers(scaled, powers)
     if bits is None:  # one class of all theta cells: a product of per-mode totals
-        psq_rows = psq.reshape(n, -1)
-        totals = [row_dots(psq_rows, q.reshape(n, -1)).tolist() for q in stacks]
+        totals = [np.einsum("itk,itk->i", psq, q).tolist() for q in stacks]
         power_sums = {q: ([m], e) for q, (m, e) in zip(powers, map(_scaled_product, totals))}
     else:
-        per_theta = np.array([row_dots(psq, q) for q in stacks])
+        per_theta = np.array([np.einsum("itk,itk->it", psq, q) for q in stacks])
         onehot, pattern_bits = np.eye(2)[bits], rows >> np.arange(n - 1, -1, -1) & 1
         sums, exps = _pattern_sums(per_theta, onehot, pattern_bits)
         power_sums = dict(zip(powers, zip(sums.tolist(), exps)))

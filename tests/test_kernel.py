@@ -41,7 +41,7 @@ from mvgrover.errors import (
     ZeroNorm,
     ZeroSize,
 )
-from mvgrover.kernel import BLAS_ENTRIES, joint_table, row_dots
+from mvgrover.kernel import joint_table
 from mvgrover.operators import SIGMA, apply, mode_table_to_cells
 
 
@@ -309,19 +309,6 @@ def test_joint_table_is_each_products_definition(n):
     for mode, table in enumerate(weights):
         broadcast = broadcast * mode_table_to_cells(table, mode, grid)
     assert np.array_equal(joint_weight(weights, grid), broadcast)
-
-
-def test_row_dots_are_the_same_sums_on_either_side_of_the_blas_limit():
-    # Rows up to BLAS_ENTRIES go to np.matmul, longer ones to einsum.
-    rng = np.random.default_rng(11)
-    for length in (1, 64, BLAS_ENTRIES, BLAS_ENTRIES + 1):
-        a, b = rng.normal(size=(2, 2, 3, length))
-        got = row_dots(a, b)
-        assert got.shape == (2, 3)
-        want = [[math.fsum((x * y).tolist()) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-        assert np.max(np.abs(got - want)) <= 1e-12
-    flat = rng.normal(size=BLAS_ENTRIES + 1)
-    assert row_dots(flat, flat).shape == ()
 
 
 def test_joint_table_never_aliases_an_input():

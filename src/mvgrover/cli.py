@@ -151,13 +151,10 @@ def cmd_run(config_paths: list[str], out_path: str) -> int:
     return _write_lines(out_path, lines, worst)
 
 
-def cmd_verify(level: str, corrupt: Optional[str] = None) -> int:
+def cmd_verify(level: str) -> int:
     from . import verify
 
-    if corrupt is not None and corrupt not in verify.CORRUPTIONS:
-        print(f"unknown corruption {corrupt!r}; supported: {verify.CORRUPTIONS}", file=sys.stderr)
-        return 1
-    return 0 if verify.run_suite(level, corrupt=corrupt) else 1
+    return 0 if verify.run_suite(level) else 1
 
 
 def cmd_state_save(config_path: str, path: str, stage: str) -> int:
@@ -223,7 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the invariant suites")
     verify.add_argument("--level", choices=("fast", "full"), default="fast")
-    verify.add_argument("--corrupt", help=argparse.SUPPRESS)  # test hook
 
     state = sub.add_parser("state", help="save or load binary state files")
     state_sub = state.add_subparsers(dest="state_command", required=True)
@@ -243,7 +239,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "run":
         return cmd_run(args.config, args.out)
     if args.command == "verify":
-        return cmd_verify(args.level, corrupt=args.corrupt)
+        return cmd_verify(args.level)
     if args.command == "state":
         if args.state_command == "save":
             return cmd_state_save(args.config, args.path, args.stage)

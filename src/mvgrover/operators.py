@@ -107,6 +107,12 @@ class TargetSpec:
     def is_constant(self) -> bool:
         return self.strings is not None
 
+    @property
+    def band_indices(self) -> list[int]:
+        """Band index of each constant target string, mode 0 the most
+        significant bit; none for an interval target."""
+        return [int("".join(map(str, s)), 2) for s in self.strings or ()]
+
     def classes(self, grid: ModularGrid) -> tuple:
         """(bits, rows): the (n, g_theta) per-mode bits of an interval target
         (mode_bits; None for a constant one) and the (classes, M) target band
@@ -119,11 +125,9 @@ class TargetSpec:
             for present in map(set, bits.tolist()):
                 codes = [2 * c + b for c in codes for b in (0, 1) if b in present]
             return bits, np.array(codes, dtype=np.intp)[:, None]
-        n = self.n_modes
-        if grid.n_modes != n:
-            raise GridMismatch(f"target has {n} modes, grid has {grid.n_modes}")
-        idx = [int("".join(map(str, s)), 2) for s in self.strings]
-        return None, np.array([idx], dtype=np.intp)
+        if grid.n_modes != self.n_modes:
+            raise GridMismatch(f"target has {self.n_modes} modes, grid has {grid.n_modes}")
+        return None, np.array([self.band_indices], dtype=np.intp)
 
     def mode_bits(self, grid: ModularGrid) -> np.ndarray:
         """(n, g_theta) searched bit of each mode at each theta value (extended mode)."""

@@ -29,7 +29,6 @@ from .errors import (
     BadTargetCount,
     CapacityExceeded,
     DegenerateWeights,
-    DuplicateTarget,
     NoAssociation,
     ShapeMismatch,
     WeightOutOfRange,
@@ -209,13 +208,10 @@ def reference_qubit_grover(n: int, targets: Sequence[str], r: int) -> np.ndarray
         raise CapacityExceeded(f"reference search supports n <= 12, got {n}")
     if r < 0:
         raise ValueError(f"iteration count must be >= 0, got {r}")
-    idx = [int(str(t), 2) for t in targets]
-    if len(set(idx)) != len(idx):
-        raise DuplicateTarget(f"targets must be distinct: {list(targets)}")
-    big_n = 2**n
-    if not all(0 <= i < big_n for i in idx):
-        raise ValueError(f"targets out of range for n={n}: {list(targets)}")
-    return _reference_rows(n, np.array([idx], dtype=np.intp), r)[0]
+    spec = TargetSpec.multi(targets)
+    if spec.n_modes != n:
+        raise ValueError(f"targets must have {n} bits: {list(targets)}")
+    return _reference_rows(n, np.array([spec.band_indices], dtype=np.intp), r)[0]
 
 
 def _reference_rows(n: int, rows: np.ndarray, r: int) -> np.ndarray:

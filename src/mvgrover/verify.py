@@ -1,15 +1,14 @@
 """Self-check suites behind `mvgrover verify`.
 
 Each check re-derives one structural property from scratch and compares the
-implementation against it.  `corrupt` deliberately mis-builds one construction
-(test hook) so the harness can prove a broken invariant is caught and named.
+implementation against it.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -40,8 +39,6 @@ from .search import (
 )
 from .zak import EnvelopeSpec, PositionWave, build_gaussian, zak_forward, zak_inverse
 
-CORRUPTIONS = ("grover-sign",)
-
 
 def _fail(what: str, err: float, tol: float):
     raise AssertionError(f"{what}: deviation {err:.3e} exceeds {tol:.0e}")
@@ -53,10 +50,10 @@ def _assert_close(actual, expected, tol: float, what: str):
         _fail(what, err, tol)
 
 
-def _random_state(grid, rng, n_ancilla=0) -> JointState:
-    shape = grid.cell_shape + grid.band_shape + (2,) * n_ancilla
+def _random_state(grid, rng) -> JointState:
+    shape = grid.cell_shape + grid.band_shape
     amp = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return normalize(JointState(grid, amp, n_ancilla))
+    return normalize(JointState(grid, amp))
 
 
 def _gaussian_envelopes(n):
@@ -76,7 +73,7 @@ def _cos_zetas(grid):
     return (table,) * grid.n_modes
 
 
-def check_grid_midpoint_rule(corrupt=None):
+def check_grid_midpoint_rule():
     grid = make_grid(1, 4, 2)
     _assert_close(grid.d_theta, math.pi / 4, 1e-15, "d_theta")
     _assert_close(grid.d_k, 0.5, 1e-15, "d_k")
@@ -84,7 +81,7 @@ def check_grid_midpoint_rule(corrupt=None):
     _assert_close(grid.theta_values(), expected, 1e-15, "theta midpoints")
 
 
-def check_unitary_norm_invariance(corrupt=None):
+def check_unitary_norm_invariance():
     rng = np.random.default_rng(7)
     grid = make_grid(2, 5, 3)
     psi = _random_state(grid, rng)
@@ -98,7 +95,7 @@ def check_unitary_norm_invariance(corrupt=None):
             _fail(f"norm drift under {name}", drift, 1e-10)
 
 
-def check_inner_positive_definite(corrupt=None):
+def check_inner_positive_definite():
     rng = np.random.default_rng(11)
     grid = make_grid(1, 4, 4)
     for _ in range(5):
@@ -111,7 +108,7 @@ def check_inner_positive_definite(corrupt=None):
         raise AssertionError("inner of the zero tensor must be exactly 0")
 
 
-def check_tensor_norm_multiplicative(corrupt=None):
+def check_tensor_norm_multiplicative():
     rng = np.random.default_rng(13)
     grid = make_grid(1, 3, 4)
     a = _random_state(grid, rng)
@@ -120,19 +117,19 @@ def check_tensor_norm_multiplicative(corrupt=None):
     _assert_close(quad_norm(joint), quad_norm(a) * quad_norm(b), 1e-12, "tensor norm")
 
 
-def check_pauli_algebra(corrupt=None):
+def check_pauli_algebra():
     grid = make_grid(1, 2, 2)
     prod = ops.compose(ops.pauli("x", 0, grid), ops.pauli("y", 0, grid), ops.pauli("z", 0, grid))
     _assert_close(prod.mats, 1j * np.eye(2), 1e-15, "sigma_x sigma_y sigma_z = i I")
 
 
-def check_hadamard_involution(corrupt=None):
+def check_hadamard_involution():
     grid = make_grid(2, 3, 3)
     h = ops.hadamard(grid)
     _assert_close(ops.compose(h, h).mats, np.eye(4), 1e-12, "H^2 = I")
 
 
-def check_grover_identity(corrupt=None):
+def check_grover_identity():
     for n in (1, 2):
         grid = make_grid(n, 4, 3)
         d = 2**n
@@ -141,13 +138,11 @@ def check_grover_identity(corrupt=None):
         for idx in range(d):
             target = TargetSpec.bits(format(idx, f"0{n}b"))
             built = ops.grover_cell(target, grid).mats
-            if corrupt == "grover-sign":
-                built = -built
             expected = diffusion @ ops.oracle(target, grid).mats
             _assert_close(built, expected, 1e-12, f"grover identity n={n} target={idx}")
 
 
-def check_per_cell_unitarity(corrupt=None):
+def check_per_cell_unitarity():
     grid = make_grid(2, 4, 3)
     eye = np.eye(4)
     builders = {
@@ -164,7 +159,7 @@ def check_per_cell_unitarity(corrupt=None):
         _assert_close(gram, eye, 1e-12, f"{name} per-cell unitarity")
 
 
-def check_kraus_completeness(corrupt=None):
+def check_kraus_completeness():
     rng = np.random.default_rng(17)
     grid = make_grid(2, 4, 3)
     target = TargetSpec.bits("10")
@@ -177,7 +172,7 @@ def check_kraus_completeness(corrupt=None):
     _assert_close(total, quad_norm(psi), 1e-10, "G^2 + G'^2 completeness")
 
 
-def check_dilation_unitarity_branches(corrupt=None):
+def check_dilation_unitarity_branches():
     rng = np.random.default_rng(19)
     grid = make_grid(2, 3, 3)
     target = TargetSpec.bits("01")
@@ -198,7 +193,7 @@ def check_dilation_unitarity_branches(corrupt=None):
     )
 
 
-def check_zak_roundtrip_single_period(corrupt=None):
+def check_zak_roundtrip_single_period():
     grid = make_grid(1, 8, 4)
     n_win = 1
     wave = build_gaussian(math.pi, 1.0, 0.3, grid, n_win)
@@ -206,7 +201,7 @@ def check_zak_roundtrip_single_period(corrupt=None):
     _assert_close(back.samples, wave.samples, 1e-10, "zak round trip")
 
 
-def check_zak_translation_covariance(corrupt=None):
+def check_zak_translation_covariance():
     grid = make_grid(1, 6, 9)  # g_k >= 2*n_win+1 keeps the check exact
     n_win = 4
     wave = build_gaussian(0.0, 2.0, 0.2, grid, n_win)
@@ -218,7 +213,7 @@ def check_zak_translation_covariance(corrupt=None):
     _assert_close(amp_shift, phase * amp, 1e-10, "translation covariance phase")
 
 
-def check_single_step_exactness(corrupt=None):
+def check_single_step_exactness():
     cfg = SearchConfig(
         n_modes=2,
         g_theta=8,
@@ -235,7 +230,7 @@ def check_single_step_exactness(corrupt=None):
         _fail("single-step overlap", err, 1e-10)
 
 
-def check_univocal_association(corrupt=None):
+def check_univocal_association():
     grid = make_grid(2, 8, 6)
     cfg = SearchConfig(
         n_modes=2,
@@ -253,7 +248,7 @@ def check_univocal_association(corrupt=None):
         _fail("non-target overlap", max(others), 1e-10)
 
 
-def check_sum_over_targets(corrupt=None):
+def check_sum_over_targets():
     grid = make_grid(2, 6, 5)
     cfg = SearchConfig(
         n_modes=2,
@@ -268,7 +263,7 @@ def check_sum_over_targets(corrupt=None):
     _assert_close(total.amp, expected.amp, 1e-12, "sum over targets vs weighted list")
 
 
-def check_per_cell_equivalence_n3(corrupt=None):
+def check_per_cell_equivalence_n3():
     envelopes = tuple(EnvelopeSpec.constant() for _ in range(3))
     for r in (1, 2):
         cfg = SearchConfig(
@@ -284,7 +279,7 @@ def check_per_cell_equivalence_n3(corrupt=None):
             _fail(f"per-cell equivalence n=3 r={r}", report.per_cell_max_error, 1e-12)
 
 
-def check_zak_roundtrip_sweep(corrupt=None):
+def check_zak_roundtrip_sweep():
     grid = make_grid(1, 8, 17)
     n_win = 8
     for sigma in (math.pi, 2 * math.pi):
@@ -294,7 +289,7 @@ def check_zak_roundtrip_sweep(corrupt=None):
             _assert_close(back.samples, wave.samples, 1e-8, f"round trip sigma={sigma:.3g}")
 
 
-def check_iteration_schedule(corrupt=None):
+def check_iteration_schedule():
     if iteration_count(2, 1) != 1 or iteration_count(3, 1) != 2 or iteration_count(1, 1) != 1:
         raise AssertionError("iteration_count disagrees with the schedule formula")
     probs = [
@@ -358,7 +353,7 @@ def _branch_hit(cfg: SearchConfig, overlaps: dict):
     return found[0] if len(found) == 1 else None
 
 
-def check_engine_agreement(corrupt=None):
+def check_engine_agreement():
     rng = np.random.default_rng(23)
     for i, cfg in enumerate(_agreement_configs(rng)):
         report = run_search(cfg)
@@ -409,22 +404,20 @@ FULL_CHECKS: list[tuple[str, Callable]] = FAST_CHECKS + [
 ]
 
 
-def run_suite(level: str, corrupt: Optional[str] = None, out=print) -> bool:
+def run_suite(level: str) -> bool:
     """Run the named suite; prints one PASS/FAIL line per check, a pass with
     its wall time."""
     if level not in ("fast", "full"):
         raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
-    if corrupt is not None and corrupt not in CORRUPTIONS:
-        raise ValueError(f"unknown corruption {corrupt!r}; supported: {CORRUPTIONS}")
     checks = FAST_CHECKS if level == "fast" else FULL_CHECKS
     ok = True
     for name, fn in checks:
         started = time.perf_counter()
         try:
-            fn(corrupt)
+            fn()
         except AssertionError as exc:
-            out(f"FAIL {name}: {exc}")
+            print(f"FAIL {name}: {exc}")
             ok = False
         else:
-            out(f"PASS {name} ({(time.perf_counter() - started) * 1e3:.1f} ms)")
+            print(f"PASS {name} ({(time.perf_counter() - started) * 1e3:.1f} ms)")
     return ok

@@ -166,10 +166,11 @@ class EnvelopeSpec:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"kind must be one of {self._KINDS}, got {self.kind!r}")
-        if self.kind == "gaussian" and not (self.sigma_theta > 0 and self.sigma_k > 0):  # NaN too
-            raise ValueError("gaussian envelope needs positive widths")
-        if self.kind == "gaussian" and (math.isnan(self.center_theta) or math.isnan(self.center_k)):
-            raise ValueError("gaussian envelope needs centres that are numbers")
+        # Each comparison is False for NaN, so NaN widths are refused too.
+        if self.kind == "gaussian" and not (0 < self.sigma_theta < math.inf and 0 < self.sigma_k < math.inf):
+            raise ValueError("gaussian envelope needs positive finite widths")
+        if self.kind == "gaussian" and not (math.isfinite(self.center_theta) and math.isfinite(self.center_k)):
+            raise ValueError("gaussian envelope needs finite centres")
         if self.kind == "tabulated":
             arr = np.ascontiguousarray(self.table, dtype=np.complex128)
             if self.table is None or not np.isfinite(arr).all():
@@ -219,20 +220,22 @@ class EnvelopeSpec:
             real = parts / scale
             real /= math.sqrt(float(np.einsum("ij,ij->", real, real)) * g.d_theta * g.d_k)
             return real.view(np.complex128)
-        rows, cols = gaussian_axes([self], g, 1)
+        rows, cols = gaussian_axes([self], g)
         return np.multiply.outer(rows[0], cols[0], dtype=np.complex128)
 
 
 def envelope_densities(envelopes, grid: ModularGrid) -> np.ndarray:
     """|g|^2 of each envelope as one real (len(envelopes), g_theta, g_k) array:
-    the gaussians as outer products of the density rows of one gaussian_axes
-    pass, all in one broadcast product, with no complex table; the others as
-    |table_for|^2, all in one pass."""
+    the gaussians as outer products of the squared profiles of one
+    gaussian_axes pass, all in one broadcast product, with no complex table;
+    the others as |table_for|^2, all in one pass."""
     g = grid.single_mode()
     gauss = [env.kind == "gaussian" for env in envelopes]
     parts = []  # (mask, densities) of the gaussians and of the others
     if any(gauss):
-        rows, cols = gaussian_axes(list(itertools.compress(envelopes, gauss)), g, 2)
+        rows, cols = gaussian_axes(list(itertools.compress(envelopes, gauss)), g)
+        np.square(rows, out=rows)
+        np.square(cols, out=cols)
         parts.append((gauss, rows[:, :, None] * cols[:, None, :]))
     rest = [not x for x in gauss]
     if any(rest):
@@ -248,11 +251,11 @@ def envelope_densities(envelopes, grid: ModularGrid) -> np.ndarray:
 
 @functools.cache
 def _axis_points(g: ModularGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The (2, max(g_theta, g_k)) theta and k midpoints of one-mode grid g,
-    the shorter axis padded with x = inf, and the (2, 1) steps; read-only,
+    """The (2, max(g_theta, g_k)) halved theta and k midpoints x/2 of one-mode
+    grid g, the shorter axis padded with inf, and the (2, 1) steps; read-only,
     built once per process for each (g_theta, g_k)."""
     steps = np.array([[g.d_theta], [g.d_k]])
-    x = np.arange(0.5, max(g.g_theta, g.g_k)) * steps
+    x = np.arange(0.5, max(g.g_theta, g.g_k)) * (steps / 2)
     x[0, g.g_theta:] = np.inf
     x[1, g.g_k:] = np.inf
     for a in (x, steps):
@@ -260,34 +263,29 @@ def _axis_points(g: ModularGrid) -> tuple[np.ndarray, np.ndarray]:
     return x, steps
 
 
-def gaussian_axes(specs, grid: ModularGrid, exponent: int) -> tuple[np.ndarray, np.ndarray]:
-    """(m, g_theta) and (m, g_k) real profiles of m gaussians: row i of the two
-    gives spec i's table (exponent 1) or its density |g|^2 (exponent 2) as an
-    outer product.  A row is exp(e (min d^2 - d^2)), e the exponent and
-    d = (x - centre) / (2 width), peak exactly 1, normalized on its axis:
-    sum row^2 dx = 1 for a table, sum row dx = 1 for a density.  ZeroNorm
-    where the table's peak exp(-min d^2) is 0.  Both axes of all specs take
-    one pass, the shorter axis padded with x = inf, which adds 0."""
+def gaussian_axes(specs, grid: ModularGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(m, g_theta) and (m, g_k) real profiles of m gaussians, views of one
+    fresh buffer: row i of the two gives spec i's table as an outer product.
+    A row is exp(min d^2 - d^2) with d = (x/2 - centre/2) / width, which is
+    (x - centre) / (2 width) wherever 2 width is finite; peak exactly 1,
+    normalized to sum row^2 dx = 1 on its axis.  ZeroNorm where the peak
+    exp(-min d^2) is 0.  Both axes of all specs take one pass, the shorter
+    axis padded with x = inf, which adds 0."""
     g = grid.single_mode()
-    x, steps = _axis_points(g)
+    half_x, steps = _axis_points(g)
     table = np.array(
-        [(s.center_theta, s.center_k, 2.0 * s.sigma_theta, 2.0 * s.sigma_k) for s in specs]
+        [(s.center_theta / 2, s.center_k / 2, s.sigma_theta, s.sigma_k) for s in specs]
     ).T[:, :, None]
-    centre, width = table[:2], table[2:]  # (2 axes, m, 1) each
-    # A tiny width overflows d^2 to inf, or e (min d^2 - d^2) to -inf; exp(-inf) = 0.
+    half_centre, width = table[:2], table[2:]  # (2 axes, m, 1) each
+    # A tiny width overflows d or d^2 to inf, and exp(min d^2 - inf) = 0.
     with np.errstate(over="ignore"):
-        d2 = np.square((x[:, None, :] - centre) / width)
+        d2 = np.square((half_x[:, None, :] - half_centre) / width)
         low = d2.min(axis=2, keepdims=True)
         if math.exp(-float(low.max())) == 0.0:
             raise ZeroNorm("envelope table has zero quadrature norm")
         np.subtract(low, d2, out=d2)
-        if exponent != 1:
-            d2 *= exponent
         row = np.exp(d2, out=d2)
-    if exponent == 1:
-        norm = np.sqrt(np.einsum("imx,imx->im", row, row) * steps)
-    else:
-        norm = row.sum(axis=2) * steps
+    norm = np.sqrt(np.einsum("imx,imx->im", row, row) * steps)
     row /= norm[:, :, None]
     return row[0, :, : g.g_theta], row[1, :, : g.g_k]
 

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,8 @@ import pytest
 
 import mvgrover
 from mvgrover import load_state, quad_norm, state_to_bytes
+from mvgrover import operators as ops
+from mvgrover import verify
 from mvgrover.cli import _build_parser, dumps_record, main
 
 
@@ -274,20 +278,26 @@ def test_python_dash_m_runs_the_cli():
     assert "PASS" in done.stdout and "FAIL" not in done.stdout
 
 
-def test_verify_corrupted_sign_names_invariant(capsys):
-    assert main(["verify", "--level", "fast", "--corrupt", "grover-sign"]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL grover-operator-identity" in out
+def test_verify_names_a_broken_grover_identity(monkeypatch, capsys):
+    # Only verify's view of the operators builds a negated grover_cell; the
+    # search engine keeps the real one, so exactly one invariant fails.
+    def negated(target, grid):
+        op = ops.grover_cell(target, grid)
+        return dataclasses.replace(op, mats=-op.mats)
+
+    monkeypatch.setattr(verify, "ops", types.SimpleNamespace(**{**vars(ops), "grover_cell": negated}))
+    assert main(["verify", "--level", "full"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    fails = [line for line in lines if not line.startswith("PASS ")]
+    assert len(fails) == 1 and fails[0].startswith("FAIL grover-operator-identity: "), fails
+    assert len(lines) == len(verify.FULL_CHECKS)
 
 
-def test_verify_unknown_corruption_is_one_line():
-    src = str(Path(mvgrover.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "mvgrover", "verify", "--corrupt", "bogus"],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 1
-    assert done.stdout == "" and "Traceback" not in done.stderr
-    assert done.stderr.splitlines() == ["unknown corruption 'bogus'; supported: ('grover-sign',)"]
+def test_verify_corrupt_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--corrupt", "x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --corrupt x" in capsys.readouterr().err
 
 
 def test_verify_lines_carry_check_times(capsys):
@@ -307,8 +317,8 @@ def test_successive_main_calls_reuse_one_parser(tmp_path, capsys):
     write_config(cfg)
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     assert "identified 10" in capsys.readouterr().out
-    assert main(["verify", "--level", "fast", "--corrupt", "grover-sign"]) == 1
-    assert "FAIL grover-operator-identity" in capsys.readouterr().out
+    assert main(["verify", "--level", "fast"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
     assert main(["state", "load", "--path", str(tmp_path / "missing.bin")]) == 1
     assert "no such file" in capsys.readouterr().err
     write_config(cfg, g_theta=0)

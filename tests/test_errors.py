@@ -100,6 +100,15 @@ REJECTED = {
         lambda: reference_qubit_grover(2, ["10", "10"], 1), DuplicateTarget),
     "reference of a target out of range": (
         lambda: reference_qubit_grover(2, ["100"], 1), ValueError),
+    # Strings that int(t, 2) would read as "11"
+    "reference of a zero-padded target": (
+        lambda: reference_qubit_grover(2, ["0011"], 1), ValueError),
+    "reference of a 0b-prefixed target": (
+        lambda: reference_qubit_grover(2, ["0b11"], 1), ValueError),
+    "reference of an underscored target": (
+        lambda: reference_qubit_grover(2, ["1_1"], 1), ValueError),
+    "reference of a space-padded target": (
+        lambda: reference_qubit_grover(2, [" 11 "], 1), ValueError),
     "iterations -1": (lambda: run_search(config(iterations=-1)), ValueError),
     "final state of a dilated run": (lambda: final_state(config(use_dilation=True)), ValueError),
     "sum over an interval target": (lambda: sum_over_targets(config(target=INTERVALS)),
@@ -165,7 +174,9 @@ NON_FINITE = {
     "inf-weight-final": (WeightOutOfRange, "weights must be finite",
                          lambda: final_state(config(zetas=(_one_cell(-np.inf), None)))),
     "nan-centre": (ValueError, "centres", lambda: EnvelopeSpec.gaussian(center_k=math.nan)),
+    "inf-centre": (ValueError, "centres", lambda: EnvelopeSpec.gaussian(center_theta=math.inf)),
     "nan-width": (ValueError, "widths", lambda: EnvelopeSpec.gaussian(sigma_theta=math.nan)),
+    "inf-width": (ValueError, "widths", lambda: EnvelopeSpec.gaussian(sigma_k=math.inf)),
     "nan-table": (ValueError, "finite", lambda: EnvelopeSpec.tabulated(_one_cell(np.nan))),
     "inf-table": (ValueError, "finite", lambda: EnvelopeSpec.tabulated(np.full((2, 2), np.inf))),
     "complex-inf-entry": (ValueError, "finite",

@@ -58,6 +58,26 @@ def test_parent_and_change_runs_alternate(tmp_path):
     assert change_doc.keys() == parent_doc.keys() == recorder.record(ROOT, run=fake_run).keys()
 
 
+def test_one_workload_limits_the_runs_and_the_documents(tmp_path):
+    # --workload W: only W's untraced and traced runs, still alternating,
+    # and documents of W alone in the committed layout.
+    recorder = _load_recorder()
+    calls = []
+
+    def fake_run(root, workload, trace):
+        calls.append((root.name, workload, trace))
+        return {"environment": {"git_sha": root.name}, "samples": 3, "result": {"correct": True}}
+
+    change_doc, parent_doc = recorder.record_pair(
+        tmp_path / "change", tmp_path / "parent", ("cli_small",), run=fake_run)
+    assert calls == [("parent", "cli_small", 0), ("change", "cli_small", 0),
+                     ("change", "cli_small", 1), ("parent", "cli_small", 1)]
+    for doc in (change_doc, parent_doc, recorder.record(ROOT, ("cli_small",), run=fake_run)):
+        assert list(doc["workloads"]) == ["cli_small"]
+        assert list(doc["traced"]) == ["command", "cli_small"]
+    assert (change_doc["measured_on"], parent_doc["measured_on"]) == ("change", "parent")
+
+
 def test_pairs_alternate_and_report_medians(tmp_path):
     # --pairs: untraced runs only, each pair's sides in turn starting with
     # the parent, the medians of each side and the pairs the change won.

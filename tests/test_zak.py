@@ -307,9 +307,9 @@ def test_gaussian_with_underflowing_product_is_normalized():
 def _density_envs(grid):
     """Gaussians at a width of 1e-3, with a centre far off the axis (each axis
     peaks near 1e-200), with a width so small that d^2 overflows on all cells
-    but the centre's, and with a width (1.7e-155 on theta) at which d^2 next
-    to the centre is finite but twice it is not; plus a tabulated and a
-    constant envelope."""
+    but the centre's, with a width (1.7e-155 on theta) at which d^2 next
+    to the centre is finite but twice it is not, and with widths (1e308)
+    whose double overflows; plus a tabulated and a constant envelope."""
     t_mid, k_mid = grid.theta_values()[grid.g_theta // 2], grid.k_values()[grid.g_k // 2]
     far_theta = grid.theta_values()[-1] + 21.4 * 2 * 0.1
     return [
@@ -318,6 +318,7 @@ def _density_envs(grid):
         EnvelopeSpec.gaussian(far_theta, -21.4 * 2 * 0.05 + grid.k_values()[0], 0.1, 0.05),
         EnvelopeSpec.gaussian(t_mid, k_mid, 1e-160, 1e-160),
         EnvelopeSpec.gaussian(t_mid, k_mid, 1.7e-155, 0.25),
+        EnvelopeSpec.gaussian(t_mid, k_mid, 1e308, 1e308),
         EnvelopeSpec.tabulated(np.arange(grid.g_theta * grid.g_k).reshape(grid.g_theta, grid.g_k) - 2.5j),
         EnvelopeSpec.constant(),
     ]

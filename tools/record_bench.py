@@ -20,16 +20,18 @@ time next to the same run of --root, which side goes first alternating from
 one pair to the next, so drift of the machine lands on both sides alike.  The
 parent's runs go to `BENCH_<label>_parent.json`.
 
---pairs N then takes N more untraced pairs of each workload (of --workload W
-only, if given), the parent first in every other pair.  One pair cannot
-resolve a change below about 20% on this benchmark; `BENCH_<label>_pairs.json`
-holds each pair's end-to-end metrics, each metric's median on either side and
-the number of pairs the change won (better in the direction BENCHMARK.json
-gives, ties not counted).  A dense workload rotates slots of different cost,
-so each run's op durations, read from the `perfbench/out/` result file of its
-checkout, also give each slot's median op time (`slot_p50`, op i of a
-rotation being slot i), with the median over the pairs and the pairs the
-change won per slot.
+--workload W limits all of these runs to W's two, and the documents to W.
+
+--pairs N then takes N more untraced pairs of each workload, the parent
+first in every other pair.  One pair cannot resolve a change below about 20%
+on this benchmark; `BENCH_<label>_pairs.json` holds each pair's end-to-end
+metrics, each metric's median on either side and the number of pairs the
+change won (better in the direction BENCHMARK.json gives, ties not
+counted).  A dense workload rotates slots of different cost, so each run's
+op durations, read from the `perfbench/out/` result file of its checkout,
+also give each slot's median op time (`slot_p50`, op i of a rotation being
+slot i), with the median over the pairs and the pairs the change won per
+slot.
 """
 
 from __future__ import annotations
@@ -72,35 +74,36 @@ def run_bench(root: Path, workload: str, trace: int) -> dict:
     return record
 
 
-RUNS = [(w, 0) for w in WORKLOADS] + [(w, 1) for w in WORKLOADS]
+def _runs(workloads) -> list[tuple[str, int]]:
+    return [(w, 0) for w in workloads] + [(w, 1) for w in workloads]
 
 
-def _document(results: dict) -> dict:
+def _document(results: dict, workloads) -> dict:
     """The BENCH document of {(workload, trace): run record}."""
-    workloads = {w: results[w, 0] for w in WORKLOADS}
-    traced = {w: results[w, 1] for w in WORKLOADS}
+    traced = {w: results[w, 1] for w in workloads}
     return {
         "command": " ".join(bench_command("W", 0)),
-        "measured_on": traced[WORKLOADS[0]]["environment"]["git_sha"],
-        "workloads": workloads,
+        "measured_on": traced[workloads[0]]["environment"]["git_sha"],
+        "workloads": {w: results[w, 0] for w in workloads},
         "traced": {"command": " ".join(bench_command("W", 1)), **traced},
     }
 
 
-def record(root: Path, run=run_bench) -> dict:
-    """The BENCH document: every workload untraced, then every workload traced."""
-    return _document({(w, t): run(root, w, t) for w, t in RUNS})
+def record(root: Path, workloads=WORKLOADS, run=run_bench) -> dict:
+    """The BENCH document: each workload untraced, then each workload traced."""
+    return _document({(w, t): run(root, w, t) for w, t in _runs(workloads)}, workloads)
 
 
-def record_pair(root: Path, parent_root: Path, run=run_bench) -> tuple[dict, dict]:
+def record_pair(root: Path, parent_root: Path, workloads=WORKLOADS,
+                run=run_bench) -> tuple[dict, dict]:
     """(change, parent) BENCH documents from the runs of record, each taken on
     both checkouts back to back, the parent first in every other pair."""
     change, parent = {}, {}
-    for i, (w, t) in enumerate(RUNS):
+    for i, (w, t) in enumerate(_runs(workloads)):
         sides = [(parent_root, parent), (root, change)]
         for side_root, results in sides if i % 2 == 0 else sides[::-1]:
             results[w, t] = run(side_root, w, t)
-    return _document(change), _document(parent)
+    return _document(change, workloads), _document(parent, workloads)
 
 
 def slot_counts(root: Path) -> dict:
@@ -174,15 +177,13 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=0,
                         help="with --parent-root, N more untraced pairs per workload; "
                              "writes BENCH_<label>_pairs.json")
-    parser.add_argument("--workload", choices=WORKLOADS,
-                        help="take the --pairs of this workload only")
+    parser.add_argument("--workload", choices=WORKLOADS, help="run this workload only")
     args = parser.parse_args(argv)
     if args.pairs < 0:
         parser.error("--pairs must be >= 0")
     if args.pairs and not args.parent_root:
         parser.error("--pairs needs --parent-root")
-    if args.workload and not args.pairs:
-        parser.error("--workload selects the workload of --pairs")
+    workloads = (args.workload,) if args.workload else WORKLOADS
     roots = [args.root] + ([args.parent_root] if args.parent_root else [])
     for root in roots:
         if not (root / "perfbench" / "run.py").is_file():
@@ -190,13 +191,12 @@ def main(argv=None) -> int:
     try:
         if args.parent_root:
             root, parent_root = args.root.resolve(), args.parent_root.resolve()
-            docs = record_pair(root, parent_root)
+            docs = record_pair(root, parent_root, workloads)
             if args.pairs:
-                workloads = [args.workload] if args.workload else WORKLOADS
                 better = _better(REPO / "BENCHMARK.json")
                 docs += (record_pairs(root, parent_root, workloads, args.pairs, better),)
         else:
-            docs = (record(args.root.resolve()),)
+            docs = (record(args.root.resolve(), workloads),)
     except RuntimeError as exc:
         print(f"record_bench: {exc}", file=sys.stderr)
         return 1

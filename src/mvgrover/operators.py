@@ -113,6 +113,11 @@ class TargetSpec:
         significant bit; none for an interval target."""
         return [int("".join(map(str, s)), 2) for s in self.strings or ()]
 
+    def _check_grid(self, grid: ModularGrid) -> None:
+        """GridMismatch unless grid has the target's number of modes."""
+        if grid.n_modes != self.n_modes:
+            raise GridMismatch(f"target has {self.n_modes} modes, grid has {grid.n_modes}")
+
     def classes(self, grid: ModularGrid) -> tuple:
         """(bits, rows): the (n, g_theta) per-mode bits of an interval target
         (mode_bits; None for a constant one) and the (classes, M) target band
@@ -125,16 +130,14 @@ class TargetSpec:
             for present in map(set, bits.tolist()):
                 codes = [2 * c + b for c in codes for b in (0, 1) if b in present]
             return bits, np.array(codes, dtype=np.intp)[:, None]
-        if grid.n_modes != self.n_modes:
-            raise GridMismatch(f"target has {self.n_modes} modes, grid has {grid.n_modes}")
+        self._check_grid(grid)
         return None, np.array([self.band_indices], dtype=np.intp)
 
     def mode_bits(self, grid: ModularGrid) -> np.ndarray:
         """(n, g_theta) searched bit of each mode at each theta value (extended mode)."""
         if self.intervals is None:
             raise ValueError("constant targets have no per-mode bits")
-        if grid.n_modes != self.n_modes:
-            raise GridMismatch(f"target has {self.n_modes} modes, grid has {grid.n_modes}")
+        self._check_grid(grid)
         # The theta values ascend, so those in [lo, hi) are one slice of them.
         theta = grid.theta_values().tolist()
         bits = np.zeros((self.n_modes, grid.g_theta), dtype=np.intp)
@@ -261,14 +264,14 @@ def mode_table_to_cells(table: np.ndarray, mode: int, grid: ModularGrid) -> np.n
     return table.reshape(shape)
 
 
-def _resolve_zeta(zeta, grid: ModularGrid) -> np.ndarray:
-    """Accept None, a scalar, or a (g_theta, g_k) table; return a real table."""
+def _weight_entry(zeta, grid: ModularGrid):
+    """One mode's weights as a value to fill its (g_theta, g_k) table with:
+    1.0 for None, else the real scalar or table zeta; ShapeMismatch for a
+    table of another shape."""
     if zeta is None:
-        return np.ones((grid.g_theta, grid.g_k))
+        return 1.0
     arr = _check_weight(zeta)
-    if arr.ndim == 0:
-        return np.full((grid.g_theta, grid.g_k), float(arr))
-    if arr.shape != (grid.g_theta, grid.g_k):
+    if arr.ndim and arr.shape != (grid.g_theta, grid.g_k):
         raise ShapeMismatch(
             f"weight table has shape {arr.shape}, grid needs {(grid.g_theta, grid.g_k)}"
         )
@@ -284,18 +287,23 @@ def joint_weight(zetas, grid: ModularGrid) -> np.ndarray:
     return joint_table(mode_weight_tables(zetas, grid)).reshape(grid.cell_shape)
 
 
-def mode_weight_tables(zetas, grid: ModularGrid) -> list[np.ndarray]:
-    """The real (g_theta, g_k) weight table of each mode; zetas as in joint_weight."""
+def mode_weight_tables(zetas, grid: ModularGrid) -> np.ndarray:
+    """The real (n, g_theta, g_k) stack of the modes' weight tables, each
+    written in place; zetas as in joint_weight."""
     if zetas is None:
         zetas = [None] * grid.n_modes
     if len(zetas) != grid.n_modes:
         raise ShapeMismatch(f"need {grid.n_modes} weight tables, got {len(zetas)}")
-    return [_resolve_zeta(zeta, grid) for zeta in zetas]
+    out = np.empty((grid.n_modes, grid.g_theta, grid.g_k))
+    for i, zeta in enumerate(zetas):
+        out[i] = _weight_entry(zeta, grid)
+    return out
 
 
 def gamma(axis: str, mode: int, zeta, grid: ModularGrid) -> GlobalOperator:
     """Cell-weighted Pauli family: weight(cell) = zeta(theta_mode, k_mode)."""
-    table = _resolve_zeta(zeta, grid)
+    table = np.empty((grid.g_theta, grid.g_k))
+    table[...] = _weight_entry(zeta, grid)
     return pauli(axis, mode, grid).with_weight(mode_table_to_cells(table, mode, grid))
 
 

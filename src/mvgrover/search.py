@@ -308,6 +308,14 @@ def _unscaled(x: float, log2_scale: float) -> float:
         return math.copysign(math.inf, x)
 
 
+def _abs_maxima(stack: np.ndarray) -> list:
+    """Each mode's largest magnitude in an (n, g_theta, g_k) stack, as Python
+    floats (NaN for a mode with a NaN), from its maximum and minimum: no
+    array of the stack's size."""
+    lows = np.minimum.reduce(stack, axis=(1, 2))
+    return np.maximum(np.maximum.reduce(stack, axis=(1, 2)), np.negative(lows, out=lows)).tolist()
+
+
 def _pattern_sums(per_theta: np.ndarray, onehot: np.ndarray, pattern_bits: np.ndarray) -> tuple:
     """Sum of prod_i x_i over the cells of each pattern, in scaled form, for
     each of a stack of real per-mode tables x.
@@ -328,13 +336,37 @@ def _pattern_sums(per_theta: np.ndarray, onehot: np.ndarray, pattern_bits: np.nd
     return per_bit[:, np.arange(n), pattern_bits].prod(axis=2), exps.sum(axis=1).tolist()
 
 
-def _weight_powers(scaled: np.ndarray, powers: Sequence[int]):
-    """Yield scaled^q for each q of the powers, scaled itself for q = 1 and
-    each other in the same buffer, so each power is read before the next is
-    asked for."""
-    buf = np.empty_like(scaled)
+# np.einsum's iterator takes about this many bytes per operand (numpy 2.4 on
+# x86-64), and at most 31 inputs (numpy 1.x, whose limit of 32 counts the
+# output too).
+_OPERAND_BYTES = 340
+_MAX_INPUTS = 31
+# The subscripts of q repeated (n, g_theta, g_k) operands, then psq, for each
+# output ("i" per mode, "it" per theta value).
+_POWER_SUBSCRIPTS = {out: [",".join(["itk"] * (q + 1)) + "->" + out for q in range(_MAX_INPUTS)]
+                     for out in ("i", "it")}
+
+
+def _weight_powers(psq: np.ndarray, scaled: np.ndarray, powers: Sequence[int], out: str) -> list:
+    """For each q of the powers, the sums of psq scaled^q over each mode's
+    cells (out "i") or over each mode's k at each theta value (out "it").
+
+    Each power takes the form that holds less memory: one einsum with scaled
+    repeated q times, which forms the products cell by cell in about
+    _OPERAND_BYTES per operand, or np.power into one buffer of the stack's
+    size that every such power reuses (always where its q + 1 inputs, psq
+    among them, would exceed _MAX_INPUTS).  So a stack larger than q
+    operands' worth of bytes has no power buffer, and a smaller one takes
+    np.power's one call, which costs less than the operands there."""
+    sums, buf = [], None
     for q in powers:
-        yield scaled if q == 1 else np.power(scaled, q, out=buf)
+        if q < 2 or (q < _MAX_INPUTS and q * _OPERAND_BYTES < scaled.nbytes):
+            sums.append(np.einsum(_POWER_SUBSCRIPTS[out][q], *[scaled] * q, psq))
+            continue
+        if buf is None:
+            buf = np.empty_like(scaled)
+        sums.append(np.einsum(_POWER_SUBSCRIPTS[out][1], np.power(scaled, q, out=buf), psq))
+    return sums
 
 
 def _series_coefficients(s: float, budget: int) -> Optional[list]:
@@ -427,7 +459,8 @@ def _streamed_branch(psq, scaled, scale: float, index: np.ndarray, n_classes: in
     """
     psq_rest = joint_table(psq[1:])  # (theta cells, k cells) of modes 1..n-1
     wsq_rest = joint_table(np.square(scaled[1:])).reshape(-1)
-    wsq_first = np.square(scaled[0]) * (scale * scale)
+    wsq_first = np.square(scaled[0])
+    wsq_first *= scale * scale
     g_theta, g_k = wsq_first.shape
     chunk = min(g_theta, max(1, _STREAM_CELLS // (g_k * psq_rest.size)))
     buf = np.empty((chunk, g_k, psq_rest.size))  # (theta_1, k_1, cells of modes 1..n-1)
@@ -459,7 +492,8 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     cell its class (ops.class_index), v the search vector of the targets 0..M-1
     (_search_vector), whose v[0] every class reads on its targets and v[-1]
     on its other strings, scaled[i] mode i's weights on the envelope support
-    divided by their largest |w_i| (w = 2^w_log2 prod_i scaled[i] there),
+    divided by their largest |w_i| (w = 2^w_log2 prod_i scaled[i] there;
+    None after the series of an odd dilated run, which squares them in place),
     norms[b] the squared norm of readout branch b, sums[b] = (s1, s2, e) its
     per-class sums in scaled form (sum |P|^2 f = s1 2^(e/2),
     sum |P|^2 f^2 = s2 2^e over the class's cells, e a float; s1 and s2 are
@@ -494,19 +528,19 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     bits, rows = cfg.target.classes(grid)
     r = _resolved_iterations(cfg)
     psq = envelope_densities(cfg.envelopes, _mode_grid(cfg.envelopes, grid))
-    scaled = np.array(ops.mode_weight_tables(cfg.zetas, grid))  # the weights w, scaled below
+    scaled = ops.mode_weight_tables(cfg.zetas, grid)  # the weights w, scaled below in place
     # Each mode's weights on its envelope support (0 elsewhere) divided by
     # their largest magnitude, which becomes exactly 1, so w^p = peak^p
     # prod_i scaled_i^p there with peak = 2^w_log2 the largest |w| on the
     # support.  A mode with no weight on its support keeps zeros and
     # w_log2 = -inf: its mass is 0, as it is when the peak underflows (the
     # envelopes are normalized, so the mass is at most peak^2).
-    w_max = peaks = np.abs(scaled).max(axis=(1, 2)).tolist()
+    w_max = peaks = _abs_maxima(scaled)
     if not all(math.isfinite(m) for m in w_max):  # NaN or inf in some mode's table
         raise WeightOutOfRange("weights must be finite numbers")
     if np.count_nonzero(psq) < psq.size:
         np.copyto(scaled, 0.0, where=psq == 0)  # in place: a run holds two (n, g_theta, g_k) stacks
-        peaks = np.abs(scaled).max(axis=(1, 2)).tolist()
+        peaks = _abs_maxima(scaled)
     for mode, p in zip(scaled, peaks):
         if p > 0:
             mode /= p
@@ -514,15 +548,14 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     w_log2 = math.log2(peak) if peak > 0 else -math.inf
 
     # Per-class sums of |P|^2 scaled^q, and their exponent, for the powers
-    # the mass (2) and the main branch (p and 2 p) read, all by one contraction.
+    # the mass (2) and the main branch (p and 2 p) read.
     p = r % 2 if cfg.use_dilation else r
     powers = sorted({2, p, 2 * p})
-    stacks = _weight_powers(scaled, powers)
     if bits is None:  # one class of all theta cells: a product of per-mode totals
-        totals = [np.einsum("itk,itk->i", psq, q).tolist() for q in stacks]
+        totals = [m.tolist() for m in _weight_powers(psq, scaled, powers, "i")]
         power_sums = {q: ([m], e) for q, (m, e) in zip(powers, map(_scaled_product, totals))}
     else:
-        per_theta = np.array([np.einsum("itk,itk->it", psq, q) for q in stacks])
+        per_theta = np.array(_weight_powers(psq, scaled, powers, "it"))
         onehot, pattern_bits = np.eye(2)[bits], rows >> np.arange(n - 1, -1, -1) & 1
         sums, exps = _pattern_sums(per_theta, onehot, pattern_bits)
         power_sums = dict(zip(powers, zip(sums.tolist(), exps)))
@@ -546,7 +579,9 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
                 index = ops.class_index(bits, rows, grid)
                 f1, f2 = _streamed_branch(psq, scaled, peak, index, len(rows))
             else:
-                sq = np.square(scaled)
+                # Nothing reads the scaled weights after the series, so their
+                # squares take their place: no stack of its own for sq.
+                sq, scaled = np.square(scaled, out=scaled), None
                 if bits is None:
                     terms = _series_powers(psq, sq, len(coefs), (1, 2)).prod(axis=1)[:, None]
                 else:

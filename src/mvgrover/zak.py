@@ -13,7 +13,6 @@ adds an error on the order of the out-of-band mass.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -130,8 +129,13 @@ def build_gaussian(
     n_win: int,
 ) -> PositionWave:
     """Lattice-normalized Gaussian exp(-(theta-c)^2/(4 sigma^2)) * exp(i k0 theta)."""
-    if sigma_theta <= 0:
-        raise ValueError(f"sigma_theta must be positive, got {sigma_theta}")
+    # Each comparison is False for NaN, so NaN widths are refused too.
+    if not 0 < sigma_theta < math.inf:
+        raise ValueError(f"sigma_theta must be positive and finite, got {sigma_theta}")
+    if not (math.isfinite(center_theta) and math.isfinite(momentum_offset)):
+        raise ValueError(
+            f"center_theta and momentum_offset must be finite, got {center_theta}, {momentum_offset}"
+        )
     lo = -2.0 * math.pi * n_win
     hi = 2.0 * math.pi * (n_win + 1)
     if center_theta - 6 * sigma_theta < lo or center_theta + 6 * sigma_theta > hi:
@@ -173,10 +177,16 @@ class EnvelopeSpec:
             raise ValueError("gaussian envelope needs finite centres")
         if self.kind == "tabulated":
             arr = np.ascontiguousarray(self.table, dtype=np.complex128)
-            if self.table is None or not np.isfinite(arr).all():
+            # The largest real or imaginary part, which table_for scales by:
+            # NaN or inf exactly where some entry is not finite.
+            parts = arr.reshape(-1).view(np.float64)
+            scale = max(float(np.maximum.reduce(parts, axis=None, initial=0.0)),
+                        -float(np.minimum.reduce(parts, axis=None, initial=0.0)))
+            if self.table is None or not math.isfinite(scale):
                 raise ValueError("tabulated envelope needs a table of finite entries")
             arr.setflags(write=False)
             object.__setattr__(self, "table", arr)
+            object.__setattr__(self, "_part_scale", scale)
 
     @classmethod
     def constant(cls) -> "EnvelopeSpec":
@@ -213,11 +223,9 @@ class EnvelopeSpec:
             # Scaled to a largest real or imaginary part of 1 first, so the norm
             # neither over- nor underflows (a magnitude can overflow where no part
             # does); real division, as complex division by a subnormal overflows.
-            parts = self.table.view(np.float64)
-            scale = float(np.abs(parts).max())
-            if scale == 0.0:
+            if self._part_scale == 0.0:
                 raise ZeroNorm("envelope table has zero quadrature norm")
-            real = parts / scale
+            real = self.table.view(np.float64) / self._part_scale
             real /= math.sqrt(float(np.einsum("ij,ij->", real, real)) * g.d_theta * g.d_k)
             return real.view(np.complex128)
         rows, cols = gaussian_axes([self], g)
@@ -225,27 +233,31 @@ class EnvelopeSpec:
 
 
 def envelope_densities(envelopes, grid: ModularGrid) -> np.ndarray:
-    """|g|^2 of each envelope as one real (len(envelopes), g_theta, g_k) array:
-    the gaussians as outer products of the squared profiles of one
-    gaussian_axes pass, all in one broadcast product, with no complex table;
-    the others as |table_for|^2, all in one pass."""
+    """|g|^2 of each envelope as one real (len(envelopes), g_theta, g_k) array,
+    written in place with no other array of its size: the gaussians as
+    outer products of the squared profiles of one gaussian_axes pass, with
+    no complex table; the others one mode at a time as |table_for|^2."""
     g = grid.single_mode()
-    gauss = [env.kind == "gaussian" for env in envelopes]
-    parts = []  # (mask, densities) of the gaussians and of the others
-    if any(gauss):
-        rows, cols = gaussian_axes(list(itertools.compress(envelopes, gauss)), g)
+    out = np.empty((len(envelopes), g.g_theta, g.g_k))
+    gauss, rest = [], []
+    for i, env in enumerate(envelopes):
+        (gauss if env.kind == "gaussian" else rest).append(i)
+    if gauss:
+        rows, cols = gaussian_axes([envelopes[i] for i in gauss], g)
         np.square(rows, out=rows)
         np.square(cols, out=cols)
-        parts.append((gauss, rows[:, :, None] * cols[:, None, :]))
-    rest = [not x for x in gauss]
-    if any(rest):
-        tables = [env.table_for(g) for env in itertools.compress(envelopes, rest)]
-        parts.append((rest, np.abs(tables) ** 2))
-    if len(parts) == 1:
-        return parts[0][1]
-    out = np.empty((len(envelopes), g.g_theta, g.g_k))
-    for mask, dens in parts:
-        out[mask] = dens
+        # einsum, unlike a broadcast product, takes no ufunc buffers.  One
+        # call for a stack of gaussians is several times faster than one call
+        # per mode on small grids, where the call cost dominates.
+        if len(gauss) == len(envelopes):
+            np.einsum("it,ik->itk", rows, cols, out=out)
+        else:
+            for i, row, col in zip(gauss, rows, cols):
+                np.einsum("t,k->tk", row, col, out=out[i])
+    for i in rest:
+        dens = out[i]
+        np.abs(envelopes[i].table_for(g), out=dens)
+        np.square(dens, out=dens)
     return out
 
 

@@ -24,6 +24,7 @@ def test_checkout_against_itself_reads_all_identical(capsys):
     assert counts["final states byte-identical"] == f"{finals} of {finals}" and int(finals) > 0
     assert counts["named errors equal"].endswith("(differing: 0)")
     assert counts["largest relative norm move"] == counts["largest relative overlap move"] == "0"
+    assert counts["run peaks"].endswith(f"; 0 of {reports} rose by more than 1 KB")
 
 
 def test_one_sign_flip_in_the_factored_run_is_caught(tmp_path, capsys):

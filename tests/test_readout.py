@@ -410,6 +410,61 @@ def test_plain_run_peak_memory_without_cell_tables():
     assert peak <= 2**20
 
 
+_FOOTPRINT_RUNS = {  # (iterations, use_dilation, largest |w_i|, stacks allowed)
+    "plain-r1": (1, False, 1.0, 2.5),
+    "plain-r3": (3, False, 1.0, 2.5),
+    "even-dilated": (2, True, 1.0, 2.5),
+    "odd-dilated-series": (1, True, 0.7, 3.2),
+}
+
+
+def _footprint_weights(kind, grid, bound):
+    rng = np.random.default_rng(len(kind))
+    if kind == "none":
+        return None
+    if kind == "scalar":
+        return (bound,) * grid.n_modes
+    if kind == "table":
+        return tuple(rng.uniform(-bound, bound, (grid.g_theta, grid.g_k)) for _ in range(grid.n_modes))
+    return tuple(bound * z for z in cos_zetas(grid))
+
+
+@pytest.mark.parametrize("envelope, weights, run", [
+    (envelope, weights, run)
+    for envelope in ("gaussian", "tabulated", "constant")
+    for weights in ("none", "scalar", "table", "cosine")
+    for run in sorted(_FOOTPRINT_RUNS)
+    if not (weights == "none" and run.startswith("odd"))  # unit weights stream, no series
+])
+def test_run_holds_two_per_mode_stacks(monkeypatch, envelope, weights, run):
+    # A run's footprint is its two (n, g_theta, g_k) stacks, |g_i|^2 and the
+    # scaled weights, of n g_theta g_k 8 bytes each, plus what _STREAM_CELLS
+    # caps: an odd dilated run's series holds one more stack at (2, 64, 64),
+    # where one stack exceeds half the cap.
+    r, use_dilation, bound, allowed = _FOOTPRINT_RUNS[run]
+    monkeypatch.setattr(search, "_streamed_branch", _no_stream)
+    n, g = 2, 64
+    grid = make_grid(n, g, g)
+    rng = np.random.default_rng(3)
+    envs = {
+        "gaussian": gaussian_envs(n),
+        "tabulated": tuple(EnvelopeSpec.tabulated(rng.uniform(0.2, 1.0, (g, g))
+                                                  * np.exp(1j * rng.uniform(0, 6, (g, g))))
+                           for _ in range(n)),
+        "constant": (EnvelopeSpec.constant(),) * n,
+    }[envelope]
+    cfg = SearchConfig(n, g, g, envs, TargetSpec.bits("11"), zetas=_footprint_weights(weights, grid, bound),
+                       iterations=r, use_dilation=use_dilation)
+    run_search(cfg)  # the per-process caches of this shape
+    tracemalloc.start()
+    try:
+        run_search(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= allowed * n * g * g * 8
+
+
 @pytest.mark.parametrize("g, use_dilation, units, amplitude", [
     pytest.param(32, False, 14.5, 1.0, id="32-False-14.5"),
     pytest.param(24, True, 69.5, 1.0, id="24-True-69.5"),
@@ -490,9 +545,9 @@ def test_runs_ask_only_for_the_weight_powers_they_read(monkeypatch, kind):
     # branch takes sum |P|^2 from its series or its stream, with no power 0.
     asked, weight_powers = [], search._weight_powers
 
-    def spy(scaled, powers):
+    def spy(psq, scaled, powers, out):
         asked.append(tuple(powers))
-        return weight_powers(scaled, powers)
+        return weight_powers(psq, scaled, powers, out)
 
     monkeypatch.setattr(search, "_weight_powers", spy)
     rng = np.random.default_rng(len(kind))
@@ -618,13 +673,34 @@ def test_series_powers_peak_does_not_depend_on_the_term_count(axes):
 
 
 @pytest.mark.parametrize("powers", [(0, 1, 2), (0, 2), (1, 2), (2, 4), (2, 3, 6), (2, 5, 10),
-                                    (2, 7, 14), (2, 600, 1200)])
-def test_weight_powers_match_numpy_power(powers):
-    scaled = np.random.default_rng(len(powers)).uniform(-1.0, 1.0, (3, 4, 5))
-    scaled[:, 0, 0] = 1.0
-    for q, got in zip(powers, search._weight_powers(scaled, powers)):
-        want = scaled**q
-        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+                                    (2, 7, 14), (2, 600, 1200), (2, 18, 36), (2, 30, 60),
+                                    (2, 31, 62)])
+def test_weight_powers_match_numpy_power(monkeypatch, powers):
+    # Per-mode sums of psq scaled^q, per mode and per theta value, on a stack
+    # of 480 bytes (np.power from q = 2 on), one of 6 kB (repeated einsum
+    # operands up to q = 18, np.power beyond) and one of 16 kB (repeated
+    # operands up to q = 30, the most that numpy 1.x takes with psq).  Each
+    # sum is within 1e-13 of the sum of its terms' magnitudes, the scale of
+    # the rounding of a sum whose terms change sign.
+    inputs = []
+    einsum = np.einsum
+
+    def counted(subscripts, *operands, **kwargs):
+        inputs.append(len(operands))
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    rng = np.random.default_rng(len(powers))
+    for shape in ((3, 4, 5), (3, 16, 16), (2, 32, 32)):
+        scaled = rng.uniform(-1.0, 1.0, shape)
+        scaled[:, 0, 0] = 1.0
+        psq = rng.uniform(0.2, 1.0, shape)
+        for out, axes in (("i", (1, 2)), ("it", (2,))):
+            for q, got in zip(powers, search._weight_powers(psq, scaled, powers, out)):
+                want = (psq * scaled**q).sum(axis=axes)
+                assert got.shape == want.shape
+                assert np.all(np.abs(got - want) <= 1e-13 * (psq * np.abs(scaled) ** q).sum(axis=axes))
+    assert max(inputs) <= 31
 
 
 @pytest.mark.parametrize("build", [run_search, final_state])

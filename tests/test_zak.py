@@ -213,6 +213,18 @@ def test_gaussian_rejects_bad_sigma():
         build_gaussian(0.0, -1.0, 0.0, grid, n_win=2)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("arg", [0, 1, 2])
+def test_gaussian_refuses_non_finite_input(arg, bad):
+    # A NaN or infinite centre, width or momentum offset is refused by name
+    # before any sample is built, so no NaN wave reaches zak_forward.
+    grid = make_grid(1, 4, 3)
+    args = [math.pi, 1.0, 0.0]
+    args[arg] = bad
+    with pytest.raises(ValueError, match="finite"):
+        build_gaussian(*args, grid, 3)
+
+
 # --- logical states --------------------------------------------------------
 
 

@@ -11,17 +11,20 @@ this repository, imported read-only), seed and iteration count: by default
 every dense and CLI slot, seeds 7, 3, 11 and 9013 and iterations auto, 0,
 1, 2, 3 and 7, 336 configs.  Each checkout (--root, default this one, and
 --parent-root) runs them all in a subprocess of its own that imports
-mvgrover from the checkout's `src/`: `parse_config`, then `run_search`, and
-for plain runs `final_state`.  A report is kept with every float as
-`float.hex`, an error by its class name, a final state as the SHA-256 of its
-bytes.
+mvgrover from the checkout's `src/`: `parse_config`, then `run_search`
+twice, the second under tracemalloc, and for plain runs `final_state`.  A
+report is kept with every float as `float.hex`, an error by its class name,
+a final state as the SHA-256 of its bytes, and the second run's peak in
+bytes next to the size of one per-mode stack, `n g_theta g_k` floats.
 
 Prints the count of equal readouts (identified, failure, branch readouts,
 iterations), of equal named errors, of bit-identical reports and of
 byte-identical final states, the largest relative move of a norm (against
 the parent's) and of an overlap (against the parent's largest overlap
-magnitude in that report), and each side's largest per_cell_max_error.
-Exits 1 when a readout or a named error differs, 0 otherwise.
+magnitude in that report), each side's largest per_cell_max_error, and
+each side's largest run peak in stacks with the number of configs whose
+peak rose by more than 1 KB.  The peaks are left out of the report
+comparison.  Exits 1 when a readout or a named error differs, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -40,6 +44,8 @@ WORKLOADS = {"dense_plain": "DENSE_PLAIN_SLOTS", "dense_dilation": "DENSE_DILATI
 SEEDS = (7, 3, 11, 9013)
 ITERATIONS = ("auto", 0, 1, 2, 3, 7)
 READOUT = ("identified", "failure", "branch_identified", "iterations_used")
+PEAK = ("peak_bytes", "stack_bytes")
+PEAK_RISE = 1024  # bytes
 
 
 def draw_docs(workloads, seeds, iterations) -> list[dict]:
@@ -75,6 +81,12 @@ def _record(mv, doc: dict) -> dict:
     try:
         cfg = mv.config.parse_config(doc)
         report = mv.search.run_search(cfg)
+        tracemalloc.start()  # the first run filled the per-process caches
+        try:
+            mv.search.run_search(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         final = None if cfg.use_dilation else mv.search.final_state(cfg).amp
     except Exception as exc:  # every error is compared by name
         return {"error": type(exc).__name__}
@@ -89,6 +101,8 @@ def _record(mv, doc: dict) -> dict:
         "branch_identified": report.branch_identified,
         "iterations_used": report.iterations_used,
         "final_sha256": None if final is None else hashlib.sha256(final.tobytes()).hexdigest(),
+        "peak_bytes": peak,
+        "stack_bytes": 8 * cfg.n_modes * cfg.g_theta * cfg.g_k,
     }
 
 
@@ -131,7 +145,8 @@ def compare(change: list[dict], parent: list[dict]) -> dict:
     """Counts and largest moves of two sides' records of the same configs."""
     out = {"configs": len(change), "errors": 0, "readout_diffs": [], "error_diffs": [],
            "bit_identical": 0, "reports": 0, "finals": 0, "finals_identical": 0,
-           "norm_rel": 0.0, "overlap_rel": 0.0, "cell_error": {"change": 0.0, "parent": 0.0}}
+           "norm_rel": 0.0, "overlap_rel": 0.0, "cell_error": {"change": 0.0, "parent": 0.0},
+           "peak_stacks": {"change": 0.0, "parent": 0.0}, "peak_rises": 0}
     for i, (c, p) in enumerate(zip(change, parent)):
         if "error" in c or "error" in p:
             if c.get("error") != p.get("error"):
@@ -142,7 +157,10 @@ def compare(change: list[dict], parent: list[dict]) -> dict:
         out["reports"] += 1
         if any(c[k] != p[k] for k in READOUT):
             out["readout_diffs"].append((i, {k: (p[k], c[k]) for k in READOUT if c[k] != p[k]}))
-        if c == p:
+        for side, rec in (("change", c), ("parent", p)):
+            out["peak_stacks"][side] = max(out["peak_stacks"][side], rec["peak_bytes"] / rec["stack_bytes"])
+        out["peak_rises"] += c["peak_bytes"] > p["peak_bytes"] + PEAK_RISE
+        if all(c[k] == p[k] for k in c.keys() | p.keys() if k not in PEAK):
             out["bit_identical"] += 1
         if p["final_sha256"] is not None:
             out["finals"] += 1
@@ -176,6 +194,9 @@ def summary(result: dict) -> list[str]:
         f"largest relative overlap move: {result['overlap_rel']:.3g}",
         f"largest per_cell_max_error: change {result['cell_error']['change']:.3g}, "
         f"parent {result['cell_error']['parent']:.3g}",
+        f"run peaks: largest change {result['peak_stacks']['change']:.2f} stacks, "
+        f"parent {result['peak_stacks']['parent']:.2f} stacks; "
+        f"{result['peak_rises']} of {result['reports']} rose by more than 1 KB",
     ] + [f"readout differs at config {i}: {diff}" for i, diff in result["readout_diffs"]] + [
         f"named error differs at config {i}: parent {p}, change {c}" for i, p, c in result["error_diffs"]]
 

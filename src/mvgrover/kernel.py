@@ -234,14 +234,12 @@ def normalize(state: JointState) -> JointState:
     return replace(state, amp=state.amp / math.sqrt(nrm))
 
 
-def with_ancilla(state: JointState, value: int = 0) -> JointState:
-    """Append the ancilla band bit, initialized to the given basis value."""
+def with_ancilla(state: JointState) -> JointState:
+    """Append the ancilla band bit, initialized to 0."""
     if state.n_ancilla != 0:
         raise AncillaMismatch("state already carries an ancilla bit")
-    if value not in (0, 1):
-        raise ValueError(f"ancilla value must be 0 or 1, got {value}")
     amp = np.zeros(state.amp.shape + (2,), dtype=np.complex128)
-    amp[..., value] = state.amp
+    amp[..., 0] = state.amp
     return JointState(state.grid, amp, n_ancilla=1)
 
 

@@ -213,12 +213,6 @@ class GlobalOperator:
     def dim(self) -> int:
         return 2 ** (self.grid.n_modes + self.n_ancilla)
 
-    def mat_at(self, *cell: int) -> np.ndarray:
-        return np.array(np.broadcast_to(self.mats, self.grid.cell_shape + (self.dim,) * 2)[cell])
-
-    def weight_at(self, *cell: int) -> float:
-        return float(np.broadcast_to(self.weight, self.grid.cell_shape)[cell])
-
     def with_weight(self, weight) -> "GlobalOperator":
         """Same matrices, different per-cell weight."""
         return replace(self, weight=_check_weight(weight))
@@ -412,10 +406,7 @@ def apply(op: GlobalOperator, state: JointState) -> JointState:
         )
     d = op.dim
     vec = state.amp.reshape(state.grid.cell_shape + (d,))
-    if vec.size == d:  # one cell: one matrix-vector product
-        out = (op.mats.reshape(d, d) @ vec.reshape(d)).reshape(vec.shape)
-    else:
-        out = np.einsum("...ij,...j->...i", op.mats, vec)
+    out = np.einsum("...ij,...j->...i", op.mats, vec)
     if op.weight.ndim or float(op.weight) != 1.0:
         out *= op.weight[..., None]
     return JointState(state.grid, out.reshape(state.amp.shape), state.n_ancilla)

@@ -13,7 +13,6 @@ qubit search.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from collections import namedtuple
@@ -96,8 +95,11 @@ class SearchReport:
 
     identified is a string for single-target runs, a tuple of strings for
     multi-target runs, or None with failure set when the univocal rule has
-    no unique answer.  ancilla_branch_norms and branch_identified are filled
-    only for dilation runs (indexed by ancilla value).
+    no unique answer.  per_cell_max_error compares the run's search vector v,
+    of which every cell's band vector is a multiple with the bands relabelled,
+    with the two-value recurrence, entry by entry.  ancilla_branch_norms and
+    branch_identified are filled only for dilation runs (indexed by ancilla
+    value).
     """
 
     norm_constant: float
@@ -336,37 +338,18 @@ def _pattern_sums(per_theta: np.ndarray, onehot: np.ndarray, pattern_bits: np.nd
     return per_bit[:, np.arange(n), pattern_bits].prod(axis=2), exps.sum(axis=1).tolist()
 
 
-# np.einsum's iterator takes about this many bytes per operand (numpy 2.4 on
-# x86-64), and at most 31 inputs (numpy 1.x, whose limit of 32 counts the
-# output too).
-_OPERAND_BYTES = 340
-_MAX_INPUTS = 31
-# The subscripts of q repeated (n, g_theta, g_k) operands, then psq, for each
+# The subscripts of x repeated q times, then psq, for q = 0, 1 and 2 and each
 # output ("i" per mode, "it" per theta value).
-_POWER_SUBSCRIPTS = {out: [",".join(["itk"] * (q + 1)) + "->" + out for q in range(_MAX_INPUTS)]
+_POWER_SUBSCRIPTS = {out: [",".join(["itk"] * (q + 1)) + "->" + out for q in range(3)]
                      for out in ("i", "it")}
 
 
-def _weight_powers(psq: np.ndarray, scaled: np.ndarray, powers: Sequence[int], out: str) -> list:
-    """For each q of the powers, the sums of psq scaled^q over each mode's
-    cells (out "i") or over each mode's k at each theta value (out "it").
-
-    Each power takes the form that holds less memory: one einsum with scaled
-    repeated q times, which forms the products cell by cell in about
-    _OPERAND_BYTES per operand, or np.power into one buffer of the stack's
-    size that every such power reuses (always where its q + 1 inputs, psq
-    among them, would exceed _MAX_INPUTS).  So a stack larger than q
-    operands' worth of bytes has no power buffer, and a smaller one takes
-    np.power's one call, which costs less than the operands there."""
-    sums, buf = [], None
-    for q in powers:
-        if q < 2 or (q < _MAX_INPUTS and q * _OPERAND_BYTES < scaled.nbytes):
-            sums.append(np.einsum(_POWER_SUBSCRIPTS[out][q], *[scaled] * q, psq))
-            continue
-        if buf is None:
-            buf = np.empty_like(scaled)
-        sums.append(np.einsum(_POWER_SUBSCRIPTS[out][1], np.power(scaled, q, out=buf), psq))
-    return sums
+def _weight_powers(psq: np.ndarray, x: np.ndarray, powers: Sequence[int], out: str) -> list:
+    """For each q of the powers, each 0, 1 or 2, the sums of psq x^q over each
+    mode's cells (out "i") or over each mode's k at each theta value (out
+    "it"): one einsum of at most three inputs, which forms the products cell
+    by cell."""
+    return [np.einsum(_POWER_SUBSCRIPTS[out][q], *[x] * q, psq) for q in powers]
 
 
 def _series_coefficients(s: float, budget: int) -> Optional[list]:
@@ -492,8 +475,9 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     cell its class (ops.class_index), v the search vector of the targets 0..M-1
     (_search_vector), whose v[0] every class reads on its targets and v[-1]
     on its other strings, scaled[i] mode i's weights on the envelope support
-    divided by their largest |w_i| (w = 2^w_log2 prod_i scaled[i] there;
-    None after the series of an odd dilated run, which squares them in place),
+    divided by their largest |w_i|, w~_i (w = 2^w_log2 prod_i w~_i there),
+    raised in place to w~_i^r after a plain run (None after the series of an
+    odd dilated run, which squares them in place),
     norms[b] the squared norm of readout branch b, sums[b] = (s1, s2, e) its
     per-class sums in scaled form (sum |P|^2 f = s1 2^(e/2),
     sum |P|^2 f^2 = s2 2^e over the class's cells, e a float; s1 and s2 are
@@ -511,8 +495,9 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     interval bits spell its string), so its sums are products of per-mode
     sums: O(n g_theta g_k) work, no cell-sized array.  The per-mode inputs are
     real (n, g_theta, g_k) stacks: |g_i|^2, the scaled weights and the one-hot
-    interval bits; each power p of the scaled weights costs one contraction
-    (to per-mode totals for a constant target).  Each mode's largest scaled
+    interval bits; each power sum costs one contraction of at most three
+    inputs (to per-mode totals for a constant target), of w~ for the mass and
+    of w~^p, raised in place, for the main branch.  Each mode's largest scaled
     weight is +-1, so no power of the scaled weights vanishes and none
     overflows.  The weight scale 2^(p w_log2) cancels in the overlaps and
     enters only the norms and the range checks, which use per-mode maxima
@@ -547,23 +532,35 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     peak = _unscaled(*_scaled_product(peaks))
     w_log2 = math.log2(peak) if peak > 0 else -math.inf
 
-    # Per-class sums of |P|^2 scaled^q, and their exponent, for the powers
-    # the mass (2) and the main branch (p and 2 p) read.
+    # Per-class sums of |P|^2 w~^q, and their exponent.  The mass reads q = 2;
+    # the main branch, f = w^p, reads the sums of x and x^2 with x = w~^p.
+    # Where p is 0 or 1 (a dilated run, p = r % 2, or a plain run at r = 1)
+    # those are the powers p and 2 p of w~, read with the mass in one call;
+    # any other plain run raises the scaled weights to p = r in place once
+    # the mass is read, so they hold w~^r from then on.
     p = r % 2 if cfg.use_dilation else r
-    powers = sorted({2, p, 2 * p})
-    if bits is None:  # one class of all theta cells: a product of per-mode totals
-        totals = [m.tolist() for m in _weight_powers(psq, scaled, powers, "i")]
-        power_sums = {q: ([m], e) for q, (m, e) in zip(powers, map(_scaled_product, totals))}
+    out = "i" if bits is None else "it"
+    if cfg.use_dilation or r == 1:
+        powers = sorted({2, p, 2 * p})  # (0, 2) or (1, 2)
+        per_power = _weight_powers(psq, scaled, powers, out)
+        mass_at, main_at = powers.index(2), (powers.index(p), powers.index(2 * p))
     else:
-        per_theta = np.array(_weight_powers(psq, scaled, powers, "it"))
+        per_power = _weight_powers(psq, scaled, (2,), out)
+        np.power(scaled, r, out=scaled)
+        per_power += _weight_powers(psq, scaled, (1, 2), out)
+        mass_at, main_at = 0, (1, 2)
+    if bits is None:  # one class of all theta cells: a product of per-mode totals
+        power_sums = [([m], e) for m, e in (_scaled_product(s.tolist()) for s in per_power)]
+    else:
+        per_power = np.array(per_power)  # stacked: the list's rows are freed before the pattern sums
         onehot, pattern_bits = np.eye(2)[bits], rows >> np.arange(n - 1, -1, -1) & 1
-        sums, exps = _pattern_sums(per_theta, onehot, pattern_bits)
-        power_sums = dict(zip(powers, zip(sums.tolist(), exps)))
+        sums, exps = _pattern_sums(per_power, onehot, pattern_bits)
+        power_sums = list(zip(sums.tolist(), exps))
 
-    # The main branch, f = w^p: (s1, s2, e) from the sums of the powers p and 2 p.
-    (s1, e1), (s2, e2) = power_sums[p], power_sums[2 * p]
+    # The main branch, f = w^p: (s1, s2, e) from the sums of x and x^2.
+    (s1, e1), (s2, e2) = (power_sums[i] for i in main_at)
     main = [x * 2.0 ** (e1 - e2 / 2) for x in s1], s2, e2 + (2 * p * w_log2 if p else 0.0)
-    mass_sums, mass_exp = power_sums[2]
+    mass_sums, mass_exp = power_sums[mass_at]
     mass = _unscaled(sum(mass_sums) * cell_weight, mass_exp + 2 * w_log2)
     if mass <= 1e-20:
         raise DegenerateWeights(
@@ -622,15 +619,15 @@ def final_state(cfg: SearchConfig) -> JointState:
     v_c the run's v[-1] with v[0] on the class's targets.
 
     P w^r / sqrt(N) = prod_i g_i w~_i^r / sqrt(N 2^(-2 r w_log2)) with the
-    run's scaled weights w~_i, so no factor leaves the float range when w or
-    N lies far from 1.
+    run's scaled weights w~_i, which the run leaves raised to w~_i^r, so no
+    factor leaves the float range when w or N lies far from 1.
     """
     if cfg.use_dilation:
         raise ValueError("dilated finals carry an ancilla; run without use_dilation")
     run = _factored_run(cfg)
     grid = run.grid
     tables = _mode_tables(cfg.envelopes, grid)
-    coef = joint_table([t * wt**run.r for t, wt in zip(tables, run.scaled)])
+    coef = joint_table([t * wt for t, wt in zip(tables, run.scaled)])
     coef /= math.sqrt(float(_unscaled(run.norms[0], -2 * run.r * run.w_log2)))
     # The search vector is real (so is every entry of the search step), so a
     # cell's bands are (Re coef, Im coef) times its real class vector: batched
@@ -661,17 +658,7 @@ def _cell_sq(bands: np.ndarray) -> np.ndarray:
 
 def _max_deviation(v: np.ndarray, ref: np.ndarray) -> float:
     """Largest |v phase / |v| - ref| over the cells (all axes but the last)
-    whose |v| is above _CELL_FLOOR, with phase that of <ref|v>; -inf if none.
-
-    One vector (v 1-D, a single cell) takes its norm and phase as Python
-    scalars through the same ufunc loops, so it reads the bits of v[None]."""
-    if v.ndim == 1:
-        norm = math.sqrt(float(_cell_sq(v)))
-        if not norm > _CELL_FLOOR:
-            return -math.inf
-        overlap = complex(np.einsum("i,i->", np.conjugate(ref), v)) + 0.0
-        phase = cmath.exp(-1j * float(np.arctan2(overlap.imag, overlap.real)))
-        return float(np.abs(v * (phase * (1.0 / norm)) - ref).max())
+    whose |v| is above _CELL_FLOOR, with phase that of <ref|v>; -inf if none."""
     norms = np.sqrt(_cell_sq(v))
     mask = norms > _CELL_FLOOR
     # Adding 0.0 makes a -0.0 real part +0.0, so an orthogonal cell keeps phase 1.
@@ -727,11 +714,13 @@ def run_search(cfg: SearchConfig) -> SearchReport:
     class: each class's sums are Python floats, one list per sum, a and c are
     Python complex numbers, and the overlaps go straight into the dict.
     Every class vector is v relabelled, so the per-cell check compares v with
-    the search of the targets 0..M-1, once, as one vector (_max_deviation):
-    the reference is the two-value recurrence (_recurrence_row), which takes
-    Python floats and no dense 2^n step.  norm_constant is the squared norm after the last
-    iteration (1 for unit weights); a dilated run's is the sum of its two
-    branch norms (1 up to rounding).
+    the search of the targets 0..M-1, once, entry by entry: both are the bare,
+    real, unit search vector with one sign convention, so nothing is aligned
+    by norm or phase, and the reference is the two-value recurrence
+    (_recurrence_row), which takes Python floats and no dense 2^n step.
+    norm_constant is the squared norm after the last iteration (1 for unit
+    weights); a dilated run's is the sum of its two branch norms (1 up to
+    rounding).
     """
     run = _factored_run(cfg)
     n = cfg.n_modes
@@ -778,7 +767,7 @@ def run_search(cfg: SearchConfig) -> SearchReport:
         norm_constant=sum(run.norms),
         overlaps=dominant,
         identified=identified,
-        per_cell_max_error=_max_deviation(run.v, _recurrence_row(n, len(rows[0]), run.r)),
+        per_cell_max_error=float(np.abs(run.v - _recurrence_row(n, len(rows[0]), run.r)).max()),
         iterations_used=run.r,
         ancilla_branch_norms=run.norms if dilated else None,
         branch_identified=tuple(branches) if dilated else None,

@@ -184,7 +184,7 @@ def check_dilation_unitarity_branches():
     w = np.broadcast_to(g.weight, grid.cell_shape)
     gp = g.with_weight(np.sqrt(1.0 - w**2))
     psi = _random_state(grid, rng)
-    out = ops.apply(u, with_ancilla(psi, 0))
+    out = ops.apply(u, with_ancilla(psi))
     _assert_close(
         ancilla_branch(out, 1).amp, ops.apply(g, psi).amp, 1e-12, "ancilla-1 branch is G psi"
     )
@@ -330,7 +330,7 @@ def _dense_run(cfg: SearchConfig, r: int) -> tuple[list, list]:
     grid = cfg.grid
     state = build_list(cfg.envelopes, grid)
     if cfg.use_dilation:
-        op, state = ops.dilation(cfg.target, cfg.zetas, grid), with_ancilla(state, 0)
+        op, state = ops.dilation(cfg.target, cfg.zetas, grid), with_ancilla(state)
     else:
         op = ops.grover_weighted(cfg.target, cfg.zetas, grid)
     for _ in range(r):

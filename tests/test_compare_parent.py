@@ -33,9 +33,9 @@ def test_one_sign_flip_in_the_factored_run_is_caught(tmp_path, capsys):
     shutil.copytree(REPO / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     search = tmp_path / "src" / "mvgrover" / "search.py"
     text = search.read_text(encoding="utf-8")
-    good = "power_sums = {q: ([m], e)"
+    good = "power_sums = [([m], e)"
     assert text.count(good) == 1
-    search.write_text(text.replace(good, "power_sums = {q: ([-m], e)"), encoding="utf-8")
+    search.write_text(text.replace(good, "power_sums = [([-m], e)"), encoding="utf-8")
     assert compare_parent.main(["--parent-root", str(REPO), "--root", str(tmp_path), *SMALL]) == 1
     out = capsys.readouterr().out
     assert "named error differs" in out and "change DegenerateWeights" in out

@@ -70,7 +70,6 @@ REJECTED = {
     "operator with two ancillas": (
         lambda: GlobalOperator(GRID, np.eye(4), n_ancilla=2), AncillaMismatch),
     "second ancilla": (lambda: with_ancilla(DILATED), AncillaMismatch),
-    "ancilla value 2": (lambda: with_ancilla(PLAIN, value=2), ValueError),
     "branch of a plain state": (lambda: ancilla_branch(PLAIN, 0), AncillaMismatch),
     "branch value 2": (lambda: ancilla_branch(DILATED, 2), ValueError),
     "save of an ancilla state": (lambda: save_state(DILATED, os.devnull), AncillaMismatch),

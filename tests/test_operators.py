@@ -59,6 +59,11 @@ def cell_state(grid, cell, band):
     return JointState(grid, amp)
 
 
+def _cell(op, *cell):
+    """op's (D, D) matrix at one cell: its cell axes broadcast to the grid's."""
+    return np.broadcast_to(op.mats, op.grid.cell_shape + (op.dim,) * 2)[cell]
+
+
 # --- pauli -----------------------------------------------------------------
 
 
@@ -112,7 +117,7 @@ def test_gamma_cosine_eigenvalue_on_single_cell():
     assert out.amp[j, m, 0] == pytest.approx(math.cos(theta[j]), abs=1e-14)
     # single-cell diagonalization oracle: the weighted 2x2 block has
     # eigenvalues +/- cos(theta_j)
-    block = g.weight_at(j, m) * g.mat_at(j, m)
+    block = np.broadcast_to(g.weight, grid.cell_shape)[j, m] * _cell(g, j, m)
     eig = np.sort_complex(np.linalg.eigvals(block))
     expected = sorted([math.cos(theta[j]), -math.cos(theta[j])])
     assert_allclose(eig, expected, atol=1e-13)
@@ -157,7 +162,7 @@ def test_hadamard_involution():
 def test_oracle_constant_target_matrix():
     grid = make_grid(2, 3, 3)
     op = oracle(TargetSpec.bits("00"), grid)
-    assert_allclose(op.mat_at(0, 0, 0, 0), np.diag([-1, 1, 1, 1]), atol=0)
+    assert_allclose(_cell(op, 0, 0, 0, 0), np.diag([-1, 1, 1, 1]), atol=0)
 
 
 def test_oracle_leaves_untargeted_support_alone():
@@ -177,8 +182,8 @@ def test_oracle_extended_mode_cell_by_cell():
             expected = np.eye(4, dtype=complex)
             flipped = 0b10 if theta[j1] < math.pi / 2 else 0b00
             expected[flipped, flipped] = -1.0
-            assert_allclose(op.mat_at(j1, j2, 0, 0), expected, atol=0)
-            assert_allclose(op.mat_at(j1, j2, 1, 1), expected, atol=0)
+            assert_allclose(_cell(op, j1, j2, 0, 0), expected, atol=0)
+            assert_allclose(_cell(op, j1, j2, 1, 1), expected, atol=0)
 
 
 def _loop_mode_bits(spec, grid):
@@ -216,7 +221,7 @@ def test_mode_bits_match_interval_loop(seed):
 def test_oracle_multi_target_and_duplicates():
     grid = make_grid(2, 2, 2)
     op = oracle(TargetSpec.multi(["00", "11"]), grid)
-    assert_allclose(op.mat_at(0, 0, 0, 0), np.diag([-1, 1, 1, -1]), atol=0)
+    assert_allclose(_cell(op, 0, 0, 0, 0), np.diag([-1, 1, 1, -1]), atol=0)
     with pytest.raises(DuplicateTarget):
         TargetSpec.multi(["01", "01"])
 
@@ -227,7 +232,7 @@ def test_oracle_multi_target_and_duplicates():
 def test_inversion_about_zero_matrix_and_square():
     grid1 = make_grid(1, 2, 2)
     op = inversion_about_zero(grid1)
-    assert_allclose(op.mat_at(0, 0), np.diag([-1, 1]), atol=0)
+    assert_allclose(_cell(op, 0, 0), np.diag([-1, 1]), atol=0)
     grid3 = make_grid(3, 2, 2)
     op3 = inversion_about_zero(grid3)
     sq = compose(op3, op3)
@@ -295,7 +300,7 @@ def test_grover_single_step_lands_on_target():
     for idx, bits in enumerate(["00", "01", "10", "11"]):
         op = grover_cell(TargetSpec.bits(bits), grid)
         uniform = np.full(4, 0.5)
-        out = op.mat_at(0, 0, 0, 0) @ uniform
+        out = _cell(op, 0, 0, 0, 0) @ uniform
         expected = np.zeros(4)
         expected[idx] = 1.0
         assert_allclose(out, expected, atol=1e-15)
@@ -312,7 +317,7 @@ def test_grover_unitary_per_cell():
 def test_grover_two_steps_match_reference_probability():
     grid = make_grid(3, 2, 2)
     op = grover_cell(TargetSpec.bits("101"), grid)
-    mat = op.mat_at(0, 0, 0, 0, 0, 0)
+    mat = _cell(op, 0, 0, 0, 0, 0, 0)
     state = np.full(8, 1 / math.sqrt(8))
     state = mat @ (mat @ state)
     ref = reference_qubit_grover(3, ["101"], 2)
@@ -440,11 +445,11 @@ def test_dilation_unit_weight_is_g_tensor_sigma_x():
     spec = TargetSpec.bits("10")
     u = dilation(spec, None, grid)
     g = grover_cell(spec, grid)
-    expected = np.kron(g.mat_at(0, 0, 0, 0), np.array([[0, 1], [1, 0]]))
-    assert np.max(np.abs(u.mat_at(0, 0, 0, 0) - expected)) < 1e-14
+    expected = np.kron(_cell(g, 0, 0, 0, 0), np.array([[0, 1], [1, 0]]))
+    assert np.max(np.abs(_cell(u, 0, 0, 0, 0) - expected)) < 1e-14
     # the full search result rides on the ancilla-1 branch
     envs = (EnvelopeSpec.gaussian(), EnvelopeSpec.gaussian())
-    out = apply(u, with_ancilla(build_list(envs, grid), 0))
+    out = apply(u, with_ancilla(build_list(envs, grid)))
     assert quad_norm(ancilla_branch(out, 0)) == pytest.approx(0.0, abs=1e-20)
     assert quad_norm(ancilla_branch(out, 1)) == pytest.approx(1.0, abs=1e-12)
 
@@ -466,7 +471,7 @@ def test_dilation_branches_are_kraus_images():
     w = np.broadcast_to(g.weight, grid.cell_shape)
     g_prime = g.with_weight(np.sqrt(1.0 - w**2))
     psi = random_joint(grid, rng)
-    out = apply(u, with_ancilla(psi, 0))
+    out = apply(u, with_ancilla(psi))
     assert np.max(np.abs(ancilla_branch(out, 1).amp - apply(g, psi).amp)) < 1e-12
     assert np.max(np.abs(ancilla_branch(out, 0).amp - apply(g_prime, psi).amp)) < 1e-12
 
@@ -477,7 +482,7 @@ def test_dilation_branches_identify_same_target():
     spec = TargetSpec.bits("10")
     envs = (EnvelopeSpec.gaussian(), EnvelopeSpec.gaussian(center_k=0.4))
     zetas = [rng.uniform(0.2, 0.8, (4, 4)) for _ in range(2)]
-    out = apply(dilation(spec, zetas, grid), with_ancilla(build_list(envs, grid), 0))
+    out = apply(dilation(spec, zetas, grid), with_ancilla(build_list(envs, grid)))
     basis = logical_basis(envs, grid)
     for value in (0, 1):
         branch = normalize(ancilla_branch(out, value))
@@ -495,7 +500,7 @@ def test_dilation_cells_are_g_tensor_a():
     w = joint_weight(zetas, grid)
     for cell in np.ndindex(grid.cell_shape):
         a = w[cell] * np.array([[0, 1], [1, 0]]) + np.sqrt(1 - w[cell] ** 2) * np.diag([1, -1])
-        assert_allclose(u.mat_at(*cell), np.kron(g.mat_at(*cell), a), rtol=0, atol=1e-15)
+        assert_allclose(_cell(u, *cell), np.kron(_cell(g, *cell), a), rtol=0, atol=1e-15)
 
 
 def test_dilation_weight_out_of_range():

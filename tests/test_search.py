@@ -352,7 +352,7 @@ def _explicit_dilated_run(cfg, r):
     """Readout of r applications of dilation() on the list with ancilla 0."""
     grid = cfg.grid
     u = dilation(cfg.target, cfg.zetas, grid)
-    state = with_ancilla(build_list(cfg.envelopes, grid), 0)
+    state = with_ancilla(build_list(cfg.envelopes, grid))
     for _ in range(r):
         state = apply(u, state)
     branches = [ancilla_branch(state, a) for a in (0, 1)]

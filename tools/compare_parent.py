@@ -21,9 +21,11 @@ Prints the count of equal readouts (identified, failure, branch readouts,
 iterations), of equal named errors, of bit-identical reports and of
 byte-identical final states, the largest relative move of a norm (against
 the parent's) and of an overlap (against the parent's largest overlap
-magnitude in that report), each side's largest per_cell_max_error, and
-each side's largest run peak in stacks with the number of configs whose
-peak rose by more than 1 KB.  The peaks are left out of the report
+magnitude in that report), each side's largest per_cell_max_error, each
+side's largest run peak in stacks among the configs of the sweep's largest
+stack (where a run's footprint is its stacks, not its fixed cost), the
+largest rise of a run peak in bytes and the number of configs whose peak
+rose by more than 1 KB.  The peaks are left out of the report
 comparison.  Exits 1 when a readout or a named error differs, 0 otherwise.
 """
 
@@ -146,7 +148,8 @@ def compare(change: list[dict], parent: list[dict]) -> dict:
     out = {"configs": len(change), "errors": 0, "readout_diffs": [], "error_diffs": [],
            "bit_identical": 0, "reports": 0, "finals": 0, "finals_identical": 0,
            "norm_rel": 0.0, "overlap_rel": 0.0, "cell_error": {"change": 0.0, "parent": 0.0},
-           "peak_stacks": {"change": 0.0, "parent": 0.0}, "peak_rises": 0}
+           "stack_bytes": 0, "peak_stacks": {"change": 0.0, "parent": 0.0}, "peak_rise": 0,
+           "peak_rises": 0}
     for i, (c, p) in enumerate(zip(change, parent)):
         if "error" in c or "error" in p:
             if c.get("error") != p.get("error"):
@@ -157,9 +160,15 @@ def compare(change: list[dict], parent: list[dict]) -> dict:
         out["reports"] += 1
         if any(c[k] != p[k] for k in READOUT):
             out["readout_diffs"].append((i, {k: (p[k], c[k]) for k in READOUT if c[k] != p[k]}))
-        for side, rec in (("change", c), ("parent", p)):
-            out["peak_stacks"][side] = max(out["peak_stacks"][side], rec["peak_bytes"] / rec["stack_bytes"])
-        out["peak_rises"] += c["peak_bytes"] > p["peak_bytes"] + PEAK_RISE
+        stack = c["stack_bytes"]
+        if stack > out["stack_bytes"]:
+            out["stack_bytes"], out["peak_stacks"] = stack, {"change": 0.0, "parent": 0.0}
+        if stack == out["stack_bytes"]:
+            for side, rec in (("change", c), ("parent", p)):
+                out["peak_stacks"][side] = max(out["peak_stacks"][side], rec["peak_bytes"] / stack)
+        rise = c["peak_bytes"] - p["peak_bytes"]
+        out["peak_rise"] = max(out["peak_rise"], rise)
+        out["peak_rises"] += rise > PEAK_RISE
         if all(c[k] == p[k] for k in c.keys() | p.keys() if k not in PEAK):
             out["bit_identical"] += 1
         if p["final_sha256"] is not None:
@@ -184,6 +193,7 @@ def compare(change: list[dict], parent: list[dict]) -> dict:
 
 def summary(result: dict) -> list[str]:
     n = result["configs"]
+    peaks = result["peak_stacks"]
     return [
         f"configs: {n}",
         f"readouts equal: {result['reports'] - len(result['readout_diffs'])} of {result['reports']} reports",
@@ -194,9 +204,9 @@ def summary(result: dict) -> list[str]:
         f"largest relative overlap move: {result['overlap_rel']:.3g}",
         f"largest per_cell_max_error: change {result['cell_error']['change']:.3g}, "
         f"parent {result['cell_error']['parent']:.3g}",
-        f"run peaks: largest change {result['peak_stacks']['change']:.2f} stacks, "
-        f"parent {result['peak_stacks']['parent']:.2f} stacks; "
-        f"{result['peak_rises']} of {result['reports']} rose by more than 1 KB",
+        f"run peaks: at the largest stack, {result['stack_bytes']} B, largest change "
+        f"{peaks['change']:.2f} stacks, parent {peaks['parent']:.2f} stacks; largest rise "
+        f"{result['peak_rise']} B; {result['peak_rises']} of {result['reports']} rose by more than 1 KB",
     ] + [f"readout differs at config {i}: {diff}" for i, diff in result["readout_diffs"]] + [
         f"named error differs at config {i}: parent {p}, change {c}" for i, p, c in result["error_diffs"]]
 

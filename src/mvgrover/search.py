@@ -338,18 +338,36 @@ def _pattern_sums(per_theta: np.ndarray, onehot: np.ndarray, pattern_bits: np.nd
     return per_bit[:, np.arange(n), pattern_bits].prod(axis=2), exps.sum(axis=1).tolist()
 
 
-# The subscripts of x repeated q times, then psq, for q = 0, 1 and 2 and each
+# The subscripts of x repeated q times, then the k table, for q = 0, 1 and 2 and each
 # output ("i" per mode, "it" per theta value).
 _POWER_SUBSCRIPTS = {out: [",".join(["itk"] * (q + 1)) + "->" + out for q in range(3)]
                      for out in ("i", "it")}
 
 
-def _weight_powers(psq: np.ndarray, x: np.ndarray, powers: Sequence[int], out: str) -> list:
-    """For each q of the powers, each 0, 1 or 2, the sums of psq x^q over each
-    mode's cells (out "i") or over each mode's k at each theta value (out
-    "it"): one einsum of at most three inputs, which forms the products cell
-    by cell."""
-    return [np.einsum(_POWER_SUBSCRIPTS[out][q], *[x] * q, psq) for q in powers]
+def _weight_powers(dens: tuple, x: np.ndarray, powers: Sequence[int], out: str) -> list:
+    """For each q of the powers, each 0, 1 or 2, the sums of |g|^2 x^q over
+    each mode's cells (out "i") or over each mode's k at each theta value
+    (out "it"), in the order asked; dens = (profile, k_table) as
+    zak.envelope_densities gives them.  Each power is one einsum of at most
+    three inputs against k_table, which forms the products cell by cell (a k
+    row broadcasts over theta with no copy); where there is a profile, the
+    einsum sums to per-theta values, which the profile multiplies once before
+    any sum over theta.  A per-mode total of x^0 or x^1 against a profile
+    takes no per-theta row: one einsum of the two factors, or
+    profile @ x @ k row, two small matmuls."""
+    profile, k_table = dens
+    if profile is None:
+        return [np.einsum(_POWER_SUBSCRIPTS[out][q], *[x] * q, k_table) for q in powers]
+    sums = []
+    for q in powers:
+        if out == "i" and q == 0:
+            sums.append(np.einsum("it,itk->i", profile, k_table))
+        elif out == "i" and q == 1:
+            sums.append((profile[:, None, :] @ x @ k_table.transpose(0, 2, 1)).reshape(-1))
+        else:
+            s = np.multiply(np.einsum(_POWER_SUBSCRIPTS["it"][q], *[x] * q, k_table), profile)
+            sums.append(s if out == "it" else np.add.reduce(s, axis=1))
+    return sums
 
 
 def _series_coefficients(s: float, budget: int) -> Optional[list]:
@@ -374,34 +392,39 @@ def _series_coefficients(s: float, budget: int) -> Optional[list]:
     return None
 
 
-def _series_powers(psq: np.ndarray, sq: np.ndarray, n_terms: int, axes: tuple) -> np.ndarray:
-    """Sums of psq sq^j over the trailing axes of the (n, g_theta, g_k)
-    stacks, (1, 2) for per-mode totals or (2,) for per-theta sums, for
-    j < n_terms, stacked along a new first axis.
+def _series_powers(dens: tuple, sq: np.ndarray, n_terms: int, out: str) -> np.ndarray:
+    """Sums of |g|^2 sq^j over each mode's cells (out "i") or over each
+    mode's k at each theta value (out "it") of the (n, g_theta, g_k) stack
+    sq, for j < n_terms, stacked along a new first axis; dens =
+    (profile, k_table) as in _weight_powers.
 
     Baby step, giant step (Paterson and Stockmeyer 1973): the stacks are
     (groups, cells) rows, the groups the leading axes that stay.  Term 0 is
-    the sum of psq; term 1 + j B + b, for b < B, is giant step
-    psq sq^(j B) contracted with baby step sq^(b + 1), one batched matmul
-    per block of giant steps.  Both tables are row products, about 2 sqrt(K)
-    of them: the last baby step is the giant ratio sq^B, and each block of
-    giant steps starts from the last one before it times sq^B.  The two
-    tables share one buffer of min(K - 1, _STREAM_CELLS // psq.size) steps,
+    the sum of the first giant step, |g|^2; term 1 + j B + b, for b < B, is
+    giant step |g|^2 sq^(j B) contracted with baby step sq^(b + 1), one
+    batched matmul per block of giant steps.  Both tables are row products,
+    about 2 sqrt(K) of them: the last baby step is the giant ratio sq^B, and
+    each block of giant steps starts from the last one before it times sq^B.
+    The two tables share one buffer of min(K - 1, _STREAM_CELLS // sq.size) steps,
     or of one giant step where a step is larger (B = 1 then reads sq
     itself); B is capped to leave room for one giant step and the giant
     steps fill the rest in blocks.  The buffer's size does not depend on
     how K splits into B and its giant steps, so past the cap a run's peak
-    memory is the same whatever K its weights draw.
+    memory is the same whatever K its weights draw.  The first giant step is
+    written into the buffer from the two density factors with einsum (a
+    broadcast product takes numpy's ufunc buffers, two stacks' worth at
+    (2, 24, 24)).
     """
-    groups = psq.shape[: axes[0]]
+    profile, k_table = dens
+    groups = sq.shape[: len(out)]
     n_groups = math.prod(groups)
-    rows = max(1, min(n_terms - 1, _STREAM_CELLS // psq.size))  # steps the buffer holds
+    rows = max(1, min(n_terms - 1, _STREAM_CELLS // sq.size))  # steps the buffer holds
     base = max(1, min(math.isqrt(max(n_terms - 2, 0)) + 1, rows - 1))  # ceil(sqrt(K - 1))
     giants = -(-(n_terms - 1) // base)
     own = base if base > 1 else 0  # baby steps held in the buffer
     block = max(1, min(giants, rows - own))  # rows - own >= 1
     # Few live views: each is an object of its own in the run's peak memory.
-    buf = np.empty((rows,) + psq.shape)
+    buf = np.empty((rows,) + sq.shape)
     if own:
         buf[0] = sq
         for b in range(1, own):
@@ -410,40 +433,48 @@ def _series_powers(psq: np.ndarray, sq: np.ndarray, n_terms: int, axes: tuple) -
         baby = buf[:own].reshape(own, n_groups, -1).transpose(1, 2, 0)
     else:
         step, baby = sq, sq.reshape(n_groups, -1, 1)
-    out = np.empty((1 + giants * base,) + groups)
-    psq.sum(axis=axes, out=out[0])
+    # Written before the terms exist, so the einsum's own small allocations
+    # add nothing to the peak.
+    if profile is None:
+        buf[own] = k_table
+    else:
+        np.einsum("it,itk->itk", profile, k_table, out=buf[own])
+    terms = np.empty((1 + giants * base,) + groups)
+    np.add.reduce(buf[own], axis=tuple(range(len(out), 3)), out=terms[0])
     for lo in range(0, giants, block):
         hi = min(lo + block, giants)
         g = buf[own : own + hi - lo]
         if lo:  # every block but the last is full
             np.multiply(buf[own + block - 1], step, out=g[0])
-        else:
-            g[0] = psq
         for j in range(1, hi - lo):
             np.multiply(g[j - 1], step, out=g[j])
         np.matmul(g.reshape(hi - lo, n_groups, -1).transpose(1, 0, 2), baby,
-                  out=out[1 + lo * base : 1 + hi * base].reshape(hi - lo, base, -1)
+                  out=terms[1 + lo * base : 1 + hi * base].reshape(hi - lo, base, -1)
                   .transpose(2, 0, 1))
-    return out[:n_terms]
+    return terms[:n_terms]
 
 
-def _streamed_branch(psq, scaled, scale: float, index: np.ndarray, n_classes: int) -> tuple:
+def _streamed_branch(dens: tuple, sq, scale: float, index: np.ndarray, n_classes: int) -> tuple:
     """Per class, the sums of |P|^2 w' and of |P|^2 w'^2 over its cells, as lists,
     w' = sqrt(1 - w^2) the ancilla-0 factor of an odd dilated run, which is no
-    product over modes.
+    product over modes.  Reads the full (n, g_theta, g_k) stack of |g_i|^2,
+    built with einsum from dens = (profile, k_table) where it is factored:
+    one stack beside the chunk buffer the stream takes anyway.
 
-    w^2 = scale^2 prod_i scaled[i]^2 is built from the run's scaled weights
-    (each at most 1 in magnitude, scale = prod_i max |w_i| <= 1 + 1e-12 by the
+    w^2 = scale^2 prod_i sq[i] is built from the squares of the run's scaled
+    weights (each at most 1, scale = prod_i max |w_i| <= 1 + 1e-12 by the
     dilation check), so no partial product leaves the float range, and
     1 - w^2 can be negative only when scale > 1: only then is it clipped at 0,
     per cell, as the dense loop's ancilla weight is.  Summed over the k cells
     in chunks of whole theta_1 slices through one buffer, then pairwise over
     each class's theta cells (a sequential sum over 12^3 of them is off by 3e-14).
     """
+    profile, psq = dens
+    if profile is not None:
+        psq = np.einsum("it,itk->itk", profile, psq)
     psq_rest = joint_table(psq[1:])  # (theta cells, k cells) of modes 1..n-1
-    wsq_rest = joint_table(np.square(scaled[1:])).reshape(-1)
-    wsq_first = np.square(scaled[0])
-    wsq_first *= scale * scale
+    wsq_rest = joint_table(sq[1:]).reshape(-1)
+    wsq_first = sq[0] * (scale * scale)
     g_theta, g_k = wsq_first.shape
     chunk = min(g_theta, max(1, _STREAM_CELLS // (g_k * psq_rest.size)))
     buf = np.empty((chunk, g_k, psq_rest.size))  # (theta_1, k_1, cells of modes 1..n-1)
@@ -476,8 +507,8 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     (_search_vector), whose v[0] every class reads on its targets and v[-1]
     on its other strings, scaled[i] mode i's weights on the envelope support
     divided by their largest |w_i|, w~_i (w = 2^w_log2 prod_i w~_i there),
-    raised in place to w~_i^r after a plain run (None after the series of an
-    odd dilated run, which squares them in place),
+    raised in place to w~_i^r after a plain run and to w~_i^2 after a
+    dilated one,
     norms[b] the squared norm of readout branch b, sums[b] = (s1, s2, e) its
     per-class sums in scaled form (sum |P|^2 f = s1 2^(e/2),
     sum |P|^2 f^2 = s2 2^e over the class's cells, e a float; s1 and s2 are
@@ -494,25 +525,30 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     of cells (all theta cells for a constant target, else those whose per-mode
     interval bits spell its string), so its sums are products of per-mode
     sums: O(n g_theta g_k) work, no cell-sized array.  The per-mode inputs are
-    real (n, g_theta, g_k) stacks: |g_i|^2, the scaled weights and the one-hot
-    interval bits; each power sum costs one contraction of at most three
-    inputs (to per-mode totals for a constant target), of w~ for the mass and
-    of w~^p, raised in place, for the main branch.  Each mode's largest scaled
-    weight is +-1, so no power of the scaled weights vanishes and none
-    overflows.  The weight scale 2^(p w_log2) cancels in the overlaps and
-    enters only the norms and the range checks, which use per-mode maxima
-    (max |w| = prod max |w_i| on a product set).  The ancilla-0 branch of an
-    odd dilated run has f^2 = 1 - w^2.  Where that costs less than a pass over
-    the cells, which needs every |w| < 1, its f = w' sums a series of weight
-    powers (_series_coefficients) and its f^2 sums are sum |P|^2, the series'
-    term 0, less sum |P|^2 w^2; otherwise that pass (_streamed_branch) gives
-    both, with 1 - w^2 clipped at 0 per cell (exactly 0 where |w| = 1).
+    the scaled weights, a real (n, g_theta, g_k) stack, the one-hot interval
+    bits and |g_i|^2 as zak.envelope_densities gives it: a theta profile times
+    a k row for gaussian and constant envelopes, so a run of those holds one
+    stack, or the full stack where an envelope is tabulated.  Each exponent of
+    w~ is summed once, each sum one contraction of at most three inputs
+    against the k rows or the stack (to per-mode totals for a constant
+    target), times the profile where there is one: those below the power of
+    w~ the run keeps from w~, the others from that power, raised in place.
+    Each mode's largest scaled weight is +-1, so no power of the scaled
+    weights vanishes and none overflows.  The weight scale 2^(p w_log2)
+    cancels in the overlaps and enters only the norms and the range checks,
+    which use per-mode maxima (max |w| = prod max |w_i| on a product set).
+    The ancilla-0 branch of an odd dilated run has f^2 = 1 - w^2.  Where
+    that costs less than a pass over the cells, which needs every |w| < 1,
+    its f = w' sums a series of weight powers (_series_coefficients) and its
+    f^2 sums are sum |P|^2, the series' term 0, less sum |P|^2 w^2; otherwise
+    that pass (_streamed_branch) gives both, with 1 - w^2 clipped at 0 per
+    cell (exactly 0 where |w| = 1).
     """
     grid = cfg.grid
     n, cell_weight = grid.n_modes, grid.cell_weight
     bits, rows = cfg.target.classes(grid)
     r = _resolved_iterations(cfg)
-    psq = envelope_densities(cfg.envelopes, _mode_grid(cfg.envelopes, grid))
+    dens = envelope_densities(cfg.envelopes, _mode_grid(cfg.envelopes, grid))
     scaled = ops.mode_weight_tables(cfg.zetas, grid)  # the weights w, scaled below in place
     # Each mode's weights on its envelope support (0 elsewhere) divided by
     # their largest magnitude, which becomes exactly 1, so w^p = peak^p
@@ -523,32 +559,38 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     w_max = peaks = _abs_maxima(scaled)
     if not all(math.isfinite(m) for m in w_max):  # NaN or inf in some mode's table
         raise WeightOutOfRange("weights must be finite numbers")
-    if np.count_nonzero(psq) < psq.size:
-        np.copyto(scaled, 0.0, where=psq == 0)  # in place: a run holds two (n, g_theta, g_k) stacks
-        peaks = _abs_maxima(scaled)
+    # The support is where both density factors are nonzero; each factor's
+    # zeros are masked in place, broadcast, so a factored density takes no
+    # stack-sized mask.
+    profile, k_table = dens
+    for factor in (k_table,) if profile is None else (k_table, profile[:, :, None]):
+        if np.count_nonzero(factor) < factor.size:
+            np.copyto(scaled, 0.0, where=factor == 0)
+            peaks = _abs_maxima(scaled)
     for mode, p in zip(scaled, peaks):
         if p > 0:
             mode /= p
     peak = _unscaled(*_scaled_product(peaks))
     w_log2 = math.log2(peak) if peak > 0 else -math.inf
 
-    # Per-class sums of |P|^2 w~^q, and their exponent.  The mass reads q = 2;
-    # the main branch, f = w^p, reads the sums of x and x^2 with x = w~^p.
-    # Where p is 0 or 1 (a dilated run, p = r % 2, or a plain run at r = 1)
-    # those are the powers p and 2 p of w~, read with the mass in one call;
-    # any other plain run raises the scaled weights to p = r in place once
-    # the mass is read, so they hold w~^r from then on.
+    # Per-class sums of |P|^2 w~^e, each exponent e once.  The mass reads
+    # e = 2; the main branch, f = w^p, reads e = p and 2 p.  The scaled
+    # weights are raised in place to the power the run keeps: w~^r for a plain
+    # run (final_state reads it), w~^2 for a dilated one (the series and the
+    # stream read it).  The exponents below it are read straight from w~ (all
+    # of them where it is 0 or 1); the others, keep and 2 keep (only 2 for a
+    # dilated run), as the powers 1 and 2 of the raised stack.
     p = r % 2 if cfg.use_dilation else r
+    keep = 2 if cfg.use_dilation else r
     out = "i" if bits is None else "it"
-    if cfg.use_dilation or r == 1:
-        powers = sorted({2, p, 2 * p})  # (0, 2) or (1, 2)
-        per_power = _weight_powers(psq, scaled, powers, out)
-        mass_at, main_at = powers.index(2), (powers.index(p), powers.index(2 * p))
-    else:
-        per_power = _weight_powers(psq, scaled, (2,), out)
-        np.power(scaled, r, out=scaled)
-        per_power += _weight_powers(psq, scaled, (1, 2), out)
-        mass_at, main_at = 0, (1, 2)
+    wanted = sorted({2, p, 2 * p})
+    cut = len(wanted) if keep <= 1 else wanted.index(keep)
+    per_power = _weight_powers(dens, scaled, wanted[:cut], out) if cut else []
+    if keep != 1:
+        np.power(scaled, keep, out=scaled)
+    if cut < len(wanted):
+        per_power += _weight_powers(dens, scaled, (1, 2)[: len(wanted) - cut], out)
+    mass_at, main_at = wanted.index(2), (wanted.index(p), wanted.index(2 * p))
     if bits is None:  # one class of all theta cells: a product of per-mode totals
         power_sums = [([m], e) for m, e in (_scaled_product(s.tolist()) for s in per_power)]
     else:
@@ -571,18 +613,15 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
         if r % 2:
             # The series when its K terms, n g_theta g_k floats each, cost less
             # than the stream's g_theta^n g_k^n cells; the stream otherwise.
-            coefs = _series_coefficients(peak * peak, (psq[0].size**n - 1) // psq.size)
+            coefs = _series_coefficients(peak * peak, (scaled[0].size**n - 1) // scaled.size)
             if coefs is None:
                 index = ops.class_index(bits, rows, grid)
-                f1, f2 = _streamed_branch(psq, scaled, peak, index, len(rows))
+                f1, f2 = _streamed_branch(dens, scaled, peak, index, len(rows))
             else:
-                # Nothing reads the scaled weights after the series, so their
-                # squares take their place: no stack of its own for sq.
-                sq, scaled = np.square(scaled, out=scaled), None
                 if bits is None:
-                    terms = _series_powers(psq, sq, len(coefs), (1, 2)).prod(axis=1)[:, None]
+                    terms = _series_powers(dens, scaled, len(coefs), out).prod(axis=1)[:, None]
                 else:
-                    per_theta = _series_powers(psq, sq, len(coefs), (2,))
+                    per_theta = _series_powers(dens, scaled, len(coefs), out)
                     terms, exps = _pattern_sums(per_theta, onehot, pattern_bits)
                     terms = np.ldexp(terms, np.array(exps)[:, None])
                 f1 = (np.array(coefs) @ terms).tolist()

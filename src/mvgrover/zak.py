@@ -232,33 +232,39 @@ class EnvelopeSpec:
         return np.multiply.outer(rows[0], cols[0], dtype=np.complex128)
 
 
-def envelope_densities(envelopes, grid: ModularGrid) -> np.ndarray:
-    """|g|^2 of each envelope as one real (len(envelopes), g_theta, g_k) array,
-    written in place with no other array of its size: the gaussians as
-    outer products of the squared profiles of one gaussian_axes pass, with
-    no complex table; the others one mode at a time as |table_for|^2."""
+def envelope_densities(envelopes, grid: ModularGrid) -> tuple:
+    """|g|^2 of each envelope as (profile, k_table), density
+    profile[:, :, None] * k_table.  Where every envelope is a gaussian or
+    constant, profile holds the squared theta profiles, (len(envelopes),
+    g_theta), and k_table the squared k profiles as (len(envelopes), 1, g_k)
+    rows: the gaussians' from one gaussian_axes pass, a constant's flat
+    rows 1/(g_theta d_theta) and 1/(g_k d_k).  Where some envelope is
+    tabulated, profile is None (read as 1) and k_table the full real
+    (len(envelopes), g_theta, g_k) stack, written in place with no other
+    array of its size: |table_for|^2 for the tabulated modes, the product of
+    the two rows for the others."""
     g = grid.single_mode()
-    out = np.empty((len(envelopes), g.g_theta, g.g_k))
-    gauss, rest = [], []
-    for i, env in enumerate(envelopes):
-        (gauss if env.kind == "gaussian" else rest).append(i)
+    kinds = [env.kind for env in envelopes]
+    if "tabulated" in kinds:
+        out = np.empty((len(envelopes), g.g_theta, g.g_k))
+        for env, dens in zip(envelopes, out):
+            if env.kind == "tabulated":
+                np.abs(env.table_for(g), out=dens)
+                np.square(dens, out=dens)
+            else:  # einsum, unlike a broadcast product, takes no ufunc buffers
+                np.einsum("it,itk->tk", *envelope_densities([env], g), out=dens)
+        return None, out
+    if "constant" not in kinds:
+        # Squared into arrays of their own: the profiles are strided views of
+        # one buffer, and a strided profile slows each multiply by it.
+        rows, cols = gaussian_axes(envelopes, g)
+        return np.square(rows), np.square(cols)[:, None, :]
+    gauss = [i for i, kind in enumerate(kinds) if kind == "gaussian"]
+    profile = np.full((len(envelopes), g.g_theta), 1.0 / (g.g_theta * g.d_theta))
+    k_table = np.full((len(envelopes), 1, g.g_k), 1.0 / (g.g_k * g.d_k))
     if gauss:
-        rows, cols = gaussian_axes([envelopes[i] for i in gauss], g)
-        np.square(rows, out=rows)
-        np.square(cols, out=cols)
-        # einsum, unlike a broadcast product, takes no ufunc buffers.  One
-        # call for a stack of gaussians is several times faster than one call
-        # per mode on small grids, where the call cost dominates.
-        if len(gauss) == len(envelopes):
-            np.einsum("it,ik->itk", rows, cols, out=out)
-        else:
-            for i, row, col in zip(gauss, rows, cols):
-                np.einsum("t,k->tk", row, col, out=out[i])
-    for i in rest:
-        dens = out[i]
-        np.abs(envelopes[i].table_for(g), out=dens)
-        np.square(dens, out=dens)
-    return out
+        profile[gauss], k_table[gauss] = envelope_densities([envelopes[i] for i in gauss], g)
+    return profile, k_table
 
 
 @functools.cache

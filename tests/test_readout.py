@@ -420,12 +420,15 @@ def test_plain_run_peak_memory_without_cell_tables():
     assert peak <= 2**20
 
 
-_FOOTPRINT_RUNS = {  # (iterations, use_dilation, largest |w_i|, stacks allowed)
-    "plain-r1": (1, False, 1.0, 2.5),
-    "plain-r3": (3, False, 1.0, 2.5),
-    "plain-r40": (40, False, 1.0, 2.5),
-    "even-dilated": (2, True, 1.0, 2.5),
-    "odd-dilated-series": (1, True, 0.7, 3.2),
+_FOOTPRINT_RUNS = {  # (iterations, use_dilation, largest |w_i|, target, stacks allowed
+    #                      with tabulated envelopes, stacks allowed with the others)
+    "plain-r1": (1, False, 1.0, "11", 2.5, 1.5),
+    "plain-r2": (2, False, 1.0, "11", 2.5, 1.5),
+    "plain-r3": (3, False, 1.0, "11", 2.5, 1.5),
+    "plain-r3-intervals": (3, False, 1.0, [[(0.5, 2.0)]] * 2, 2.5, 1.5),
+    "plain-r40": (40, False, 1.0, "11", 2.5, 1.5),
+    "even-dilated": (2, True, 1.0, "11", 2.5, 1.5),
+    "odd-dilated-series": (1, True, 0.7, "11", 3.2, 2.2),
 }
 
 
@@ -448,11 +451,13 @@ def _footprint_weights(kind, grid, bound):
     if not (weights == "none" and run.startswith("odd"))  # unit weights stream, no series
 ])
 def test_run_holds_two_per_mode_stacks(monkeypatch, envelope, weights, run):
-    # A run's footprint is its two (n, g_theta, g_k) stacks, |g_i|^2 and the
-    # scaled weights, of n g_theta g_k 8 bytes each, plus what _STREAM_CELLS
-    # caps: an odd dilated run's series holds one more stack at (2, 64, 64),
-    # where one stack exceeds half the cap.
-    r, use_dilation, bound, allowed = _FOOTPRINT_RUNS[run]
+    # A run's footprint is its (n, g_theta, g_k) stacks of n g_theta g_k 8
+    # bytes each, plus what _STREAM_CELLS caps: the scaled weights, and
+    # |g_i|^2 where an envelope is tabulated (gaussian and constant densities
+    # are a theta profile times a k row, far smaller); an odd dilated run's
+    # series holds one more stack at (2, 64, 64), where one stack exceeds half
+    # the cap.  Two stacks read 2.05-2.19, one 1.09-1.22 (1.0 is the weights).
+    r, use_dilation, bound, target, tabulated_allowed, allowed = _FOOTPRINT_RUNS[run]
     monkeypatch.setattr(search, "_streamed_branch", _no_stream)
     n, g = 2, 64
     grid = make_grid(n, g, g)
@@ -464,7 +469,8 @@ def test_run_holds_two_per_mode_stacks(monkeypatch, envelope, weights, run):
                            for _ in range(n)),
         "constant": (EnvelopeSpec.constant(),) * n,
     }[envelope]
-    cfg = SearchConfig(n, g, g, envs, TargetSpec.bits("11"), zetas=_footprint_weights(weights, grid, bound),
+    target = TargetSpec.bits(target) if isinstance(target, str) else TargetSpec.from_intervals(target)
+    cfg = SearchConfig(n, g, g, envs, target, zetas=_footprint_weights(weights, grid, bound),
                        iterations=r, use_dilation=use_dilation)
     run_search(cfg)  # the per-process caches of this shape
     tracemalloc.start()
@@ -473,6 +479,8 @@ def test_run_holds_two_per_mode_stacks(monkeypatch, envelope, weights, run):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    if envelope == "tabulated":
+        allowed = tabulated_allowed
     assert peak <= allowed * n * g * g * 8
 
 
@@ -549,23 +557,85 @@ def test_series_matches_streamed_branch(monkeypatch, n, g, kind):
         assert np.max(np.abs(series - streamed) / streamed) <= 1e-14
 
 
+def _separable_envs(envelope, grid):
+    """Three modes of gaussian or constant envelopes, whose densities a run
+    holds as theta profiles times k rows; "narrow" mixes a constant with
+    gaussians so narrow that their profiles are exactly 0 on some theta and
+    some k values."""
+    if envelope == "constant":
+        return (EnvelopeSpec.constant(),) * 3
+    if envelope == "gaussian":
+        return gaussian_envs(3)
+    theta, k = grid.theta_values(), grid.k_values()
+    return (EnvelopeSpec.gaussian(theta[1], 0.5, 0.005, 0.25), EnvelopeSpec.constant(),
+            EnvelopeSpec.gaussian(1.2, k[1], 0.8, 0.005))
+
+
+@pytest.mark.parametrize("envelope", ["gaussian", "constant", "narrow"])
+@pytest.mark.parametrize("kind", sorted(TARGETS))
+def test_separable_envelopes_match_dense_loop(monkeypatch, envelope, kind):
+    # Against the dense loop at 1e-12: plain runs at r = 0..3, even dilated
+    # runs, odd dilated runs on the series (|w_i| <= 0.7) and on the stream
+    # (weights reaching |w| = 1, so the series cannot converge).  With the
+    # narrow envelopes, a plain run whose mode-0 weights are 1e300 off the
+    # support and 1e-5 on it: scaled by the largest weight off the support,
+    # the weights on it would underflow.
+    n, gt, gk = 3, 4, 3
+    grid = make_grid(n, gt, gk)
+    envs = _separable_envs(envelope, grid.single_mode())
+    profile, k_table = zak.envelope_densities(envs, grid.single_mode())
+    assert profile is not None and k_table.shape == (n, 1, gk)
+    rng = np.random.default_rng([len(kind), len(envelope)])
+    target = TARGETS[kind](n)
+    if envelope == "narrow":  # the support mask reads the zeros of both factors
+        assert 0 < np.count_nonzero(profile[0]) < gt and 0 < np.count_nonzero(k_table[2]) < gk
+        zetas = rng.uniform(0.5, 1.0, (n, gt, gk))
+        zetas[0] *= 1e-5
+        zetas[0][profile[0] == 0] = 1e300
+        _assert_matches_dense_loop(SearchConfig(n, gt, gk, envs, target, zetas=tuple(zetas),
+                                                iterations=1))
+
+    def run(r, bound, use_dilation):
+        zetas = rng.uniform(-bound, bound, (n, gt, gk))
+        if bound == 1.0:
+            zetas[:, 1, 1] = rng.choice([-1.0, 1.0], n)  # |w| = 1 on the support
+        return SearchConfig(n, gt, gk, envs, target, zetas=tuple(zetas), iterations=r,
+                            use_dilation=use_dilation)
+
+    for r in range(4):
+        _assert_matches_dense_loop(run(r, 1.0, False))
+    for r in (2, 4):
+        _assert_matches_dense_loop(run(r, 1.0, True))
+    with monkeypatch.context() as patched:
+        patched.setattr(search, "_streamed_branch", _no_stream)
+        for r in (1, 3):
+            _assert_matches_dense_loop(run(r, 0.7, True))
+    scales = _spy_stream(monkeypatch)
+    for r in (1, 3):
+        _assert_matches_dense_loop(run(r, 1.0, True))
+    assert len(scales) == 2
+
+
 @pytest.mark.parametrize("kind", sorted(TARGETS))
 def test_runs_ask_only_for_the_weight_powers_they_read(monkeypatch, kind):
-    # The mass reads the power 2 of the scaled weights w~ and the main branch,
-    # f = w^p, the powers 1 and 2 of w~^p: a dilated run's p = r % 2 takes
-    # (0, 2) or (1, 2) of w~ in one call, and so does a plain run at r = 1;
-    # any other plain run takes 2 of w~, then 1 and 2 of w~^r, raised in place.
-    # An odd dilated run's ancilla-0 branch takes sum |P|^2 from its series or
-    # its stream, with no power 0.
+    # The mass reads the exponent 2 of the scaled weights w~ and the main
+    # branch, f = w^p, the exponents p and 2 p, each summed once.  The run
+    # raises w~ in place to the power it keeps, w~^2 for a dilated run
+    # (p = r % 2) and w~^r for a plain one, and reads the exponents below it
+    # from w~ (all of them at r <= 1), the others as powers of the raised
+    # stack: a dilated run reads p of w~, then 1 of w~^2; a plain run at r = 2
+    # reads 1 and 2 of w~^2, and at r > 2 reads 2 of w~, then 1 and 2 of
+    # w~^r.  An odd dilated run's ancilla-0 branch takes sum |P|^2 from its
+    # series or its stream, with no power 0.
     asked, weight_powers = [], search._weight_powers
 
-    def spy(psq, x, powers, out):
+    def spy(dens, x, powers, out):
         asked.append((tuple(powers), x.copy()))
-        return weight_powers(psq, x, powers, out)
+        return weight_powers(dens, x, powers, out)
 
     monkeypatch.setattr(search, "_weight_powers", spy)
     rng = np.random.default_rng(len(kind))
-    for r in range(4):
+    for r in range(5):
         cfg = _series_config(rng, 2, 8, 8, kind, r, 0.7)
         with monkeypatch.context() as patched:
             patched.setattr(search, "_streamed_branch", _no_stream)  # the series
@@ -574,13 +644,17 @@ def test_runs_ask_only_for_the_weight_powers_they_read(monkeypatch, kind):
             patched.setattr(search, "_series_coefficients", lambda s, budget: None)  # the stream
             run_search(cfg)
         run_search(SearchConfig(2, 8, 8, cfg.envelopes, cfg.target, zetas=cfg.zetas, iterations=r))
-        dilated = (1, 2) if r % 2 else (0, 2)
-        plain = [(1, 2)] if r == 1 else [(2,), (1, 2)]
-        assert [q for q, _ in asked] == [dilated, dilated, *plain]
+        # (powers asked, the power a of w~ they are asked of), run by run.
+        dilated = [((r % 2,), 1), ((1,), 2)]
+        plain = {0: [((0, 2), 1)], 1: [((1, 2), 1)], 2: [((1, 2), 2)]}.get(r, [((2,), 1), ((1, 2), r)])
+        want = [dilated, dilated, plain]
+        assert [q for q, _ in asked] == [q for run in want for q, _ in run]
         scaled = asked[0][1]
-        assert all(np.array_equal(x, scaled) for _, x in asked[1:3])
-        if r != 1:
-            assert np.array_equal(asked[3][1], np.power(scaled, r))
+        for (_, x), (_, a) in zip(asked, [call for run in want for call in run]):
+            assert np.array_equal(x, np.power(scaled, a))
+        for run in want:  # the exponents of w~ a run sums, q a
+            exponents = [q * a for powers, a in run for q in powers]
+            assert len(set(exponents)) == len(exponents)
         asked.clear()
 
 
@@ -630,17 +704,36 @@ def test_series_needs_weights_below_one(s):
     assert search._series_coefficients(s, 10**6) is None
 
 
+# The sums over each mode's cells (out "i") or over its k at each theta (out "it").
+_OUT = {(1, 2): "i", (2,): "it"}
+
+
+def _densities(dens):
+    """The (n, g_theta, g_k) densities of a (profile, k_table) pair."""
+    profile, k_table = dens
+    return k_table if profile is None else profile[:, :, None] * k_table
+
+
+def _density_pairs(rng, shape):
+    """|g|^2 > 0 on (n, g_theta, g_k) cells as a run reads it: a theta profile
+    times a k row, and the full stack with no profile."""
+    n, gt, gk = shape
+    return [(rng.uniform(0.2, 1.0, (n, gt)), rng.uniform(0.2, 1.0, (n, 1, gk))),
+            (None, rng.uniform(0.2, 1.0, shape))]
+
+
 def _series_inputs(seed):
-    """(psq, sq) stacks of shape (3, 4, 5) like a run's: |g_i|^2 > 0 and
-    squared scaled weights in [0, 1] with each mode's largest exactly 1."""
+    """Both density pairs and sq on (3, 4, 5) stacks like a run's: squared
+    scaled weights in [0, 1] with each mode's largest exactly 1."""
     rng = np.random.default_rng(seed)
     sq = rng.uniform(0.0, 1.0, (3, 4, 5))
     sq[:, 1, 2] = 1.0
-    return rng.uniform(0.2, 1.0, (3, 4, 5)), sq
+    return _density_pairs(rng, sq.shape), sq
 
 
-def _assert_series_powers(psq, sq, n_terms, axes):
-    got = search._series_powers(psq, sq, n_terms, axes)
+def _assert_series_powers(dens, sq, n_terms, axes):
+    got = search._series_powers(dens, sq, n_terms, _OUT[axes])
+    psq = _densities(dens)
     want = np.array([(psq * sq**j).sum(axis=axes) for j in range(n_terms)])
     assert got.shape == want.shape == (n_terms,) + psq.shape[: axes[0]]
     assert np.all(np.abs(got - want) <= 1e-14 * want)
@@ -651,8 +744,11 @@ def _assert_series_powers(psq, sq, n_terms, axes):
 def test_series_powers_match_naive_sums(axes, n_terms):
     # Term 0 alone, one baby step (B = 1), K - 1 = 2 x 1, 4 x 4 and 7 x 6
     # steps past term 0 (K = 3, 17, 43) and counts that leave the last giant
-    # step's baby steps partly unused (K = 16, 23), in one block of giant steps.
-    _assert_series_powers(*_series_inputs(n_terms), n_terms, axes)
+    # step's baby steps partly unused (K = 16, 23), in one block of giant
+    # steps; densities factored and full.
+    pairs, sq = _series_inputs(n_terms)
+    for dens in pairs:
+        _assert_series_powers(dens, sq, n_terms, axes)
 
 
 @pytest.mark.parametrize("axes", [(1, 2), (2,)])
@@ -661,15 +757,16 @@ def test_series_powers_in_several_giant_blocks(monkeypatch, axes, rows):
     # A buffer of `rows` stacks: B = 1 (sq itself) for rows <= 2, else B
     # capped at rows - 1, so 42 steps past term 0 take 6 to 42 blocks; the
     # buffer stays within the cap (one stack when rows = 1).
-    psq, sq = _series_inputs(rows)
-    monkeypatch.setattr(search, "_STREAM_CELLS", rows * psq.size)
-    _assert_series_powers(psq, sq, 43, axes)
-    tracemalloc.start()
-    search._series_powers(psq, sq, 43, axes)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    out_bytes = 8 * (43 + rows) * psq[..., 0].size  # at most B - 1 rows past term K - 1
-    assert peak <= 8 * rows * psq.size + out_bytes + 2048
+    pairs, sq = _series_inputs(rows)
+    monkeypatch.setattr(search, "_STREAM_CELLS", rows * sq.size)
+    out_bytes = 8 * (43 + rows) * sq[..., 0].size  # at most B - 1 rows past term K - 1
+    for dens in pairs:
+        _assert_series_powers(dens, sq, 43, axes)
+        tracemalloc.start()
+        search._series_powers(dens, sq, 43, _OUT[axes])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 8 * rows * sq.size + out_bytes + 2048
 
 
 @pytest.mark.parametrize("axes", [(1, 2), (2,)])
@@ -678,27 +775,29 @@ def test_series_powers_peak_does_not_depend_on_the_term_count(axes):
     # bytes whatever split of K = 13 to 62 into 4 to 8 baby steps and their
     # giant steps, so past the output the peak is the same for every K.
     rng = np.random.default_rng(5)
-    psq, sq = rng.uniform(0.2, 1.0, (2, 2, 24, 24))
-    search._series_powers(psq, sq, 13, axes)
-    rest = []
-    for n_terms in (13, 23, 29, 43, 49, 62):
-        tracemalloc.start()
-        got = search._series_powers(psq, sq, n_terms, axes)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        rest.append(peak - got.base.nbytes)
-    assert max(rest) - min(rest) < 1024
-    assert max(rest) <= 8 * 12 * psq.size + 2048
+    sq = rng.uniform(0.2, 1.0, (2, 24, 24))
+    for dens in _density_pairs(rng, sq.shape):
+        search._series_powers(dens, sq, 13, _OUT[axes])
+        rest = []
+        for n_terms in (13, 23, 29, 43, 49, 62):
+            tracemalloc.start()
+            got = search._series_powers(dens, sq, n_terms, _OUT[axes])
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            rest.append(peak - got.base.nbytes)
+        assert max(rest) - min(rest) < 1024
+        assert max(rest) <= 8 * 12 * sq.size + 2048
 
 
 @pytest.mark.parametrize("powers", [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2), (2, 0),
                                     (2, 1), (2, 1, 0), (1, 1)])
 def test_weight_powers_match_numpy_power(monkeypatch, powers):
-    # Per-mode sums of psq x^q, per mode and per theta value, in the order
-    # asked, on stacks of 480 bytes, 6 kB and 16 kB.  Each sum is within
-    # 1e-13 of the sum of its terms' magnitudes, the scale of the rounding of
-    # a sum whose terms change sign.  No einsum of the sums or of a run takes
-    # more than three inputs, far below numpy 1.x's limit of 32 operands.
+    # Per-mode sums of |g|^2 x^q, per mode and per theta value, in the order
+    # asked, on stacks of 480 bytes, 6 kB and 16 kB, with densities factored
+    # and full.  Each sum is within 1e-13 of the sum of its terms'
+    # magnitudes, the scale of the rounding of a sum whose terms change sign.
+    # No einsum of the sums or of a run takes more than three inputs, far
+    # below numpy 1.x's limit of 32 operands.
     inputs = []
     einsum = np.einsum
 
@@ -711,12 +810,13 @@ def test_weight_powers_match_numpy_power(monkeypatch, powers):
     for shape in ((3, 4, 5), (3, 16, 16), (2, 32, 32)):
         scaled = rng.uniform(-1.0, 1.0, shape)
         scaled[:, 0, 0] = 1.0
-        psq = rng.uniform(0.2, 1.0, shape)
-        for out, axes in (("i", (1, 2)), ("it", (2,))):
-            for q, got in zip(powers, search._weight_powers(psq, scaled, powers, out), strict=True):
-                want = (psq * scaled**q).sum(axis=axes)
-                assert got.shape == want.shape
-                assert np.all(np.abs(got - want) <= 1e-13 * (psq * np.abs(scaled) ** q).sum(axis=axes))
+        for dens in _density_pairs(rng, shape):
+            psq = _densities(dens)
+            for out, axes in (("i", (1, 2)), ("it", (2,))):
+                for q, got in zip(powers, search._weight_powers(dens, scaled, powers, out), strict=True):
+                    want = (psq * scaled**q).sum(axis=axes)
+                    assert got.shape == want.shape
+                    assert np.all(np.abs(got - want) <= 1e-13 * (psq * np.abs(scaled) ** q).sum(axis=axes))
     grid = make_grid(2, 8, 8)
     for r, use_dilation in ((0, False), (3, False), (40, False), (1, True), (2, True)):
         run_search(SearchConfig(2, 8, 8, gaussian_envs(2), TargetSpec.bits("10"),

@@ -336,18 +336,57 @@ def _density_envs(grid):
     ]
 
 
+def _density_stack(dens):
+    """The (n, g_theta, g_k) densities of an envelope_densities pair."""
+    profile, k_table = dens
+    return k_table if profile is None else profile[:, :, None] * k_table
+
+
 @pytest.mark.parametrize("g_theta, g_k", [(8, 8), (5, 12), (32, 32), (1, 1)])
 def test_densities_match_squared_tables(g_theta, g_k):
     # Each envelope's density is |table_for|^2 within 1e-15 of its peak, whether
-    # it comes with the other envelopes (one pass over the gaussians) or alone.
+    # it comes with the other envelopes (a tabulated one among them, so the
+    # full stack) or alone (a theta profile times a k row but for a tabulated
+    # envelope); the two agree bit for bit.
     grid = make_grid(1, g_theta, g_k)
     envs = _density_envs(grid)
-    together = envelope_densities(envs, grid)
+    profile, together = envelope_densities(envs, grid)
+    assert profile is None and together.shape == (len(envs), g_theta, g_k)
     for env, got in zip(envs, together):
         want = np.abs(env.table_for(grid)) ** 2
         assert float(np.sum(want)) * grid.d_theta * grid.d_k == pytest.approx(1.0, rel=1e-14)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want)
-        assert np.array_equal(envelope_densities([env], grid)[0], got)
+        alone = envelope_densities([env], grid)
+        assert (alone[0] is None) == (env.kind == "tabulated")
+        assert np.array_equal(_density_stack(alone)[0], got)
+
+
+@pytest.mark.parametrize("g_theta, g_k", [(8, 8), (5, 12), (1, 1)])
+def test_separable_densities_are_a_theta_profile_times_a_k_row(g_theta, g_k):
+    # Gaussian and constant envelopes together: (n, g_theta) squared theta
+    # profiles and (n, 1, g_k) k rows, whose product is |table_for|^2 within
+    # 1e-15 of its peak, and within 2 ulp for the constant envelope.
+    grid = make_grid(1, g_theta, g_k)
+    envs = [env for env in _density_envs(grid) if env.kind != "tabulated"]
+    profile, k_table = envelope_densities(envs, grid)
+    assert profile.shape == (len(envs), g_theta) and k_table.shape == (len(envs), 1, g_k)
+    for env, got in zip(envs, _density_stack((profile, k_table))):
+        want = np.abs(env.table_for(grid)) ** 2
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want)
+        if env.kind == "constant":
+            assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
+
+
+def test_a_tabulated_envelope_makes_the_stack_full():
+    # A gaussian and a tabulated mode: no profile, and the full (2, g_theta,
+    # g_k) stack, the gaussian's mode its profile times its k row.
+    grid = make_grid(1, 5, 12)
+    gauss = EnvelopeSpec.gaussian(1.3, 0.4, 0.7, 0.2)
+    table = EnvelopeSpec.tabulated(np.arange(60.0).reshape(5, 12) + 1j)
+    profile, stack = envelope_densities([gauss, table], grid)
+    assert profile is None and stack.shape == (2, 5, 12)
+    assert np.array_equal(stack[0], _density_stack(envelope_densities([gauss], grid))[0])
+    assert np.max(np.abs(stack[1] - np.abs(table.table_for(grid)) ** 2)) <= 1e-15 * np.max(stack[1])
 
 
 @pytest.mark.parametrize(

@@ -352,21 +352,14 @@ def _weight_powers(dens: tuple, x: np.ndarray, powers: Sequence[int], out: str) 
     three inputs against k_table, which forms the products cell by cell (a k
     row broadcasts over theta with no copy); where there is a profile, the
     einsum sums to per-theta values, which the profile multiplies once before
-    any sum over theta.  A per-mode total of x^0 or x^1 against a profile
-    takes no per-theta row: one einsum of the two factors, or
-    profile @ x @ k row, two small matmuls."""
+    any sum over theta."""
     profile, k_table = dens
     if profile is None:
         return [np.einsum(_POWER_SUBSCRIPTS[out][q], *[x] * q, k_table) for q in powers]
     sums = []
     for q in powers:
-        if out == "i" and q == 0:
-            sums.append(np.einsum("it,itk->i", profile, k_table))
-        elif out == "i" and q == 1:
-            sums.append((profile[:, None, :] @ x @ k_table.transpose(0, 2, 1)).reshape(-1))
-        else:
-            s = np.multiply(np.einsum(_POWER_SUBSCRIPTS["it"][q], *[x] * q, k_table), profile)
-            sums.append(s if out == "it" else np.add.reduce(s, axis=1))
+        s = np.multiply(np.einsum(_POWER_SUBSCRIPTS["it"][q], *[x] * q, k_table), profile)
+        sums.append(s if out == "it" else np.add.reduce(s, axis=1))
     return sums
 
 
@@ -507,7 +500,7 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     (_search_vector), whose v[0] every class reads on its targets and v[-1]
     on its other strings, scaled[i] mode i's weights on the envelope support
     divided by their largest |w_i|, w~_i (w = 2^w_log2 prod_i w~_i there),
-    raised in place to w~_i^r after a plain run and to w~_i^2 after a
+    raised in place to w~_i^r after a plain run and to w~_i^2 after an odd
     dilated one,
     norms[b] the squared norm of readout branch b, sums[b] = (s1, s2, e) its
     per-class sums in scaled form (sum |P|^2 f = s1 2^(e/2),
@@ -531,8 +524,9 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     stack, or the full stack where an envelope is tabulated.  Each exponent of
     w~ is summed once, each sum one contraction of at most three inputs
     against the k rows or the stack (to per-mode totals for a constant
-    target), times the profile where there is one: those below the power of
-    w~ the run keeps from w~, the others from that power, raised in place.
+    target), times the profile where there is one: a dilated run's all from
+    w~, a plain run's those below r from w~ and the others from w~^r, raised
+    in place.
     Each mode's largest scaled weight is +-1, so no power of the scaled
     weights vanishes and none overflows.  The weight scale 2^(p w_log2)
     cancels in the overlaps and enters only the norms and the range checks,
@@ -574,20 +568,18 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     w_log2 = math.log2(peak) if peak > 0 else -math.inf
 
     # Per-class sums of |P|^2 w~^e, each exponent e once.  The mass reads
-    # e = 2; the main branch, f = w^p, reads e = p and 2 p.  The scaled
-    # weights are raised in place to the power the run keeps: w~^r for a plain
-    # run (final_state reads it), w~^2 for a dilated one (the series and the
-    # stream read it).  The exponents below it are read straight from w~ (all
-    # of them where it is 0 or 1); the others, keep and 2 keep (only 2 for a
-    # dilated run), as the powers 1 and 2 of the raised stack.
+    # e = 2; the main branch, f = w^p, reads e = p and 2 p.  A plain run
+    # raises the scaled weights in place to w~^r, which final_state reads; the
+    # exponents below r are read straight from w~ (all of them where r <= 1),
+    # the others, r and 2 r, as the powers 1 and 2 of the raised stack.  A
+    # dilated run (p = r % 2) reads all of its exponents from w~.
     p = r % 2 if cfg.use_dilation else r
-    keep = 2 if cfg.use_dilation else r
     out = "i" if bits is None else "it"
     wanted = sorted({2, p, 2 * p})
-    cut = len(wanted) if keep <= 1 else wanted.index(keep)
+    cut = len(wanted) if cfg.use_dilation or r <= 1 else wanted.index(r)
     per_power = _weight_powers(dens, scaled, wanted[:cut], out) if cut else []
-    if keep != 1:
-        np.power(scaled, keep, out=scaled)
+    if not cfg.use_dilation and r != 1:
+        np.power(scaled, r, out=scaled)
     if cut < len(wanted):
         per_power += _weight_powers(dens, scaled, (1, 2)[: len(wanted) - cut], out)
     mass_at, main_at = wanted.index(2), (wanted.index(p), wanted.index(2 * p))
@@ -614,14 +606,16 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
             # The series when its K terms, n g_theta g_k floats each, cost less
             # than the stream's g_theta^n g_k^n cells; the stream otherwise.
             coefs = _series_coefficients(peak * peak, (scaled[0].size**n - 1) // scaled.size)
+            # Both read the squared weights; nothing reads w~ after them.
+            sq = np.square(scaled, out=scaled)
             if coefs is None:
                 index = ops.class_index(bits, rows, grid)
-                f1, f2 = _streamed_branch(dens, scaled, peak, index, len(rows))
+                f1, f2 = _streamed_branch(dens, sq, peak, index, len(rows))
             else:
                 if bits is None:
-                    terms = _series_powers(dens, scaled, len(coefs), out).prod(axis=1)[:, None]
+                    terms = _series_powers(dens, sq, len(coefs), out).prod(axis=1)[:, None]
                 else:
-                    per_theta = _series_powers(dens, scaled, len(coefs), out)
+                    per_theta = _series_powers(dens, sq, len(coefs), out)
                     terms, exps = _pattern_sums(per_theta, onehot, pattern_bits)
                     terms = np.ldexp(terms, np.array(exps)[:, None])
                 f1 = (np.array(coefs) @ terms).tolist()

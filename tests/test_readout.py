@@ -33,6 +33,8 @@ from mvgrover.errors import CapacityExceeded, WeightOutOfRange, ZeroNorm
 from mvgrover.kernel import joint_table
 from mvgrover.verify import _branch_hit, _dense_run
 
+from helpers import density_stack
+
 TARGETS = {
     "single": lambda n: TargetSpec.bits("1" * n),
     "multi": lambda n: TargetSpec.multi(["0" * n, "1" + "0" * (n - 1)]),
@@ -456,7 +458,7 @@ def test_run_holds_two_per_mode_stacks(monkeypatch, envelope, weights, run):
     # |g_i|^2 where an envelope is tabulated (gaussian and constant densities
     # are a theta profile times a k row, far smaller); an odd dilated run's
     # series holds one more stack at (2, 64, 64), where one stack exceeds half
-    # the cap.  Two stacks read 2.05-2.19, one 1.09-1.22 (1.0 is the weights).
+    # the cap.  Two stacks read 2.05-2.19, one 1.12-1.22 (1.0 is the weights).
     r, use_dilation, bound, target, tabulated_allowed, allowed = _FOOTPRINT_RUNS[run]
     monkeypatch.setattr(search, "_streamed_branch", _no_stream)
     n, g = 2, 64
@@ -619,14 +621,13 @@ def test_separable_envelopes_match_dense_loop(monkeypatch, envelope, kind):
 @pytest.mark.parametrize("kind", sorted(TARGETS))
 def test_runs_ask_only_for_the_weight_powers_they_read(monkeypatch, kind):
     # The mass reads the exponent 2 of the scaled weights w~ and the main
-    # branch, f = w^p, the exponents p and 2 p, each summed once.  The run
-    # raises w~ in place to the power it keeps, w~^2 for a dilated run
-    # (p = r % 2) and w~^r for a plain one, and reads the exponents below it
-    # from w~ (all of them at r <= 1), the others as powers of the raised
-    # stack: a dilated run reads p of w~, then 1 of w~^2; a plain run at r = 2
-    # reads 1 and 2 of w~^2, and at r > 2 reads 2 of w~, then 1 and 2 of
-    # w~^r.  An odd dilated run's ancilla-0 branch takes sum |P|^2 from its
-    # series or its stream, with no power 0.
+    # branch, f = w^p, the exponents p and 2 p, each summed once.  A dilated
+    # run (p = r % 2) reads p and 2 of w~ in one call.  A plain run raises w~
+    # in place to w~^r and reads the exponents below r from w~ (all of them at
+    # r <= 1), the others as powers of the raised stack: at r = 2 it reads 1
+    # and 2 of w~^2, at r > 2 it reads 2 of w~, then 1 and 2 of w~^r.  An odd
+    # dilated run's ancilla-0 branch takes sum |P|^2 from its series or its
+    # stream, with no power 0.
     asked, weight_powers = [], search._weight_powers
 
     def spy(dens, x, powers, out):
@@ -645,7 +646,7 @@ def test_runs_ask_only_for_the_weight_powers_they_read(monkeypatch, kind):
             run_search(cfg)
         run_search(SearchConfig(2, 8, 8, cfg.envelopes, cfg.target, zetas=cfg.zetas, iterations=r))
         # (powers asked, the power a of w~ they are asked of), run by run.
-        dilated = [((r % 2,), 1), ((1,), 2)]
+        dilated = [(tuple(sorted({r % 2, 2})), 1)]
         plain = {0: [((0, 2), 1)], 1: [((1, 2), 1)], 2: [((1, 2), 2)]}.get(r, [((2,), 1), ((1, 2), r)])
         want = [dilated, dilated, plain]
         assert [q for q, _ in asked] == [q for run in want for q, _ in run]
@@ -704,16 +705,6 @@ def test_series_needs_weights_below_one(s):
     assert search._series_coefficients(s, 10**6) is None
 
 
-# The sums over each mode's cells (out "i") or over its k at each theta (out "it").
-_OUT = {(1, 2): "i", (2,): "it"}
-
-
-def _densities(dens):
-    """The (n, g_theta, g_k) densities of a (profile, k_table) pair."""
-    profile, k_table = dens
-    return k_table if profile is None else profile[:, :, None] * k_table
-
-
 def _density_pairs(rng, shape):
     """|g|^2 > 0 on (n, g_theta, g_k) cells as a run reads it: a theta profile
     times a k row, and the full stack with no profile."""
@@ -731,9 +722,12 @@ def _series_inputs(seed):
     return _density_pairs(rng, sq.shape), sq
 
 
+# A sum over the trailing axes `axes` keeps the leading axes[0] axes of a
+# stack, mode and theta: out "it"[: axes[0]] of _series_powers and
+# _weight_powers.
 def _assert_series_powers(dens, sq, n_terms, axes):
-    got = search._series_powers(dens, sq, n_terms, _OUT[axes])
-    psq = _densities(dens)
+    got = search._series_powers(dens, sq, n_terms, "it"[: axes[0]])
+    psq = density_stack(dens)
     want = np.array([(psq * sq**j).sum(axis=axes) for j in range(n_terms)])
     assert got.shape == want.shape == (n_terms,) + psq.shape[: axes[0]]
     assert np.all(np.abs(got - want) <= 1e-14 * want)
@@ -763,7 +757,7 @@ def test_series_powers_in_several_giant_blocks(monkeypatch, axes, rows):
     for dens in pairs:
         _assert_series_powers(dens, sq, 43, axes)
         tracemalloc.start()
-        search._series_powers(dens, sq, 43, _OUT[axes])
+        search._series_powers(dens, sq, 43, "it"[: axes[0]])
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak <= 8 * rows * sq.size + out_bytes + 2048
@@ -777,11 +771,11 @@ def test_series_powers_peak_does_not_depend_on_the_term_count(axes):
     rng = np.random.default_rng(5)
     sq = rng.uniform(0.2, 1.0, (2, 24, 24))
     for dens in _density_pairs(rng, sq.shape):
-        search._series_powers(dens, sq, 13, _OUT[axes])
+        search._series_powers(dens, sq, 13, "it"[: axes[0]])
         rest = []
         for n_terms in (13, 23, 29, 43, 49, 62):
             tracemalloc.start()
-            got = search._series_powers(dens, sq, n_terms, _OUT[axes])
+            got = search._series_powers(dens, sq, n_terms, "it"[: axes[0]])
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             rest.append(peak - got.base.nbytes)
@@ -811,8 +805,9 @@ def test_weight_powers_match_numpy_power(monkeypatch, powers):
         scaled = rng.uniform(-1.0, 1.0, shape)
         scaled[:, 0, 0] = 1.0
         for dens in _density_pairs(rng, shape):
-            psq = _densities(dens)
-            for out, axes in (("i", (1, 2)), ("it", (2,))):
+            psq = density_stack(dens)
+            for axes in ((1, 2), (2,)):
+                out = "it"[: axes[0]]
                 for q, got in zip(powers, search._weight_powers(dens, scaled, powers, out), strict=True):
                     want = (psq * scaled**q).sum(axis=axes)
                     assert got.shape == want.shape

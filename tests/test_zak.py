@@ -17,6 +17,7 @@ from mvgrover import (
     zak_forward,
     zak_inverse,
 )
+import mvgrover.zak as zak_module
 from mvgrover.zak import envelope_densities
 from mvgrover.errors import (
     LatticeMisaligned,
@@ -24,6 +25,8 @@ from mvgrover.errors import (
     WindowTooSmall,
     ZeroNorm,
 )
+
+from helpers import density_stack
 
 
 def plane_wave(momentum, grid, n_win):
@@ -336,12 +339,6 @@ def _density_envs(grid):
     ]
 
 
-def _density_stack(dens):
-    """The (n, g_theta, g_k) densities of an envelope_densities pair."""
-    profile, k_table = dens
-    return k_table if profile is None else profile[:, :, None] * k_table
-
-
 @pytest.mark.parametrize("g_theta, g_k", [(8, 8), (5, 12), (32, 32), (1, 1)])
 def test_densities_match_squared_tables(g_theta, g_k):
     # Each envelope's density is |table_for|^2 within 1e-15 of its peak, whether
@@ -358,7 +355,7 @@ def test_densities_match_squared_tables(g_theta, g_k):
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want)
         alone = envelope_densities([env], grid)
         assert (alone[0] is None) == (env.kind == "tabulated")
-        assert np.array_equal(_density_stack(alone)[0], got)
+        assert np.array_equal(density_stack(alone)[0], got)
 
 
 @pytest.mark.parametrize("g_theta, g_k", [(8, 8), (5, 12), (1, 1)])
@@ -370,7 +367,7 @@ def test_separable_densities_are_a_theta_profile_times_a_k_row(g_theta, g_k):
     envs = [env for env in _density_envs(grid) if env.kind != "tabulated"]
     profile, k_table = envelope_densities(envs, grid)
     assert profile.shape == (len(envs), g_theta) and k_table.shape == (len(envs), 1, g_k)
-    for env, got in zip(envs, _density_stack((profile, k_table))):
+    for env, got in zip(envs, density_stack((profile, k_table))):
         want = np.abs(env.table_for(grid)) ** 2
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want)
         if env.kind == "constant":
@@ -385,8 +382,35 @@ def test_a_tabulated_envelope_makes_the_stack_full():
     table = EnvelopeSpec.tabulated(np.arange(60.0).reshape(5, 12) + 1j)
     profile, stack = envelope_densities([gauss, table], grid)
     assert profile is None and stack.shape == (2, 5, 12)
-    assert np.array_equal(stack[0], _density_stack(envelope_densities([gauss], grid))[0])
+    assert np.array_equal(stack[0], density_stack(envelope_densities([gauss], grid))[0])
     assert np.max(np.abs(stack[1] - np.abs(table.table_for(grid)) ** 2)) <= 1e-15 * np.max(stack[1])
+
+
+@pytest.mark.parametrize("kinds", ["ggg", "gcg", "cc", "gtgc", "tct", "tt"])
+def test_densities_take_one_gaussian_pass(monkeypatch, kinds):
+    # Gaussian (g), constant (c) and tabulated (t) modes in any mix: the
+    # gaussians take one gaussian_axes pass between them (none without a
+    # gaussian), and each mode's density is the one it has alone, bit for bit.
+    grid = make_grid(1, 6, 9)
+    specs = {
+        "g": lambda i: EnvelopeSpec.gaussian(1.0 + 0.3 * i, 0.4 + 0.05 * i, 0.6, 0.2),
+        "c": lambda i: EnvelopeSpec.constant(),
+        "t": lambda i: EnvelopeSpec.tabulated(np.arange(54.0).reshape(6, 9) + 1j * i),
+    }
+    envs = [specs[kind](i) for i, kind in enumerate(kinds)]
+    alone = [density_stack(envelope_densities([env], grid))[0] for env in envs]
+    passes, gaussian_axes = [], zak_module.gaussian_axes
+
+    def spy(spec_list, g):
+        passes.append(len(spec_list))
+        return gaussian_axes(spec_list, g)
+
+    monkeypatch.setattr(zak_module, "gaussian_axes", spy)
+    dens = envelope_densities(envs, grid)
+    assert len(passes) == ("g" in kinds)
+    assert (dens[0] is None) == ("t" in kinds)
+    for want, got in zip(alone, density_stack(dens), strict=True):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize(

@@ -109,9 +109,10 @@ def check_capacity(grid: ModularGrid) -> None:
     """CapacityExceeded unless four dense states fit in physical memory.
 
     Runs and state builds take the grid from SearchConfig.grid before any
-    grid-sized array exists.  A run holds only a few theta_1 slices of its
-    cell tables; final_state and the list that `state save` writes build one
-    state, the dense oracle loop about two.
+    grid-sized array exists.  A run holds per-mode stacks of n g_theta g_k
+    floats, and only its stream a theta_1 slice of the cells; final_state and
+    the list that `state save` writes build one state, the dense oracle loop
+    about two.
     """
     state_bytes = 16 * math.prod(grid.cell_shape + grid.band_shape)
     if 4 * state_bytes > _PHYSICAL_BYTES:

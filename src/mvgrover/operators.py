@@ -58,7 +58,7 @@ class TargetSpec:
                 raise ValueError("need at least one target string")
             n = len(strings[0])
             for s in strings:
-                if len(s) != n or any(b not in (0, 1) for b in s):
+                if len(s) != n or not s or any(b not in (0, 1) for b in s):
                     raise ValueError(f"malformed target string {s}")
             if len(set(strings)) != len(strings):
                 raise DuplicateTarget(f"target strings must be distinct: {strings}")

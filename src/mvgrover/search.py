@@ -338,10 +338,9 @@ def _pattern_sums(per_theta: np.ndarray, onehot: np.ndarray, pattern_bits: np.nd
     return per_bit[:, np.arange(n), pattern_bits].prod(axis=2), exps.sum(axis=1).tolist()
 
 
-# The subscripts of x repeated q times, then the k table, for q = 0, 1 and 2 and each
-# output ("i" per mode, "it" per theta value).
-_POWER_SUBSCRIPTS = {out: [",".join(["itk"] * (q + 1)) + "->" + out for q in range(3)]
-                     for out in ("i", "it")}
+# The subscripts of x repeated q times, then the k table, summed over k, for
+# q = 0, 1 and 2.
+_POWER_SUBSCRIPTS = [",".join(["itk"] * (q + 1)) + "->it" for q in range(3)]
 
 
 def _weight_powers(dens: tuple, x: np.ndarray, powers: Sequence[int], out: str) -> list:
@@ -349,16 +348,13 @@ def _weight_powers(dens: tuple, x: np.ndarray, powers: Sequence[int], out: str) 
     each mode's cells (out "i") or over each mode's k at each theta value
     (out "it"), in the order asked; dens = (profile, k_table) as
     zak.envelope_densities gives them.  Each power is one einsum of at most
-    three inputs against k_table, which forms the products cell by cell (a k
-    row broadcasts over theta with no copy); where there is a profile, the
-    einsum sums to per-theta values, which the profile multiplies once before
-    any sum over theta."""
+    three inputs against k_table to per-theta sums, which forms the products
+    cell by cell (a k row broadcasts over theta with no copy), times the
+    profile, then summed over theta for per-mode totals."""
     profile, k_table = dens
-    if profile is None:
-        return [np.einsum(_POWER_SUBSCRIPTS[out][q], *[x] * q, k_table) for q in powers]
     sums = []
     for q in powers:
-        s = np.multiply(np.einsum(_POWER_SUBSCRIPTS["it"][q], *[x] * q, k_table), profile)
+        s = np.multiply(np.einsum(_POWER_SUBSCRIPTS[q], *[x] * q, k_table), profile)
         sums.append(s if out == "it" else np.add.reduce(s, axis=1))
     return sums
 
@@ -428,10 +424,7 @@ def _series_powers(dens: tuple, sq: np.ndarray, n_terms: int, out: str) -> np.nd
         step, baby = sq, sq.reshape(n_groups, -1, 1)
     # Written before the terms exist, so the einsum's own small allocations
     # add nothing to the peak.
-    if profile is None:
-        buf[own] = k_table
-    else:
-        np.einsum("it,itk->itk", profile, k_table, out=buf[own])
+    np.einsum("it,itk->itk", profile, k_table, out=buf[own])
     terms = np.empty((1 + giants * base,) + groups)
     np.add.reduce(buf[own], axis=tuple(range(len(out), 3)), out=terms[0])
     for lo in range(0, giants, block):
@@ -450,9 +443,11 @@ def _series_powers(dens: tuple, sq: np.ndarray, n_terms: int, out: str) -> np.nd
 def _streamed_branch(dens: tuple, sq, scale: float, index: np.ndarray, n_classes: int) -> tuple:
     """Per class, the sums of |P|^2 w' and of |P|^2 w'^2 over its cells, as lists,
     w' = sqrt(1 - w^2) the ancilla-0 factor of an odd dilated run, which is no
-    product over modes.  Reads the full (n, g_theta, g_k) stack of |g_i|^2,
-    built with einsum from dens = (profile, k_table) where it is factored:
-    one stack beside the chunk buffer the stream takes anyway.
+    product over modes.  Reads the two factors of dens = (profile, k_table)
+    as they are: the joint |P|^2 of modes 1..n-1 from their product, mode 0's
+    k rows through a view broadcast over theta, and mode 0's profile as one
+    multiply of the per-theta sums, so no (n, g_theta, g_k) density stack is
+    built.
 
     w^2 = scale^2 prod_i sq[i] is built from the squares of the run's scaled
     weights (each at most 1, scale = prod_i max |w_i| <= 1 + 1e-12 by the
@@ -462,13 +457,13 @@ def _streamed_branch(dens: tuple, sq, scale: float, index: np.ndarray, n_classes
     in chunks of whole theta_1 slices through one buffer, then pairwise over
     each class's theta cells (a sequential sum over 12^3 of them is off by 3e-14).
     """
-    profile, psq = dens
-    if profile is not None:
-        psq = np.einsum("it,itk->itk", profile, psq)
-    psq_rest = joint_table(psq[1:])  # (theta cells, k cells) of modes 1..n-1
+    profile, k_table = dens
+    # (theta cells, k cells) of modes 1..n-1
+    psq_rest = joint_table(profile[1:, :, None] * k_table[1:])
     wsq_rest = joint_table(sq[1:]).reshape(-1)
     wsq_first = sq[0] * (scale * scale)
     g_theta, g_k = wsq_first.shape
+    k_first = np.broadcast_to(k_table[0], (g_theta, g_k))
     chunk = min(g_theta, max(1, _STREAM_CELLS // (g_k * psq_rest.size)))
     buf = np.empty((chunk, g_k, psq_rest.size))  # (theta_1, k_1, cells of modes 1..n-1)
     per_theta = np.empty((2, g_theta, psq_rest.shape[0]))  # sums of w'^2, then of w'
@@ -482,9 +477,11 @@ def _streamed_branch(dens: tuple, sq, scale: float, index: np.ndarray, n_classes
         for i, sums in enumerate(per_theta):
             if i:
                 np.sqrt(b, out=b)
-            # |P|^2 = psq[0][theta_1, k_1] psq_rest[t, k]: contracted over k_1, then over k.
-            over_k1 = np.matmul(psq[0, lo:hi, None, :], b).reshape((hi - lo,) + psq_rest.shape)
+            # |P|^2 / profile[0][theta_1] = k_first[theta_1, k_1] psq_rest[t, k]:
+            # contracted over k_1, then over k.
+            over_k1 = np.matmul(k_first[lo:hi, None, :], b).reshape((hi - lo,) + psq_rest.shape)
             np.einsum("jtk,tk->jt", over_k1, psq_rest, out=sums[lo:hi])
+    per_theta *= profile[0, :, None]  # mode 0's theta profile, per theta_1
     order = np.argsort(index, kind="stable")
     starts = np.searchsorted(index[order], np.arange(n_classes))
     f2, f1 = (np.add.reduceat(sums.reshape(-1)[order], starts).tolist() for sums in per_theta)
@@ -519,14 +516,15 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     interval bits spell its string), so its sums are products of per-mode
     sums: O(n g_theta g_k) work, no cell-sized array.  The per-mode inputs are
     the scaled weights, a real (n, g_theta, g_k) stack, the one-hot interval
-    bits and |g_i|^2 as zak.envelope_densities gives it: a theta profile times
-    a k row for gaussian and constant envelopes, so a run of those holds one
-    stack, or the full stack where an envelope is tabulated.  Each exponent of
-    w~ is summed once, each sum one contraction of at most three inputs
-    against the k rows or the stack (to per-mode totals for a constant
-    target), times the profile where there is one: a dilated run's all from
-    w~, a plain run's those below r from w~ and the others from w~^r, raised
-    in place.
+    bits and |g_i|^2 as zak.envelope_densities gives it, always a theta
+    profile times a k table: k rows for gaussian and constant envelopes, so a
+    run of those holds one stack, or the full k table where an envelope is
+    tabulated.  Each exponent of w~ is summed once, each sum one contraction
+    of at most three inputs against the k table to per-theta sums, then
+    multiplied by the profile (and summed over theta for a constant target's
+    per-mode totals): a dilated run's all from w~, a plain run's those below
+    r from w~ and the others from w~^r, raised in place.  The support is
+    where both factors are nonzero.
     Each mode's largest scaled weight is +-1, so no power of the scaled
     weights vanishes and none overflows.  The weight scale 2^(p w_log2)
     cancels in the overlaps and enters only the norms and the range checks,
@@ -554,10 +552,9 @@ def _factored_run(cfg: SearchConfig) -> _FactoredRun:
     if not all(math.isfinite(m) for m in w_max):  # NaN or inf in some mode's table
         raise WeightOutOfRange("weights must be finite numbers")
     # The support is where both density factors are nonzero; each factor's
-    # zeros are masked in place, broadcast, so a factored density takes no
-    # stack-sized mask.
+    # zeros are masked in place, broadcast, so k rows take no stack-sized mask.
     profile, k_table = dens
-    for factor in (k_table,) if profile is None else (k_table, profile[:, :, None]):
+    for factor in (k_table, profile[:, :, None]):
         if np.count_nonzero(factor) < factor.size:
             np.copyto(scaled, 0.0, where=factor == 0)
             peaks = _abs_maxima(scaled)

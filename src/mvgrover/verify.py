@@ -32,6 +32,7 @@ from .search import (
     build_list,
     iteration_count,
     logical_overlaps,
+    per_cell_max_error,
     reference_qubit_grover,
     run_search,
     sum_over_targets,
@@ -264,19 +265,18 @@ def check_sum_over_targets():
 
 
 def check_per_cell_equivalence_n3():
-    envelopes = tuple(EnvelopeSpec.constant() for _ in range(3))
+    """The dense loop's evolved state, cell by cell, against the qubit search
+    of each cell's target class: gaussian envelopes and cosine weights give
+    the cells different P f factors, an interval target different classes."""
+    grid = make_grid(3, 3, 2)
+    target = TargetSpec.from_intervals([[(0.0, 1.0)], [(1.0, 2.0)], [(0.5, 3.0)]])
+    op = ops.grover_weighted(target, _cos_zetas(grid), grid)
+    state = build_list(_gaussian_envelopes(3), grid)
     for r in (1, 2):
-        cfg = SearchConfig(
-            n_modes=3,
-            g_theta=8,
-            g_k=8,
-            envelopes=envelopes,
-            target=TargetSpec.bits("101"),
-            iterations=r,
-        )
-        report = run_search(cfg)
-        if report.per_cell_max_error > 1e-12:
-            _fail(f"per-cell equivalence n=3 r={r}", report.per_cell_max_error, 1e-12)
+        state = ops.apply(op, state)
+        err = per_cell_max_error(state, target, r)
+        if not err <= 1e-12:
+            _fail(f"per-cell equivalence n=3 r={r}", err, 1e-12)
 
 
 def check_zak_roundtrip_sweep():

@@ -232,50 +232,38 @@ class EnvelopeSpec:
         return np.multiply.outer(rows[0], cols[0], dtype=np.complex128)
 
 
-def _separable_densities(envelopes, kinds, g: ModularGrid) -> tuple:
-    """(len(envelopes), g_theta) squared theta profiles and (len(envelopes),
-    1, g_k) squared k rows of gaussian and constant envelopes, kinds their
-    kinds: the gaussians' from one gaussian_axes pass, squared out of its
-    strided views into arrays of their own (a strided profile slows each
-    multiply by it), a constant's flat rows 1/(g_theta d_theta) and
-    1/(g_k d_k).  The pass takes every envelope, so its rows line up with
-    the modes: a constant's rows are those of the gaussian its default
-    fields give, then written over."""
-    if "gaussian" in kinds:
-        rows, cols = gaussian_axes(envelopes, g)
-        profile, k_rows = np.square(rows), np.square(cols)[:, None, :]
-    else:
-        profile, k_rows = np.empty((len(envelopes), g.g_theta)), np.empty((len(envelopes), 1, g.g_k))
-    for i, kind in enumerate(kinds):
-        if kind == "constant":
-            profile[i] = 1.0 / (g.g_theta * g.d_theta)
-            k_rows[i] = 1.0 / (g.g_k * g.d_k)
-    return profile, k_rows
-
-
 def envelope_densities(envelopes, grid: ModularGrid) -> tuple:
     """|g|^2 of each envelope as (profile, k_table), density
-    profile[:, :, None] * k_table.  Where every envelope is a gaussian or
-    constant, these are _separable_densities' theta profiles and k rows.
-    Where some envelope is tabulated, profile is None (read as 1) and k_table
-    the full real (len(envelopes), g_theta, g_k) stack, written in place with
-    no other array of its size: |table_for|^2 for the tabulated modes, the
-    product of the two rows of one _separable_densities call for the others."""
+    profile[:, :, None] * k_table: (len(envelopes), g_theta) squared theta
+    profiles and a k table of (len(envelopes), 1, g_k) squared k rows, or
+    the full (len(envelopes), g_theta, g_k) stack where some envelope is
+    tabulated, the degenerate case: a tabulated mode has a profile row of
+    exactly 1.0 and |table_for|^2 in the k table, and every other mode's k
+    row is repeated over theta there.  The gaussians' rows come from one
+    gaussian_axes pass, squared out of its strided views into arrays of their
+    own (a strided profile slows each multiply by it).  The pass takes every
+    envelope, so its rows line up with the modes: a constant or tabulated
+    mode's rows are those of the gaussian its default fields give, then
+    written over, a constant's with the flat 1/(g_theta d_theta) and
+    1/(g_k d_k)."""
     g = grid.single_mode()
     kinds = [env.kind for env in envelopes]
-    if "tabulated" not in kinds:
-        return _separable_densities(envelopes, kinds, g)
-    separable = [env for env in envelopes if env.kind != "tabulated"]
-    rows = zip(*_separable_densities(separable, [env.kind for env in separable], g)) if separable else None
-    out = np.empty((len(envelopes), g.g_theta, g.g_k))
-    for env, dens in zip(envelopes, out):
-        if env.kind == "tabulated":
-            np.abs(env.table_for(g), out=dens)
+    k_table = np.empty((len(envelopes), g.g_theta if "tabulated" in kinds else 1, g.g_k))
+    if "gaussian" in kinds:
+        rows, cols = gaussian_axes(envelopes, g)
+        profile = np.square(rows)
+        np.square(cols[:, None, :], out=k_table)
+    else:
+        profile = np.empty((len(envelopes), g.g_theta))
+    for i, env in enumerate(envelopes):
+        if env.kind == "constant":
+            profile[i] = 1.0 / (g.g_theta * g.d_theta)
+            k_table[i] = 1.0 / (g.g_k * g.d_k)
+        elif env.kind == "tabulated":
+            profile[i] = 1.0
+            dens = np.abs(env.table_for(g), out=k_table[i])
             np.square(dens, out=dens)
-        else:  # einsum, unlike a broadcast product, takes no ufunc buffers
-            row, (k_row,) = next(rows)
-            np.einsum("t,k->tk", row, k_row, out=dens)
-    return None, out
+    return profile, k_table
 
 
 @functools.cache

@@ -3,7 +3,6 @@
 
 def density_stack(dens):
     """The (n, g_theta, g_k) densities of a zak.envelope_densities pair
-    (profile, k_table): profile[:, :, None] * k_table, or k_table where
-    there is no profile."""
+    (profile, k_table): profile[:, :, None] * k_table."""
     profile, k_table = dens
-    return k_table if profile is None else profile[:, :, None] * k_table
+    return profile[:, :, None] * k_table

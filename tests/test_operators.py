@@ -226,6 +226,15 @@ def test_oracle_multi_target_and_duplicates():
         TargetSpec.multi(["01", "01"])
 
 
+def test_empty_target_string_is_malformed():
+    # A zero-mode string is refused when the target is made, before any
+    # band index is read from it.
+    for build in (lambda: TargetSpec.bits(""), lambda: TargetSpec.multi([""]),
+                  lambda: reference_qubit_grover(0, [""], 1)):
+        with pytest.raises(ValueError, match="malformed target string"):
+            build()
+
+
 # --- inversion about zero ---------------------------------------------------
 
 

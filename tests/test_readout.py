@@ -563,17 +563,21 @@ def _separable_envs(envelope, grid):
     """Three modes of gaussian or constant envelopes, whose densities a run
     holds as theta profiles times k rows; "narrow" mixes a constant with
     gaussians so narrow that their profiles are exactly 0 on some theta and
-    some k values."""
+    some k values.  "mixed" puts a complex tabulated envelope between a
+    gaussian and a constant, which makes the k table full."""
     if envelope == "constant":
         return (EnvelopeSpec.constant(),) * 3
     if envelope == "gaussian":
         return gaussian_envs(3)
+    if envelope == "mixed":
+        table = np.exp(1j * np.arange(grid.g_theta * grid.g_k)).reshape(grid.g_theta, grid.g_k)
+        return gaussian_envs(1) + (EnvelopeSpec.tabulated(table + 0.5), EnvelopeSpec.constant())
     theta, k = grid.theta_values(), grid.k_values()
     return (EnvelopeSpec.gaussian(theta[1], 0.5, 0.005, 0.25), EnvelopeSpec.constant(),
             EnvelopeSpec.gaussian(1.2, k[1], 0.8, 0.005))
 
 
-@pytest.mark.parametrize("envelope", ["gaussian", "constant", "narrow"])
+@pytest.mark.parametrize("envelope", ["gaussian", "constant", "narrow", "mixed"])
 @pytest.mark.parametrize("kind", sorted(TARGETS))
 def test_separable_envelopes_match_dense_loop(monkeypatch, envelope, kind):
     # Against the dense loop at 1e-12: plain runs at r = 0..3, even dilated
@@ -581,12 +585,13 @@ def test_separable_envelopes_match_dense_loop(monkeypatch, envelope, kind):
     # (weights reaching |w| = 1, so the series cannot converge).  With the
     # narrow envelopes, a plain run whose mode-0 weights are 1e300 off the
     # support and 1e-5 on it: scaled by the largest weight off the support,
-    # the weights on it would underflow.
+    # the weights on it would underflow.  The mixed envelopes take the full
+    # k table.
     n, gt, gk = 3, 4, 3
     grid = make_grid(n, gt, gk)
     envs = _separable_envs(envelope, grid.single_mode())
     profile, k_table = zak.envelope_densities(envs, grid.single_mode())
-    assert profile is not None and k_table.shape == (n, 1, gk)
+    assert profile.shape == (n, gt) and k_table.shape == (n, gt if envelope == "mixed" else 1, gk)
     rng = np.random.default_rng([len(kind), len(envelope)])
     target = TARGETS[kind](n)
     if envelope == "narrow":  # the support mask reads the zeros of both factors
@@ -707,10 +712,10 @@ def test_series_needs_weights_below_one(s):
 
 def _density_pairs(rng, shape):
     """|g|^2 > 0 on (n, g_theta, g_k) cells as a run reads it: a theta profile
-    times a k row, and the full stack with no profile."""
+    times a k row, and a profile of ones times the full stack."""
     n, gt, gk = shape
     return [(rng.uniform(0.2, 1.0, (n, gt)), rng.uniform(0.2, 1.0, (n, 1, gk))),
-            (None, rng.uniform(0.2, 1.0, shape))]
+            (np.ones((n, gt)), rng.uniform(0.2, 1.0, shape))]
 
 
 def _series_inputs(seed):
@@ -958,6 +963,14 @@ def _drawn_configs(draw):
 def test_drawn_runs_match_dense_loop(cfg):
     # The scalar tail of a run (float sums for one class, overlaps built
     # straight into the dict, the entry-by-entry check) against the dense loop.
+    # Weights drawn small enough leave a plain run's squared norm below the
+    # floor, where both refuse it with ZeroNorm.
+    try:
+        run_search(cfg)
+    except ZeroNorm:
+        with pytest.raises(ZeroNorm):
+            _dense_run(cfg, cfg.iterations)
+        return
     _assert_matches_dense_loop(cfg)
     assert run_search(cfg).per_cell_max_error <= 1e-12
 

@@ -343,18 +343,21 @@ def _density_envs(grid):
 def test_densities_match_squared_tables(g_theta, g_k):
     # Each envelope's density is |table_for|^2 within 1e-15 of its peak, whether
     # it comes with the other envelopes (a tabulated one among them, so the
-    # full stack) or alone (a theta profile times a k row but for a tabulated
-    # envelope); the two agree bit for bit.
+    # full k table) or alone (a theta profile times a k row but for a
+    # tabulated envelope); the two agree bit for bit.  A tabulated mode's
+    # profile row is exactly 1.0 and its k table |table_for|^2, bit for bit.
     grid = make_grid(1, g_theta, g_k)
     envs = _density_envs(grid)
-    profile, together = envelope_densities(envs, grid)
-    assert profile is None and together.shape == (len(envs), g_theta, g_k)
-    for env, got in zip(envs, together):
+    profile, k_table = envelope_densities(envs, grid)
+    assert profile.shape == (len(envs), g_theta) and k_table.shape == (len(envs), g_theta, g_k)
+    for env, got, row, k_rows in zip(envs, density_stack((profile, k_table)), profile, k_table):
         want = np.abs(env.table_for(grid)) ** 2
         assert float(np.sum(want)) * grid.d_theta * grid.d_k == pytest.approx(1.0, rel=1e-14)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want)
+        if env.kind == "tabulated":
+            assert np.all(row == 1.0) and np.array_equal(k_rows, want)
         alone = envelope_densities([env], grid)
-        assert (alone[0] is None) == (env.kind == "tabulated")
+        assert alone[1].shape == (1, g_theta if env.kind == "tabulated" else 1, g_k)
         assert np.array_equal(density_stack(alone)[0], got)
 
 
@@ -375,14 +378,21 @@ def test_separable_densities_are_a_theta_profile_times_a_k_row(g_theta, g_k):
 
 
 def test_a_tabulated_envelope_makes_the_stack_full():
-    # A gaussian and a tabulated mode: no profile, and the full (2, g_theta,
-    # g_k) stack, the gaussian's mode its profile times its k row.
+    # A gaussian and a tabulated mode: the full (2, g_theta, g_k) k table.
+    # The gaussian keeps its own profile and has its k row repeated over
+    # theta; the tabulated mode has a profile of exactly 1.0 and
+    # |table_for|^2 in the k table, bit for bit.
     grid = make_grid(1, 5, 12)
     gauss = EnvelopeSpec.gaussian(1.3, 0.4, 0.7, 0.2)
     table = EnvelopeSpec.tabulated(np.arange(60.0).reshape(5, 12) + 1j)
-    profile, stack = envelope_densities([gauss, table], grid)
-    assert profile is None and stack.shape == (2, 5, 12)
-    assert np.array_equal(stack[0], density_stack(envelope_densities([gauss], grid))[0])
+    profile, k_table = envelope_densities([gauss, table], grid)
+    assert profile.shape == (2, 5) and k_table.shape == (2, 5, 12)
+    alone_profile, alone_k = envelope_densities([gauss], grid)
+    assert np.array_equal(profile[0], alone_profile[0])
+    assert np.array_equal(k_table[0], np.broadcast_to(alone_k[0], (5, 12)))
+    assert np.all(profile[1] == 1.0)
+    assert np.array_equal(k_table[1], np.abs(table.table_for(grid)) ** 2)
+    stack = density_stack((profile, k_table))
     assert np.max(np.abs(stack[1] - np.abs(table.table_for(grid)) ** 2)) <= 1e-15 * np.max(stack[1])
 
 
@@ -390,7 +400,9 @@ def test_a_tabulated_envelope_makes_the_stack_full():
 def test_densities_take_one_gaussian_pass(monkeypatch, kinds):
     # Gaussian (g), constant (c) and tabulated (t) modes in any mix: the
     # gaussians take one gaussian_axes pass between them (none without a
-    # gaussian), and each mode's density is the one it has alone, bit for bit.
+    # gaussian), a tabulated mode makes the k table full and has a profile
+    # row of exactly 1.0, and each mode's density is the one it has alone,
+    # bit for bit.
     grid = make_grid(1, 6, 9)
     specs = {
         "g": lambda i: EnvelopeSpec.gaussian(1.0 + 0.3 * i, 0.4 + 0.05 * i, 0.6, 0.2),
@@ -406,10 +418,14 @@ def test_densities_take_one_gaussian_pass(monkeypatch, kinds):
         return gaussian_axes(spec_list, g)
 
     monkeypatch.setattr(zak_module, "gaussian_axes", spy)
-    dens = envelope_densities(envs, grid)
+    profile, k_table = envelope_densities(envs, grid)
     assert len(passes) == ("g" in kinds)
-    assert (dens[0] is None) == ("t" in kinds)
-    for want, got in zip(alone, density_stack(dens), strict=True):
+    assert profile.shape == (len(kinds), 6)
+    assert k_table.shape == (len(kinds), 6 if "t" in kinds else 1, 9)
+    for env, row, k_rows in zip(envs, profile, k_table):
+        if env.kind == "tabulated":
+            assert np.all(row == 1.0) and np.array_equal(k_rows, np.abs(env.table_for(grid)) ** 2)
+    for want, got in zip(alone, density_stack((profile, k_table)), strict=True):
         assert np.array_equal(got, want)
 
 
